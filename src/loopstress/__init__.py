@@ -61,7 +61,6 @@ from .signals import (
     TestCase,
     eval_shape,
     render_reference,
-    shape_fundamental_ratio,
     snap_time_gain,
 )
 from .spectral import (

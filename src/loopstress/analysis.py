@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .campaign import TestResult
-from .signals import ShapeKind, shape_fundamental_ratio
+from .signals import ShapeKind
 
 __all__ = [
     "MrViolation",
@@ -309,12 +309,11 @@ def export_plot_data(
     dof_rows = []
     for r in results:
         shape = r.case.shape
-        f_main = r.case.time_gain * shape_fundamental_ratio(shape)
         scope = classify_scope(r, dnl_threshold, boundary_factor)
         scatter.append(
             (
                 shape.value,
-                f_main,
+                r.case.time_gain,
                 r.case.amp_gain,
                 r.dnl,
                 scope.value,

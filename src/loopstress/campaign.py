@@ -23,18 +23,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .plants import PlantSpec, run_plant
-from .signals import (
-    ShapeKind,
-    TestCase,
-    render_reference,
-    shape_fundamental_ratio,
-    snap_time_gain,
-)
+from .signals import ShapeKind, TestCase, render_reference, snap_time_gain
 from .spectral import Trace, degree_of_nonlinearity, dof_profile, fa_map
 
 __all__ = [
@@ -132,6 +126,8 @@ class AmplitudeBoundMap:
 
 def _sine_probe(plant: PlantSpec, inputs: RequiredInput):
     """Real probe: dnl of a sinusoidal test at (frequency, amplitude)."""
+    if plant is None:
+        raise ValueError("need either a plant or a probe")
 
     def probe(frequency: float, amplitude: float) -> float:
         tg = snap_time_gain(frequency, inputs.sample_interval)
@@ -157,7 +153,6 @@ def binary_search_upperbound(
     frequency: float,
     inputs: RequiredInput,
     probe=None,
-    _count=None,
 ) -> float:
     """Largest amplitude at ``frequency`` whose sinusoidal dnl stays in bounds.
 
@@ -171,16 +166,7 @@ def binary_search_upperbound(
     plant (e.g. a closed-form oracle in tests).
     """
     if probe is None:
-        if plant is None:
-            raise ValueError("need either a plant or a probe")
         probe = _sine_probe(plant, inputs)
-    if _count is not None:
-        inner = probe
-
-        def probe(f, a, _inner=inner):
-            _count[0] += 1
-            return _inner(f, a)
-
     th = inputs.dnl_threshold
     if probe(frequency, inputs.a_max) <= th:
         return inputs.a_max
@@ -213,10 +199,18 @@ def optimistic_amplitude_bound(
     :class:`BoundRefinementError` carrying the partial map if more than
     ``max_frequencies`` frequencies would be sampled.
     """
-    count = [0]
+    if probe is None:
+        probe = _sine_probe(plant, inputs)
+    probes = 0
+
+    def counted(frequency: float, amplitude: float) -> float:
+        nonlocal probes
+        probes += 1
+        return probe(frequency, amplitude)
+
     bounds: dict[float, float] = {}
     for f in (inputs.f_min, inputs.f_max):
-        bounds[f] = binary_search_upperbound(plant, f, inputs, probe, _count=count)
+        bounds[f] = binary_search_upperbound(plant, f, inputs, counted)
     closed: set[tuple[float, float]] = set()
 
     def build() -> AmplitudeBoundMap:
@@ -225,7 +219,7 @@ def optimistic_amplitude_bound(
             frequencies=fs,
             bounds=tuple(bounds[f] for f in fs),
             unresolved=tuple(sorted(closed)),
-            probes=count[0],
+            probes=probes,
         )
 
     while True:
@@ -248,7 +242,7 @@ def optimistic_amplitude_bound(
                 f"widest remaining gap {gap:g} between {f_lo:g} and {f_hi:g} Hz",
                 build(),
             )
-        bounds[f_new] = binary_search_upperbound(plant, f_new, inputs, probe, _count=count)
+        bounds[f_new] = binary_search_upperbound(plant, f_new, inputs, counted)
 
 
 def derive_frequency_resolution(bound_map: AmplitudeBoundMap) -> float:
@@ -309,13 +303,12 @@ def generate_test_set(
     rng = np.random.default_rng(seed)
     tests: list[GeneratedTest] = []
     for shape in shapes:
-        ratio = shape_fundamental_ratio(shape)
         for f in freqs:
             bound = bound_map.interpolate(f)
             n_amps = max(1, math.ceil(bound / inputs.delta_a))
             draws = rng.beta(alpha, beta, size=n_amps)
-            tg = snap_time_gain(f / ratio, inputs.sample_interval)
-            snap_error = abs(tg * ratio - f)
+            tg = snap_time_gain(f, inputs.sample_interval)
+            snap_error = abs(tg - f)
             for x in draws:
                 amp = float(max(x, 1e-12) * bound)
                 tests.append(
@@ -435,7 +428,7 @@ def calibration_curve(
     if max_periods < 1:
         raise ValueError("max_periods must be at least 1")
     shape = ShapeKind(shape)
-    tg = snap_time_gain(inputs.f_max / shape_fundamental_ratio(shape), inputs.sample_interval)
+    tg = snap_time_gain(inputs.f_max, inputs.sample_interval)
     case = TestCase(
         shape=shape,
         amp_gain=inputs.a_max,
@@ -489,8 +482,3 @@ def choose_num_periods(
     curve = calibration_curve(plant, inputs, max_periods, shape)
     periods, _ = pick_num_periods(curve, inputs.dnl_threshold, max_periods)
     return periods
-
-
-def with_base_periods(inputs: RequiredInput, periods: int) -> RequiredInput:
-    """Copy of ``inputs`` with the repetition count replaced."""
-    return replace(inputs, base_periods=periods)

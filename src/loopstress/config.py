@@ -3,13 +3,16 @@
 One JSON document describes a whole campaign: the plant under test, the
 required inputs (frequency range, amplitude cap and resolution), the shapes
 to generate, and the analysis knobs.  Parsing is strict -- unknown keys are
-rejected rather than ignored, so a typo fails loudly instead of silently
-running with a default.
+rejected rather than ignored, and values of the wrong JSON type (``"7"`` or
+``true`` for a number, ``2.9`` for an integer, ``"false"`` for a flag) are
+rejected rather than coerced, so a typo fails loudly instead of silently
+running with something else.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,11 +72,53 @@ def _take(d: dict, key, default=None, required=False):
     return d.pop(key, default)
 
 
+def _is_number(value) -> bool:
+    # bool is a subclass of int, but ``true`` is no amplitude; Python's json
+    # also reads NaN and Infinity, which no parameter accepts.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _number(d: dict, key, default=None, required=False) -> float | None:
+    """Pop a real number; JSON null is kept only where the default is null."""
+    value = _take(d, key, default, required)
+    if value is None and default is None and not required:
+        return None
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(d: dict, key, default) -> int:
+    value = _take(d, key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(where: str, values) -> dict:
+    """Check a JSON object whose every value must be a real number."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key, value in values.items():
+        if not _is_number(value):
+            raise ConfigError(f"{where} {key} must be a finite number, got {value!r}")
+    return dict(values)
+
+
 def _parse_block(raw: dict) -> NonlinearBlock:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"plant blocks must be objects, got {raw!r}")
     raw = dict(raw)
     kind = _take(raw, "kind", required=True)
+    if not isinstance(kind, str):
+        raise ConfigError(f"block kind must be a string, got {kind!r}")
+    params = _numbers(f"block {kind}", raw)
     try:
-        return NonlinearBlock(kind=kind, params=raw)
+        return NonlinearBlock(kind=kind, params=params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -81,8 +126,10 @@ def _parse_block(raw: dict) -> NonlinearBlock:
 def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
     raw = dict(raw)
     model = _take(raw, "model", required=True)
-    physical = _take(raw, "physical", {})
-    controller = _take(raw, "controller", {})
+    if not isinstance(model, str):
+        raise ConfigError(f"plant model must be a string, got {model!r}")
+    physical = _numbers("plant physical", _take(raw, "physical", {}))
+    controller = _numbers("plant controller", _take(raw, "controller", {}))
     blocks_raw = _take(raw, "blocks", [])
     plant_dt = _take(raw, "sample_interval", sample_interval)
     if raw:
@@ -96,8 +143,8 @@ def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
     try:
         return PlantSpec(
             model=model,
-            physical=dict(physical),
-            controller=dict(controller),
+            physical=physical,
+            controller=controller,
             blocks=tuple(_parse_block(b) for b in blocks_raw),
             sample_interval=sample_interval,
         )
@@ -107,21 +154,24 @@ def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
 
 def config_from_dict(raw: dict) -> CampaignConfig:
     raw = dict(raw)
-    version = _take(raw, "schema_version", CONFIG_VERSION)
+    version = _integer(raw, "schema_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
 
+    includes_mean = _take(raw, "dnl_includes_mean", True)
+    if not isinstance(includes_mean, bool):
+        raise ConfigError(f"dnl_includes_mean must be true or false, got {includes_mean!r}")
     try:
         inputs = RequiredInput(
-            f_min=float(_take(raw, "f_min", required=True)),
-            f_max=float(_take(raw, "f_max", required=True)),
-            a_max=float(_take(raw, "a_max", required=True)),
-            delta_a=float(_take(raw, "delta_a", required=True)),
-            dnl_threshold=float(_take(raw, "dnl_threshold", 0.15)),
-            rho=float(_take(raw, "rho", 0.1)),
-            base_periods=int(_take(raw, "base_periods", 5)),
-            sample_interval=float(_take(raw, "sample_interval", 0.001)),
-            dnl_includes_mean=bool(_take(raw, "dnl_includes_mean", True)),
+            f_min=_number(raw, "f_min", required=True),
+            f_max=_number(raw, "f_max", required=True),
+            a_max=_number(raw, "a_max", required=True),
+            delta_a=_number(raw, "delta_a", required=True),
+            dnl_threshold=_number(raw, "dnl_threshold", 0.15),
+            rho=_number(raw, "rho", 0.1),
+            base_periods=_integer(raw, "base_periods", 5),
+            sample_interval=_number(raw, "sample_interval", 0.001),
+            dnl_includes_mean=includes_mean,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -142,25 +192,20 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     except ValueError as exc:
         raise ConfigError("unknown calibration_shape") from exc
 
-    mr2_bin = _take(raw, "mr2_bin_tolerance")
-    mr3_eps = _take(raw, "mr3_epsilon")
     cfg_kwargs = dict(
         plant=plant,
         inputs=inputs,
         shapes=shapes,
-        seed=int(_take(raw, "seed", 0)),
-        workers=int(_take(raw, "workers", 1)),
-        max_periods=int(_take(raw, "max_periods", 10)),
+        seed=_integer(raw, "seed", 0),
+        workers=_integer(raw, "workers", 1),
+        max_periods=_integer(raw, "max_periods", 10),
         calibration_shape=calibration_shape,
-        beta_params=(
-            float(_take(raw, "beta_alpha", 2.0)),
-            float(_take(raw, "beta_beta", 1.0)),
-        ),
-        mr2_bin_tolerance=None if mr2_bin is None else float(mr2_bin),
-        mr2_equality_tolerance=float(_take(raw, "mr2_equality_tolerance", 1e-6)),
-        mr3_epsilon=None if mr3_eps is None else float(mr3_eps),
-        boundary_factor=float(_take(raw, "boundary_factor", 0.5)),
-        max_frequencies=int(_take(raw, "max_frequencies", 256)),
+        beta_params=(_number(raw, "beta_alpha", 2.0), _number(raw, "beta_beta", 1.0)),
+        mr2_bin_tolerance=_number(raw, "mr2_bin_tolerance"),
+        mr2_equality_tolerance=_number(raw, "mr2_equality_tolerance", 1e-6),
+        mr3_epsilon=_number(raw, "mr3_epsilon"),
+        boundary_factor=_number(raw, "boundary_factor", 0.5),
+        max_frequencies=_integer(raw, "max_frequencies", 256),
     )
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")

@@ -1,22 +1,26 @@
 """Simulated closed-loop plants with injectable non-linear blocks.
 
-Two self-contained control loops are provided as testbeds:
+One control loop serves as the testbed: a PI controller with a filtered
+derivative on the measurement, driving a first-order linear physics model
+``inertia * dv/dt = gain * u + friction - damping * v`` whose output is the
+integrated position.  Two parameter sets instantiate it:
 
 * ``drone_alt`` -- altitude axis of a small quadrotor: a point mass pushed
   by thrust against linear air drag (gravity already compensated), under a
   PID controller.  The integrator is deliberately plain -- no anti-windup --
   so saturated tests expose windup as an observable stress behaviour.
 * ``dc_servo`` -- voltage-driven DC servo (rotor inertia plus viscous
-  damping, voltage -> angle) under state feedback with integral action.
+  damping, voltage -> angle) under state feedback with integral action,
+  optionally with a PWM quantiser on the drive voltage.
 
-Both integrate with semi-implicit Euler at the controller period (default
-1 ms, one controller execution per physics step).  Non-linear blocks can be
-attached to the sensor path (range clipping, ADC quantisation), the
-actuation path (dead zone, backlash, command saturation) or the physics
-itself (coulomb and quadratic friction forces).  Every step is instrumented:
-saturation flags plus the absolute deviation each injected block introduced
-relative to an ideal linear counterpart, so test outcomes can be attributed
-to specific non-linearities afterwards.
+The loop integrates with semi-implicit Euler at the controller period
+(default 1 ms, one controller execution per physics step).  Non-linear
+blocks can be attached to the sensor path (range clipping, ADC
+quantisation), the actuation path (dead zone, backlash, command saturation)
+or the physics itself (coulomb and quadratic friction forces).  Every step
+is instrumented: saturation flags plus the absolute deviation each injected
+block introduced relative to an ideal linear counterpart, so test outcomes
+can be attributed to specific non-linearities afterwards.
 """
 
 from __future__ import annotations
@@ -181,6 +185,16 @@ _MODEL_DEFAULTS = {
     },
 }
 
+# Which parameter plays each role in the shared loop
+#     u = P*e + integral - D*filtered_derivative,
+#     v += (gain*u + friction - damping*v) / inertia * dt,
+# as (gain, damping, inertia, P, I, D).  The drone's thrust acts on its mass
+# directly, so its gain is None, meaning the constant 1.0.
+_LOOP_ROLES = {
+    "drone_alt": (None, "drag", "mass", "kp", "ki", "kd"),
+    "dc_servo": ("torque_const", "damping", "inertia", "k_pos", "k_int", "k_vel"),
+}
+
 
 @dataclass(frozen=True)
 class PlantSpec:
@@ -226,6 +240,17 @@ class PlantSpec:
             raise ValueError("inertia must be positive")
 
 
+def _split_overrides(model: str, overrides: dict) -> tuple[dict, dict]:
+    """Sort flat keyword overrides into the model's physical and controller sets."""
+    defaults = _MODEL_DEFAULTS[model]
+    physical = {k: v for k, v in overrides.items() if k in defaults["physical"]}
+    controller = {k: v for k, v in overrides.items() if k in defaults["controller"]}
+    leftovers = set(overrides) - set(physical) - set(controller)
+    if leftovers:
+        raise ValueError(f"unknown {model} parameters: {sorted(leftovers)}")
+    return physical, controller
+
+
 def drone_spec(
     thrust_limit: float = 2.0,
     extra_blocks: tuple[NonlinearBlock, ...] = (),
@@ -236,11 +261,7 @@ def drone_spec(
     blocks = ()
     if thrust_limit > 0.0:
         blocks = (actuator_saturation(-thrust_limit, thrust_limit),)
-    physical = {k: v for k, v in param_overrides.items() if k in ("mass", "drag", "nominal_speed")}
-    controller = {k: v for k, v in param_overrides.items() if k in ("kp", "ki", "kd", "deriv_tau")}
-    leftovers = set(param_overrides) - set(physical) - set(controller)
-    if leftovers:
-        raise ValueError(f"unknown drone parameters: {sorted(leftovers)}")
+    physical, controller = _split_overrides("drone_alt", param_overrides)
     return PlantSpec(
         model="drone_alt",
         physical=physical,
@@ -266,13 +287,7 @@ def dc_servo_spec(
         blocks += (sensor_saturation(-sensor_range, sensor_range),)
     if adc_step > 0.0:
         blocks += (quantizer(adc_step),)
-    phys_keys = ("inertia", "damping", "torque_const", "nominal_speed", "pwm_step")
-    ctrl_keys = ("k_pos", "k_int", "k_vel", "deriv_tau")
-    physical = {k: v for k, v in param_overrides.items() if k in phys_keys}
-    controller = {k: v for k, v in param_overrides.items() if k in ctrl_keys}
-    leftovers = set(param_overrides) - set(physical) - set(controller)
-    if leftovers:
-        raise ValueError(f"unknown dc servo parameters: {sorted(leftovers)}")
+    physical, controller = _split_overrides("dc_servo", param_overrides)
     return PlantSpec(
         model="dc_servo",
         physical=physical,
@@ -322,46 +337,17 @@ class PlantRun:
     diverged: bool
 
 
-class _Wiring:
-    """Unpacked block parameters for the tight simulation loop."""
-
-    __slots__ = (
-        "sens_lo", "sens_hi", "sens_step", "dz_hw", "bl_half", "act_lo",
-        "act_hi", "coulomb", "quad", "quad_lin",
-    )
-
-    def __init__(self, spec: PlantSpec):
-        by_kind = {b.kind: b.params for b in spec.blocks}
-        sat = by_kind.get("sensor_saturation")
-        self.sens_lo, self.sens_hi = (sat["lo"], sat["hi"]) if sat else (None, None)
-        q = by_kind.get("quantizer")
-        self.sens_step = q["step"] if q else None
-        dz = by_kind.get("dead_zone")
-        self.dz_hw = dz["half_width"] if dz else None
-        bl = by_kind.get("backlash")
-        self.bl_half = bl["play"] / 2.0 if bl else None
-        sat = by_kind.get("actuator_saturation")
-        self.act_lo, self.act_hi = (sat["lo"], sat["hi"]) if sat else (None, None)
-        cf = by_kind.get("coulomb_friction")
-        self.coulomb = cf["level"] if cf else None
-        qf = by_kind.get("quadratic_friction")
-        self.quad = qf["coef"] if qf else None
-        self.quad_lin = (
-            self.quad * abs(spec.physical["nominal_speed"]) if qf else None
-        )
-
-
 def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     """Simulate the closed loop over ``reference`` and return the instrumented run.
 
     The loop per step: read the sensor (saturation, then quantisation),
     execute the controller, shape the command through the actuation-path
-    blocks (dead zone, backlash, saturation), then advance the physics by
-    one semi-implicit Euler step including any friction blocks.  The run is
-    deterministic.  If the output magnitude exceeds ``1e6`` times the
-    largest reference value (or turns non-finite) the simulation stops and
-    the run is flagged diverged, with the trace truncated to the completed
-    steps.
+    blocks (dead zone, backlash, saturation, then the PWM quantiser when
+    ``pwm_step > 0``), then advance the physics by one semi-implicit Euler
+    step including any friction blocks.  The run is deterministic.  If the
+    output magnitude exceeds ``1e6`` times the largest reference value (or
+    turns non-finite) the simulation stops and the run is flagged diverged,
+    with the trace truncated to the completed steps.
     """
     ref = np.asarray(reference, dtype=float)
     if ref.ndim != 1 or len(ref) < 2:
@@ -371,11 +357,7 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     peak = float(np.max(np.abs(ref)))
     limit = 1e6 * peak if peak > 0.0 else math.inf
 
-    if spec.model == "drone_alt":
-        runner = _run_drone
-    else:
-        runner = _run_dc_servo
-    out, act, a_sat, s_sat, dev, diverged = runner(spec, ref.tolist(), limit)
+    out, act, a_sat, s_sat, dev, diverged = _simulate(spec, ref.tolist(), limit)
 
     n = len(out)
     trace = Trace(
@@ -392,53 +374,35 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     return PlantRun(trace=trace, log=log, diverged=diverged)
 
 
-def _shape_command(w: _Wiring, u: float, bl_state: float, dev: float):
-    """Actuation-path blocks; returns (command, backlash state, deviation, flag)."""
-    if w.dz_hw is not None:
-        shaped = u - w.dz_hw if u > w.dz_hw else (u + w.dz_hw if u < -w.dz_hw else 0.0)
-        dev += abs(shaped - u)
-        u = shaped
-    if w.bl_half is not None:
-        if u > bl_state + w.bl_half:
-            bl_state = u - w.bl_half
-        elif u < bl_state - w.bl_half:
-            bl_state = u + w.bl_half
-        dev += abs(bl_state - u)
-        u = bl_state
-    saturated = False
-    if w.act_lo is not None:
-        if u > w.act_hi:
-            u, saturated = w.act_hi, True
-        elif u < w.act_lo:
-            u, saturated = w.act_lo, True
-    return u, bl_state, dev, saturated
-
-
-def _friction(w: _Wiring, v: float):
-    """Friction force at velocity v plus deviation from the linear counterpart."""
-    force = 0.0
-    dev = 0.0
-    if w.coulomb is not None and v != 0.0:
-        fc = -w.coulomb if v > 0.0 else w.coulomb
-        force += fc
-        dev += abs(fc)
-    if w.quad is not None:
-        fq = -w.quad * v * abs(v)
-        force += fq
-        dev += abs(fq - (-w.quad_lin * v))
-    return force, dev
-
-
-def _run_drone(spec: PlantSpec, ref: list, limit: float):
+def _simulate(spec: PlantSpec, ref: list, limit: float):
+    """Run the shared loop with ``spec``'s coefficients; returns per-step lists."""
     dt = spec.sample_interval
-    mass = spec.physical["mass"]
-    drag = spec.physical["drag"]
-    c = spec.controller
-    kp, ki, kd, tau = c["kp"], c["ki"], c["kd"], c["deriv_tau"]
-    alpha = dt / (tau + dt)
-    w = _Wiring(spec)
+    params = {**spec.physical, **spec.controller}
+    gain_key, damping_key, inertia_key, p_key, i_key, d_key = _LOOP_ROLES[spec.model]
+    gain = 1.0 if gain_key is None else params[gain_key]
+    damping, inertia = params[damping_key], params[inertia_key]
+    kp, ki, kd = params[p_key], params[i_key], params[d_key]
+    alpha = dt / (params["deriv_tau"] + dt)
+    pwm_step = params.get("pwm_step", 0.0)
 
-    z = v = 0.0
+    blocks = {b.kind: b.params for b in spec.blocks}
+
+    def block_param(kind, name):
+        return blocks[kind][name] if kind in blocks else None
+
+    sens_lo = block_param("sensor_saturation", "lo")
+    sens_hi = block_param("sensor_saturation", "hi")
+    sens_step = block_param("quantizer", "step")
+    dz_hw = block_param("dead_zone", "half_width")
+    play = block_param("backlash", "play")
+    bl_half = None if play is None else play / 2.0
+    act_lo = block_param("actuator_saturation", "lo")
+    act_hi = block_param("actuator_saturation", "hi")
+    coulomb = block_param("coulomb_friction", "level")
+    quad = block_param("quadratic_friction", "coef")
+    quad_lin = None if quad is None else quad * abs(params["nominal_speed"])
+
+    x = v = 0.0
     integ = dfilt = 0.0
     prev_meas = None
     bl_state = 0.0
@@ -446,18 +410,17 @@ def _run_drone(spec: PlantSpec, ref: list, limit: float):
     diverged = False
 
     for r in ref:
-        out.append(z)
-        dev = 0.0
+        out.append(x)
 
-        meas = z
+        meas = x
         sflag = False
-        if w.sens_lo is not None:
-            if meas > w.sens_hi:
-                meas, sflag = w.sens_hi, True
-            elif meas < w.sens_lo:
-                meas, sflag = w.sens_lo, True
-        if w.sens_step is not None:
-            meas = math.floor(meas / w.sens_step + 0.5) * w.sens_step
+        if sens_lo is not None:
+            if meas > sens_hi:
+                meas, sflag = sens_hi, True
+            elif meas < sens_lo:
+                meas, sflag = sens_lo, True
+        if sens_step is not None:
+            meas = math.floor(meas / sens_step + 0.5) * sens_step
         s_sat.append(sflag)
 
         e = r - meas
@@ -466,74 +429,46 @@ def _run_drone(spec: PlantSpec, ref: list, limit: float):
         dfilt += alpha * (d_raw - dfilt)
         u = kp * e + integ - kd * dfilt
 
-        u, bl_state, dev, aflag = _shape_command(w, u, bl_state, dev)
-        a_sat.append(aflag)
-        act.append(u)
-        integ += ki * e * dt
-
-        f_fric, f_dev = _friction(w, v)
-        dev_log.append(dev + f_dev)
-
-        v += (u + f_fric - drag * v) / mass * dt
-        z += v * dt
-        if not (abs(z) <= limit and math.isfinite(v)):
-            if len(out) >= 2:
-                diverged = True
-                break
-    return out, act, a_sat, s_sat, dev_log, diverged
-
-
-def _run_dc_servo(spec: PlantSpec, ref: list, limit: float):
-    dt = spec.sample_interval
-    p = spec.physical
-    inertia, damping, kt = p["inertia"], p["damping"], p["torque_const"]
-    pwm_step = p["pwm_step"]
-    c = spec.controller
-    k_pos, k_int, k_vel, tau = c["k_pos"], c["k_int"], c["k_vel"], c["deriv_tau"]
-    alpha = dt / (tau + dt)
-    w = _Wiring(spec)
-
-    theta = omega = 0.0
-    integ = dfilt = 0.0
-    prev_meas = None
-    bl_state = 0.0
-    out, act, a_sat, s_sat, dev_log = [], [], [], [], []
-    diverged = False
-
-    for r in ref:
-        out.append(theta)
         dev = 0.0
-
-        meas = theta
-        sflag = False
-        if w.sens_lo is not None:
-            if meas > w.sens_hi:
-                meas, sflag = w.sens_hi, True
-            elif meas < w.sens_lo:
-                meas, sflag = w.sens_lo, True
-        if w.sens_step is not None:
-            meas = math.floor(meas / w.sens_step + 0.5) * w.sens_step
-        s_sat.append(sflag)
-
-        e = r - meas
-        d_raw = 0.0 if prev_meas is None else (meas - prev_meas) / dt
-        prev_meas = meas
-        dfilt += alpha * (d_raw - dfilt)
-        u = k_pos * e + integ - k_vel * dfilt
-
-        u, bl_state, dev, aflag = _shape_command(w, u, bl_state, dev)
+        if dz_hw is not None:
+            shaped = u - dz_hw if u > dz_hw else (u + dz_hw if u < -dz_hw else 0.0)
+            dev += abs(shaped - u)
+            u = shaped
+        if bl_half is not None:
+            if u > bl_state + bl_half:
+                bl_state = u - bl_half
+            elif u < bl_state - bl_half:
+                bl_state = u + bl_half
+            dev += abs(bl_state - u)
+            u = bl_state
+        aflag = False
+        if act_lo is not None:
+            if u > act_hi:
+                u, aflag = act_hi, True
+            elif u < act_lo:
+                u, aflag = act_lo, True
         if pwm_step > 0.0:  # duty-cycle averaged PWM: quantised drive voltage
             u = math.floor(u / pwm_step + 0.5) * pwm_step
         a_sat.append(aflag)
         act.append(u)
-        integ += k_int * e * dt
+        integ += ki * e * dt
 
-        t_fric, t_dev = _friction(w, omega)
-        dev_log.append(dev + t_dev)
+        # Friction deviation is summed apart and added to ``dev`` once, so
+        # the logged value keeps its rounding when several blocks are active.
+        fric = fdev = 0.0
+        if coulomb is not None and v != 0.0:
+            fc = -coulomb if v > 0.0 else coulomb
+            fric += fc
+            fdev += abs(fc)
+        if quad is not None:
+            fq = -quad * v * abs(v)
+            fric += fq
+            fdev += abs(fq - (-quad_lin * v))
+        dev_log.append(dev + fdev)
 
-        omega += (kt * u + t_fric - damping * omega) / inertia * dt
-        theta += omega * dt
-        if not (abs(theta) <= limit and math.isfinite(omega)):
+        v += (gain * u + fric - damping * v) / inertia * dt
+        x += v * dt
+        if not (abs(x) <= limit and math.isfinite(v)):
             if len(out) >= 2:
                 diverged = True
                 break

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -164,21 +163,3 @@ def render_reference(case: TestCase) -> np.ndarray:
     phase = (n % spp) / spp
     return case.amp_gain * eval_shape(case.shape, phase)
 
-
-@lru_cache(maxsize=None)
-def shape_fundamental_ratio(shape: ShapeKind) -> float:
-    """Frequency of the largest non-mean DFT component of the unit shape.
-
-    Rendered at time gain 1 this is 1.0 for every built-in shape (the
-    fundamental dominates), so a test targeting main frequency ``f`` uses
-    ``time_gain = f / shape_fundamental_ratio(shape)``.  Computed from the
-    spectrum rather than hard-coded so user-registered shapes would get the
-    correct scaling.
-    """
-    from .spectral import dft_amplitude  # local import: avoid cycle
-
-    case = TestCase(shape=ShapeKind(shape), amp_gain=1.0, time_gain=1.0,
-                    periods=1, sample_interval=0.001)
-    spec = dft_amplitude(render_reference(case), case.sample_interval)
-    k = 1 + int(np.argmax(spec.amplitudes[1:]))
-    return float(spec.frequencies[k])

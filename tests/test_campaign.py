@@ -18,7 +18,6 @@ from loopstress.campaign import (
     generate_test_set,
     optimistic_amplitude_bound,
     pick_num_periods,
-    with_base_periods,
 )
 from loopstress.plants import drone_spec
 from loopstress.signals import ShapeKind
@@ -63,13 +62,6 @@ def two_level_probe(frequency, amplitude):
 def test_required_input_rejects_inconsistent_values(kwargs):
     with pytest.raises(ValueError):
         RequiredInput(**kwargs)
-
-
-def test_with_base_periods_returns_updated_copy():
-    updated = with_base_periods(DEFAULT_INPUTS, 3)
-    assert updated.base_periods == 3
-    assert DEFAULT_INPUTS.base_periods != 3 or updated is not DEFAULT_INPUTS
-    assert updated.f_min == DEFAULT_INPUTS.f_min
 
 
 # ---------------------------------------------------------------------------

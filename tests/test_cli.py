@@ -195,6 +195,16 @@ def test_unknown_config_key_is_invalid_input(tmp_path):
     assert rc == cli.EXIT_INVALID_INPUT
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"dnl_includes_mean": "false"}, {"base_periods": 2.9}, {"seed": "7"}, {"f_min": "0.3"}],
+)
+def test_wrongly_typed_config_value_is_invalid_input(tmp_path, override):
+    cfg = write_config(tmp_path, **override)
+    rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INVALID_INPUT
+
+
 def test_generate_without_bounds_artifact_is_invalid_input(tmp_path):
     cfg = write_config(tmp_path)
     rc = cli.main(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,11 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(workers=0),
         lambda raw: raw.update(max_periods=0),
         lambda raw: raw.pop("plant"),
+        lambda raw: raw["plant"].update(model=["drone_alt"]),
+        lambda raw: raw["plant"].update(blocks=[1]),
+        lambda raw: raw["plant"]["blocks"][0].update(kind=["dead_zone"]),
+        lambda raw: raw.update(a_max=float("inf")),
+        lambda raw: raw.update(f_min=float("nan")),
     ],
 )
 def test_bad_configs_raise_config_error(mutate):
@@ -161,3 +167,90 @@ def test_load_config_rejects_invalid_json(tmp_path):
 def test_load_config_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.json")
+
+
+# ---------------------------------------------------------------------------
+# strict types: wrong JSON types are rejected, never coerced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda raw: raw.update(f_min=True),
+        lambda raw: raw.update(rho=False),
+        lambda raw: raw.update(mr3_epsilon=True),
+        lambda raw: raw["plant"].update(physical={"mass": True}),
+        lambda raw: raw["plant"]["blocks"][0].update(hi=True),
+    ],
+)
+def test_bool_for_a_number_is_rejected(mutate):
+    raw = minimal_raw()
+    mutate(raw)
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda raw: raw.update(f_min="0.3"),
+        lambda raw: raw.update(beta_alpha="2"),
+        lambda raw: raw.update(mr2_bin_tolerance="0.1"),
+        lambda raw: raw["plant"].update(controller={"kp": "3.0"}),
+        lambda raw: raw["plant"]["blocks"][0].update(lo="-2"),
+    ],
+)
+def test_string_for_a_number_is_rejected(mutate):
+    raw = minimal_raw()
+    mutate(raw)
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("base_periods", 2.9),
+        ("base_periods", 3.0),
+        ("seed", "7"),
+        ("workers", True),
+        ("max_periods", None),
+        ("max_frequencies", 64.5),
+        ("schema_version", 1.0),
+    ],
+)
+def test_non_integer_for_an_integer_field_is_rejected(key, value):
+    raw = dict(minimal_raw(), **{key: value})
+    with pytest.raises(ConfigError, match="must be an integer"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_non_bool_for_dnl_includes_mean_is_rejected(value):
+    raw = dict(minimal_raw(), dnl_includes_mean=value)
+    with pytest.raises(ConfigError, match="true or false"):
+        config_from_dict(raw)
+
+
+def test_integers_are_accepted_for_numbers():
+    raw = dict(minimal_raw(), f_max=2, a_max=3, mr3_epsilon=0)
+    cfg = config_from_dict(raw)
+    assert (cfg.inputs.f_max, cfg.inputs.a_max, cfg.mr3_epsilon) == (2.0, 3.0, 0.0)
+    assert isinstance(cfg.inputs.a_max, float)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.json")), ids=lambda p: p.stem
+)
+def test_shipped_configs_load_with_their_values(path):
+    raw = json.loads(path.read_text())
+    cfg = load_config(path)
+    assert cfg.inputs.f_min == raw["f_min"]
+    assert cfg.inputs.a_max == raw["a_max"]
+    assert cfg.inputs.base_periods == raw["base_periods"]
+    assert cfg.seed == raw["seed"]
+    assert cfg.workers == raw["workers"]
+    assert [s.value for s in cfg.shapes] == raw["shapes"]
+    assert len(cfg.plant.blocks) == len(raw["plant"]["blocks"])
+

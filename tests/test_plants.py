@@ -1,11 +1,12 @@
 """Nonlinear blocks, plant construction, closed-loop simulation."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopstress.plants import (
@@ -143,9 +144,12 @@ def test_block_with_wrong_parameter_names_rejected():
     step=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
 )
 @settings(max_examples=200)
+@example(value=0.5, step=0.2)  # 3 * 0.2 rounds to 0.6000000000000001
 def test_quantizer_error_bounded_by_half_step(value, step):
     out, _ = apply_block(quantizer(step), value)
-    assert abs(out - value) <= step / 2.0
+    # k * step is rounded to a double, so the error may pass step/2 by a few ulp.
+    slack = 4 * math.ulp(max(abs(value), step))
+    assert abs(out - value) <= step / 2.0 + slack
     # Output is an integer multiple of the step.
     assert abs(out / step - round(out / step)) < 1e-6
 
@@ -370,3 +374,162 @@ def test_divergence_is_detected_and_truncated():
 def test_run_plant_rejects_too_short_reference():
     with pytest.raises(ValueError):
         run_plant(drone_spec(), np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# exact output: digests pin every float operation of the simulation loop
+# ---------------------------------------------------------------------------
+
+GOLDEN_PLANTS = {
+    "drone": lambda extra: drone_spec(extra_blocks=extra),
+    "drone_pid": lambda extra: drone_spec(
+        thrust_limit=0.0, kd=0.05, deriv_tau=0.01, extra_blocks=extra
+    ),
+    "servo": lambda extra: dc_servo_spec(extra_blocks=extra),
+    "servo_pwm": lambda extra: dc_servo_spec(pwm_step=0.05, sensor_range=2.0, extra_blocks=extra),
+}
+GOLDEN_EXTRAS = {
+    "plain": (),
+    "dead_zone": (dead_zone(0.05),),
+    "backlash": (backlash(0.05),),
+    "coulomb": (coulomb_friction(0.05),),
+    "quadratic": (quadratic_friction(0.002),),
+    "all": (dead_zone(0.05), backlash(0.05), coulomb_friction(0.05), quadratic_friction(0.002)),
+}
+# name -> (shape, amplitude, time gain, periods)
+GOLDEN_POINTS = {
+    "square": (ShapeKind.SQUARE, 1.0, 1.0, 2),
+    "sine": (ShapeKind.SINE, 3.0, 2.0, 3),
+    "triangle": (ShapeKind.TRIANGLE, 0.4, 0.5, 1),
+    "trapezoid": (ShapeKind.TRAPEZOID, 2.0, 4.0, 4),
+}
+GOLDEN_CASES = {
+    f"{p}-{e}-{s}": (GOLDEN_PLANTS[p](GOLDEN_EXTRAS[e]), GOLDEN_POINTS[s])
+    for p in GOLDEN_PLANTS
+    for e in GOLDEN_EXTRAS
+    for s in GOLDEN_POINTS
+}
+GOLDEN_CASES["diverging"] = (
+    drone_spec(kp=-30.0, thrust_limit=0.0),
+    (ShapeKind.SINE, 1.0, 1.0, 3),
+)
+# First 16 hex digits of the sha256 over the run's output, actuation, both
+# saturation flag arrays, deviation log and divergence flag.  Reordering any
+# float operation of the loop changes them; update them only together with
+# a CHANGES.md entry that says which results moved and why.
+GOLDEN_DIGESTS = {
+    "drone-plain-square": "0f67af40199cf2c1",
+    "drone-plain-sine": "b76223b67d378ecd",
+    "drone-plain-triangle": "bda316e7c753acbd",
+    "drone-plain-trapezoid": "192a4ba93ed82053",
+    "drone-dead_zone-square": "62822efc27719e60",
+    "drone-dead_zone-sine": "54df8608d91803bb",
+    "drone-dead_zone-triangle": "f97a9132767328fc",
+    "drone-dead_zone-trapezoid": "02396bed37a32406",
+    "drone-backlash-square": "ef34f116895926d2",
+    "drone-backlash-sine": "b2843d1573d3fa00",
+    "drone-backlash-triangle": "5603f22d933a0952",
+    "drone-backlash-trapezoid": "55bfc01d6163957d",
+    "drone-coulomb-square": "269928a8d95583ab",
+    "drone-coulomb-sine": "d49705db3da09a60",
+    "drone-coulomb-triangle": "37f4d8e4c04173a8",
+    "drone-coulomb-trapezoid": "1221497098a0db12",
+    "drone-quadratic-square": "8563bcb3c2469f29",
+    "drone-quadratic-sine": "ed379b4a9483a81f",
+    "drone-quadratic-triangle": "3065e787aa9d3300",
+    "drone-quadratic-trapezoid": "db909ffab207399d",
+    "drone-all-square": "989f387d25580d84",
+    "drone-all-sine": "b9145a2f8bd7f083",
+    "drone-all-triangle": "f9eb83dacf9370e5",
+    "drone-all-trapezoid": "e92d85f63586e5f0",
+    "drone_pid-plain-square": "d124fa9f83a4871c",
+    "drone_pid-plain-sine": "2c6501e66d4ed32b",
+    "drone_pid-plain-triangle": "00918c1173d87340",
+    "drone_pid-plain-trapezoid": "d49228e06090a4f0",
+    "drone_pid-dead_zone-square": "e5da160d4ee7fded",
+    "drone_pid-dead_zone-sine": "e8190b7dee96a6ed",
+    "drone_pid-dead_zone-triangle": "b05b3c88a2f34e01",
+    "drone_pid-dead_zone-trapezoid": "fb1d8cd1ae288066",
+    "drone_pid-backlash-square": "b770df6404774aec",
+    "drone_pid-backlash-sine": "476863ad719fefce",
+    "drone_pid-backlash-triangle": "317331089c09a876",
+    "drone_pid-backlash-trapezoid": "185b6dae86710272",
+    "drone_pid-coulomb-square": "75523e83e4779383",
+    "drone_pid-coulomb-sine": "06ea93839f1bf8f8",
+    "drone_pid-coulomb-triangle": "9d6c370d729d9eb8",
+    "drone_pid-coulomb-trapezoid": "23937b03c90be103",
+    "drone_pid-quadratic-square": "f18e825e6cfccdd7",
+    "drone_pid-quadratic-sine": "ca106882c4bee879",
+    "drone_pid-quadratic-triangle": "15a989cbe5d2e645",
+    "drone_pid-quadratic-trapezoid": "d028d9a4d78c9774",
+    "drone_pid-all-square": "ac8643b52ef77907",
+    "drone_pid-all-sine": "ab26cc75132d7232",
+    "drone_pid-all-triangle": "c01021bc7dd1e10e",
+    "drone_pid-all-trapezoid": "707c052b8ee58dcb",
+    "servo-plain-square": "c283c91888374c71",
+    "servo-plain-sine": "2977eb04a6f8a3b9",
+    "servo-plain-triangle": "1131705c11bd63f0",
+    "servo-plain-trapezoid": "0676ee31ca1571d6",
+    "servo-dead_zone-square": "ac0b87fba5d7a0fc",
+    "servo-dead_zone-sine": "4400cb0cbddd818d",
+    "servo-dead_zone-triangle": "21c11c66d60aaf16",
+    "servo-dead_zone-trapezoid": "2548bfa48a86cdfb",
+    "servo-backlash-square": "be0fe0bc26016f72",
+    "servo-backlash-sine": "13f3679ff2029997",
+    "servo-backlash-triangle": "18558c0062340ac0",
+    "servo-backlash-trapezoid": "20ce4b24f78ff2c7",
+    "servo-coulomb-square": "57e51e9cf637680b",
+    "servo-coulomb-sine": "522f58edc334aa87",
+    "servo-coulomb-triangle": "dcc5ad5d1c15b3e6",
+    "servo-coulomb-trapezoid": "15058ab63ab4fdc1",
+    "servo-quadratic-square": "d86ca837ad6e41b5",
+    "servo-quadratic-sine": "a09f4e8a49a22586",
+    "servo-quadratic-triangle": "42571e4408584c22",
+    "servo-quadratic-trapezoid": "a9619161c49842e6",
+    "servo-all-square": "6f7b4b81cfbaafa1",
+    "servo-all-sine": "d13bbdf4c80c9780",
+    "servo-all-triangle": "784e23cf76cad116",
+    "servo-all-trapezoid": "b78bfe0d3f9f5736",
+    "servo_pwm-plain-square": "60de18f22c35b20d",
+    "servo_pwm-plain-sine": "b4279c4aa7223c71",
+    "servo_pwm-plain-triangle": "3b75d92aa6546bc1",
+    "servo_pwm-plain-trapezoid": "e0c4670d5a34dfa9",
+    "servo_pwm-dead_zone-square": "ad77cf80c71a6e20",
+    "servo_pwm-dead_zone-sine": "b5c58e5183ed0063",
+    "servo_pwm-dead_zone-triangle": "a5bec6bdc8dd3b9c",
+    "servo_pwm-dead_zone-trapezoid": "bf0efb9816ed39ed",
+    "servo_pwm-backlash-square": "38fdf19683e69cee",
+    "servo_pwm-backlash-sine": "f71263ba84e0224b",
+    "servo_pwm-backlash-triangle": "31cc2e38e52fe57d",
+    "servo_pwm-backlash-trapezoid": "52c993df196fac1d",
+    "servo_pwm-coulomb-square": "80c9e6ac890fba3b",
+    "servo_pwm-coulomb-sine": "8019c5340529f015",
+    "servo_pwm-coulomb-triangle": "57f9289bb91553d9",
+    "servo_pwm-coulomb-trapezoid": "4db0a35bbf2761bb",
+    "servo_pwm-quadratic-square": "ff661845b9f4c867",
+    "servo_pwm-quadratic-sine": "38bcf8170c763d40",
+    "servo_pwm-quadratic-triangle": "39037e78f70b54bb",
+    "servo_pwm-quadratic-trapezoid": "28dacba65e0f1e15",
+    "servo_pwm-all-square": "6aae777f7a708bef",
+    "servo_pwm-all-sine": "bdfe11291a28c697",
+    "servo_pwm-all-triangle": "42aef39b50d0ac3e",
+    "servo_pwm-all-trapezoid": "c44a9a3716cc0e8b",
+    "diverging": "d07369da27ead684",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_simulation_output_is_bit_exact(name):
+    spec, (shape, amp, time_gain, periods) = GOLDEN_CASES[name]
+    run = simulate(spec, shape=shape, amp=amp, time_gain=time_gain, periods=periods)
+    h = hashlib.sha256()
+    for arr in (
+        run.trace.output,
+        run.log.actuation,
+        run.log.actuator_saturated,
+        run.log.sensor_saturated,
+        run.log.nonlinearity_deviation,
+    ):
+        h.update(arr.tobytes())
+    h.update(bytes([run.diverged]))
+    assert h.hexdigest()[:16] == GOLDEN_DIGESTS[name]

@@ -14,7 +14,6 @@ from loopstress.signals import (
     eval_shape,
     render_reference,
     samples_per_period,
-    shape_fundamental_ratio,
     snap_time_gain,
 )
 
@@ -181,11 +180,6 @@ def test_snap_time_gain_rejects_nonpositive_frequency():
         snap_time_gain(0.0, 0.001)
     with pytest.raises(ValueError):
         snap_time_gain(-1.0, 0.001)
-
-
-def test_shape_fundamental_ratio_is_unity_for_all_shapes():
-    for shape in ALL_SHAPES:
-        assert shape_fundamental_ratio(shape) == 1.0
 
 
 # ---------------------------------------------------------------------------
