@@ -21,6 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .campaign import TestResult
 from .signals import ShapeKind
 
@@ -54,36 +56,93 @@ class MrViolation:
     detail: str = ""
 
 
-def _dominates(a: TestResult, b: TestResult) -> bool:
-    """Strictly-more-stressful partial order used by MR1."""
-    ai, ti = a.case.amp_gain, a.case.time_gain
-    aj, tj = b.case.amp_gain, b.case.time_gain
-    return (ai > aj and ti >= tj) or (ai >= aj and ti > tj)
+# Largest number of elements in one pairwise temporary of the MR checkers.
+_CHUNK_ELEMENTS = 1 << 20
+
+
+def _shape_groups(results, indices) -> list[np.ndarray]:
+    """``indices`` split by the shape of their result, each in ascending order."""
+    groups: dict = {}
+    for idx in indices:
+        groups.setdefault(results[idx].case.shape, []).append(idx)
+    return [np.array(g, dtype=np.intp) for g in groups.values()]
+
+
+def _g_formatter():
+    """``format(x, "g")`` through a memo: witnesses repeat a few values often."""
+    memo = {}
+
+    def g(x) -> str:
+        s = memo.get(x)
+        if s is None:
+            if x:
+                s = memo[x] = format(x, "g")
+            else:  # 0.0 and -0.0 are equal keys that format apart
+                s = "-0" if math.copysign(1.0, x) < 0.0 else "0"
+        return s
+
+    return g
 
 
 def check_mr1(results) -> tuple[MrViolation, ...]:
     """A same-shape test that is larger *and* at-least-as-fast (or vice versa)
     must show strictly higher dnl.  Returns one violation per ordered pair
-    for which that fails."""
+    ``(i, j)`` for which that fails, in ascending ``(i, j)`` order."""
     results = list(results)
+    amp = np.array([r.case.amp_gain for r in results], dtype=float)
+    speed = np.array([r.case.time_gain for r in results], dtype=float)
+    dnl = np.array([r.dnl for r in results], dtype=float)
+    firsts, seconds = [], []
+    for idx in _shape_groups(results, range(len(results))):
+        a, t, d = amp[idx], speed[idx], dnl[idx]
+        rows = max(1, _CHUNK_ELEMENTS // idx.size)
+        for start in range(0, idx.size, rows):
+            ai = a[start:start + rows, None]
+            ti = t[start:start + rows, None]
+            di = d[start:start + rows, None]
+            # i dominates j (strictly more stressful), yet dnl_i is not above dnl_j.
+            bad = ((ai > a) & (ti >= t)) | ((ai >= a) & (ti > t))
+            bad &= ~(di > d)
+            r, c = np.nonzero(bad)
+            firsts.append(idx[r + start])
+            seconds.append(idx[c])
+    if not firsts:
+        return ()
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    order = np.lexsort((second, first))
+    g = _g_formatter()
     violations = []
-    for i, ri in enumerate(results):
-        for j, rj in enumerate(results):
-            if i == j or ri.case.shape is not rj.case.shape:
-                continue
-            if _dominates(ri, rj) and not ri.dnl > rj.dnl:
-                violations.append(
-                    MrViolation(
-                        relation="MR1",
-                        subjects=(i, j),
-                        witnesses=(ri.dnl, rj.dnl),
-                        detail=(
-                            f"test {i} dominates test {j} but dnl "
-                            f"{ri.dnl:g} <= {rj.dnl:g}"
-                        ),
-                    )
-                )
+    for i, j in zip(first[order].tolist(), second[order].tolist()):
+        di, dj = results[i].dnl, results[j].dnl
+        violations.append(
+            MrViolation(
+                relation="MR1",
+                subjects=(i, j),
+                witnesses=(di, dj),
+                detail=f"test {i} dominates test {j} but dnl {g(di)} <= {g(dj)}",
+            )
+        )
     return tuple(violations)
+
+
+def _match_components(f, t_fast, freq, speed, valid, tol):
+    """Partners of a faster test's components ``f`` (speed ``t_fast``) in
+    slower tests with padded components ``freq``/``valid`` and speeds and
+    bin tolerances ``speed``/``tol``.
+
+    Each component is scaled to ``(f * speed) / t_fast``, as in MR2, and
+    matched to the nearest valid slow component; of equally near ones the
+    first wins, and only a distance below infinity matches.  Returns the
+    matched column and whether it lies within the tolerance, both shaped
+    (slower test, component).
+    """
+    with np.errstate(all="ignore"):
+        target = (f * speed[:, None]) / t_fast
+        dist = np.abs(freq[:, None, :] - target[:, :, None])
+    dist[~valid[:, None, :] | np.isnan(dist)] = np.inf
+    best = dist.argmin(axis=2)
+    best_dist = np.take_along_axis(dist, best[:, :, None], axis=2)[:, :, 0]
+    return best, (best_dist < np.inf) & ~(best_dist > tol[:, None])
 
 
 def check_mr2(
@@ -98,62 +157,102 @@ def check_mr2(
     with ``T_i > T_j``, every relevant component ``f`` of the faster test is
     compared against the slower test's component at ``f * T_j / T_i``
     (matched to the nearest component within ``bin_tolerance``, which
-    defaults to half the slower trace's DFT bin width).  The relation
-    expects ``dof_i(f) > dof_j(matched)``; differences smaller than
-    ``equality_tolerance`` are not flagged.  Returns the violations plus the
-    number of components that found no partner bin.
+    defaults to half the slower trace's DFT bin width; the first of equally
+    near components wins).  The relation expects ``dof_i(f) > dof_j(matched)``;
+    differences smaller than ``equality_tolerance`` are not flagged.  Returns
+    the violations in ``(i, j, component)`` order plus the number of
+    components that found no partner bin.
     """
     results = list(results)
     linear = [
-        (idx, r)
+        idx
         for idx, r in enumerate(results)
         if not r.diverged and r.dnl < dnl_threshold
     ]
-    violations = []
+    min_gap = max(equality_tolerance, 0.0)
     skipped = 0
-    for i, ri in linear:
-        for j, rj in linear:
-            if i == j or ri.case.shape is not rj.case.shape:
+    found = []  # (i, j, component of i, matched component of j) arrays
+    for idx in _shape_groups(results, linear):
+        group = [results[k] for k in idx]
+        width = max(len(r.components) for r in group)
+        if width == 0:
+            continue
+        # Components padded to ``width``; ``valid`` marks those with a dof.
+        freq = np.zeros((idx.size, width))
+        dof = np.zeros((idx.size, width))
+        valid = np.zeros((idx.size, width), dtype=bool)
+        for row, r in enumerate(group):
+            for k, comp in enumerate(r.components):
+                freq[row, k] = comp.frequency
+                if comp.dof is not None:
+                    dof[row, k] = comp.dof
+                    valid[row, k] = True
+        speed = np.array([r.case.time_gain for r in group], dtype=float)
+        if bin_tolerance is None:
+            tol = np.array([0.5 / r.case.duration for r in group], dtype=float)
+        else:
+            tol = np.full(idx.size, bin_tolerance, dtype=float)
+        # Tests with equal speed, tolerance, component frequencies and dof
+        # mask pick the same partners, so the nearest-component search runs
+        # once per pair of such layouts.
+        layouts: dict = {}
+        layout = np.array(
+            [
+                layouts.setdefault(row.tobytes(), len(layouts))
+                for row in np.column_stack([speed, tol, freq, valid])
+            ]
+        )
+        first_of = np.unique(layout, return_index=True)[1]
+        for lay, a in enumerate(first_of):
+            comps = np.flatnonzero(valid[a])
+            slower = np.flatnonzero(speed[a] > speed)
+            if comps.size == 0 or slower.size == 0:
                 continue
-            ti, tj = ri.case.time_gain, rj.case.time_gain
-            if not ti > tj:
-                continue
-            tol = bin_tolerance
-            if tol is None:
-                tol = 0.5 / rj.case.duration
-            for comp in ri.components:
-                if comp.dof is None:
-                    continue
-                target = comp.frequency * tj / ti
-                partner = None
-                partner_dist = math.inf
-                for cj in rj.components:
-                    if cj.dof is None:
-                        continue
-                    dist = abs(cj.frequency - target)
-                    if dist < partner_dist:
-                        partner, partner_dist = cj, dist
-                if partner is None or partner_dist > tol:
-                    skipped += 1
-                    continue
-                if partner.dof - comp.dof >= max(equality_tolerance, 0.0):
-                    violations.append(
-                        MrViolation(
-                            relation="MR2",
-                            subjects=(i, j),
-                            witnesses=(
-                                comp.frequency,
-                                comp.dof,
-                                partner.frequency,
-                                partner.dof,
-                            ),
-                            detail=(
-                                f"dof of test {i} at {comp.frequency:g} Hz is "
-                                f"{comp.dof:g}, not above dof {partner.dof:g} of "
-                                f"slower test {j} at {partner.frequency:g} Hz"
-                            ),
-                        )
-                    )
+            rows = np.flatnonzero(layout == lay)
+            step = max(1, _CHUNK_ELEMENTS // (comps.size * width))
+            for start in range(0, slower.size, step):
+                js = slower[start:start + step]
+                kinds, kind_of = np.unique(layout[js], return_inverse=True)
+                b = first_of[kinds]
+                best, hit = _match_components(
+                    freq[a, comps], speed[a], freq[b], speed[b], valid[b], tol[b]
+                )
+                best, hit = best[kind_of], hit[kind_of]
+                skipped += rows.size * (hit.size - int(np.count_nonzero(hit)))
+                partner_dof = dof[js[:, None], best]
+                row_step = max(1, _CHUNK_ELEMENTS // hit.size)
+                for row_start in range(0, rows.size, row_step):
+                    fast = rows[row_start:row_start + row_step]
+                    with np.errstate(all="ignore"):
+                        gap = partner_dof - dof[fast[:, None], comps][:, None, :]
+                    f, j, c = np.nonzero((gap >= min_gap) & hit)
+                    found.append((idx[fast[f]], idx[js[j]], comps[c], best[j, c]))
+    if not found:
+        return (), skipped
+    first, second, comp_k, partner_k = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((comp_k, second, first))
+    g = _g_formatter()
+    violations = []
+    for i, j, k, m in zip(
+        first[order].tolist(),
+        second[order].tolist(),
+        comp_k[order].tolist(),
+        partner_k[order].tolist(),
+    ):
+        comp = results[i].components[k]
+        partner = results[j].components[m]
+        violations.append(
+            MrViolation(
+                relation="MR2",
+                subjects=(i, j),
+                witnesses=(comp.frequency, comp.dof, partner.frequency, partner.dof),
+                detail=(
+                    f"dof of test {i} at {g(comp.frequency)} Hz is "
+                    f"{g(comp.dof)}, not above dof {g(partner.dof)} of "
+                    f"slower test {j} at {g(partner.frequency)} Hz"
+                ),
+            )
+        )
     return tuple(violations), skipped
 
 

@@ -11,8 +11,9 @@ artifacts inspected between steps::
     loopstress campaign  --config cfg.json --out out/   # bound..analyze in one go
 
 Exit codes: 0 success, 2 success with warnings (e.g. the calibration stress
-test never crossed the threshold, or a bound gap could not be resolved),
-3 invalid input (config or artifact schema), 4 internal failure.
+test never crossed the threshold, a bound gap could not be resolved, or the
+bound search hit ``max_frequencies`` and saved its partial map), 3 invalid
+input (config or artifact schema), 4 internal failure.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ def cmd_bound(cfg: CampaignConfig, out: Path) -> int:
             cfg.plant, cfg.inputs, max_frequencies=cfg.max_frequencies
         )
     except campaign.BoundRefinementError as exc:
+        # The plant and config ask for more frequencies than the cap allows.
         persist.save_bounds(out / BOUNDS_FILE, exc.partial)
-        print(f"error: {exc} (partial map saved)", file=sys.stderr)
-        return EXIT_INTERNAL
+        print(f"warning: {exc} (partial map saved)", file=sys.stderr)
+        return EXIT_WARNINGS
     persist.save_bounds(out / BOUNDS_FILE, bound_map)
     print(
         f"bounds: {len(bound_map.frequencies)} frequencies, "
@@ -197,8 +199,9 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
     persist.save_csv(out / DOF_FILE, analysis.DOF_HEADER, dof_rows)
 
     scope_counts = {s.value: 0 for s in analysis.ScopeClass}
-    for r in results:
-        scope_counts[analysis.classify_scope(r, th, cfg.boundary_factor).value] += 1
+    scope_column = analysis.SCATTER_HEADER.index("scope")
+    for row in scatter:
+        scope_counts[row[scope_column]] += 1
 
     persist.save_json_report(
         out / MR_REPORT_FILE,

@@ -5,7 +5,8 @@ record carrying ``schema_version`` and the artifact kind, followed by one
 record per entry.  Floats are serialised with Python's shortest round-trip
 representation, so loading reproduces the exact values and re-serialising
 reproduces the exact bytes; infinities use the JSON-extension ``Infinity``
-token that the stdlib emits and accepts.
+token that the stdlib emits and accepts.  Each file is written next to its
+target and renamed into place, so an artifact is never left half-written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .campaign import (
@@ -31,6 +34,25 @@ class SchemaError(ValueError):
     """An artifact file does not match the expected schema."""
 
 
+@contextmanager
+def _replacing(path):
+    """Text file handle whose content replaces ``path`` only once complete.
+
+    The text goes to a temporary file in the same directory, which is
+    renamed onto ``path`` on success and removed on failure, so a reader
+    sees either the old artifact or the new one, never a partial one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
@@ -39,7 +61,8 @@ def _write_records(path, kind: str, header_extra: dict, records) -> None:
     lines = [_dump({"record": "header", "schema_version": SCHEMA_VERSION,
                     "kind": kind, **header_extra})]
     lines.extend(_dump(r) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read_records(path, kind: str) -> tuple[dict, list[dict]]:
@@ -214,13 +237,86 @@ def load_results(path) -> tuple[TestResult, ...]:
 
 # -- reports and tables ---------------------------------------------------
 
+class _FloatText(dict):
+    """JSON text of floats, memoised: a report repeats few distinct values."""
+
+    def __missing__(self, value: float) -> str:
+        if value != value:
+            text = "NaN"
+        elif value in (math.inf, -math.inf):
+            text = "Infinity" if value > 0 else "-Infinity"
+        else:
+            text = float.__repr__(value)
+        if value:  # 0.0 and -0.0 are equal keys that print apart
+            self[value] = text
+        return text
+
+
+def _indented_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``, faster.
+
+    With ``indent`` set, the stdlib runs its pure-Python encoder.  This
+    writer builds the same text from the plain types a report holds:
+    ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``float``, ``bool`` and ``None``.  Any other value (a subclass, a
+    non-``str`` key) is handed to ``json.dumps`` and its lines re-indented,
+    so unserialisable values raise as they do there.
+    """
+    encode_str = json.encoder.encode_basestring_ascii
+    # Exact scalar type -> builtin callable giving its JSON text.
+    scalar = {
+        str: encode_str,
+        int: int.__repr__,
+        float: _FloatText().__getitem__,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): {None: "null"}.__getitem__,
+    }.get
+
+    def encode(value, nl: str) -> str:
+        # ``nl`` is a newline plus the indentation of ``value``'s own line.
+        # Scalar members of a container are written inline, saving a call.
+        t = type(value)
+        text = scalar(t)
+        if text is not None:
+            return text(value)
+        if t is list or t is tuple:
+            if not value:
+                return "[]"
+            inner = nl + "  "
+            items = [
+                text(v) if (text := scalar(type(v))) else encode(v, inner)
+                for v in value
+            ]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if t is dict:
+            if not value:
+                return "{}"
+            inner = nl + "  "
+            try:
+                items = [
+                    encode_str(k) + ": "
+                    + (text(v) if (text := scalar(type(v := value[k])))
+                       else encode(v, inner))
+                    for k in sorted(value)
+                ]
+            except TypeError:  # a key that is no str, or a value json.dumps rejects
+                pass
+            else:
+                return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return json.dumps(value, sort_keys=True, indent=2, allow_nan=True).replace("\n", nl)
+
+    try:
+        return encode(value, "\n")
+    except RecursionError:  # too deep or circular: raise as json.dumps does
+        return json.dumps(value, sort_keys=True, indent=2, allow_nan=True)
+
+
 def save_json_report(path, payload: dict) -> None:
     """Single-object JSON report with a schema version, stable formatting."""
     body = {"schema_version": SCHEMA_VERSION, **payload}
-    Path(path).write_text(
-        json.dumps(body, sort_keys=True, indent=2, allow_nan=True) + "\n",
-        encoding="utf-8",
-    )
+    text = _indented_json(body) + "\n"
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def load_json_report(path) -> dict:
@@ -242,7 +338,7 @@ def _cell(value) -> str:
 
 
 def save_csv(path, header: tuple[str, ...], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

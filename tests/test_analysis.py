@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopstress.analysis import (
     DOF_HEADER,
@@ -20,9 +22,134 @@ from loopstress.analysis import (
     estimate_bandwidth,
     export_plot_data,
 )
-from loopstress.signals import ShapeKind
+from loopstress.signals import ShapeKind, snap_time_gain
 
 from conftest import make_result
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the direct double loops that the numpy checkers replace
+# ---------------------------------------------------------------------------
+
+
+def reference_mr1(results):
+    results = list(results)
+    violations = []
+    for i, ri in enumerate(results):
+        for j, rj in enumerate(results):
+            if i == j or ri.case.shape is not rj.case.shape:
+                continue
+            ai, ti = ri.case.amp_gain, ri.case.time_gain
+            aj, tj = rj.case.amp_gain, rj.case.time_gain
+            dominates = (ai > aj and ti >= tj) or (ai >= aj and ti > tj)
+            if dominates and not ri.dnl > rj.dnl:
+                violations.append(
+                    MrViolation(
+                        relation="MR1",
+                        subjects=(i, j),
+                        witnesses=(ri.dnl, rj.dnl),
+                        detail=(
+                            f"test {i} dominates test {j} but dnl "
+                            f"{ri.dnl:g} <= {rj.dnl:g}"
+                        ),
+                    )
+                )
+    return tuple(violations)
+
+
+def reference_mr2(results, dnl_threshold, bin_tolerance=None, equality_tolerance=1e-6):
+    results = list(results)
+    linear = [
+        (idx, r)
+        for idx, r in enumerate(results)
+        if not r.diverged and r.dnl < dnl_threshold
+    ]
+    violations = []
+    skipped = 0
+    for i, ri in linear:
+        for j, rj in linear:
+            if i == j or ri.case.shape is not rj.case.shape:
+                continue
+            ti, tj = ri.case.time_gain, rj.case.time_gain
+            if not ti > tj:
+                continue
+            tol = bin_tolerance
+            if tol is None:
+                tol = 0.5 / rj.case.duration
+            for comp in ri.components:
+                if comp.dof is None:
+                    continue
+                target = comp.frequency * tj / ti
+                partner = None
+                partner_dist = math.inf
+                for cj in rj.components:
+                    if cj.dof is None:
+                        continue
+                    dist = abs(cj.frequency - target)
+                    if dist < partner_dist:
+                        partner, partner_dist = cj, dist
+                if partner is None or partner_dist > tol:
+                    skipped += 1
+                    continue
+                if partner.dof - comp.dof >= max(equality_tolerance, 0.0):
+                    violations.append(
+                        MrViolation(
+                            relation="MR2",
+                            subjects=(i, j),
+                            witnesses=(
+                                comp.frequency,
+                                comp.dof,
+                                partner.frequency,
+                                partner.dof,
+                            ),
+                            detail=(
+                                f"dof of test {i} at {comp.frequency:g} Hz is "
+                                f"{comp.dof:g}, not above dof {partner.dof:g} of "
+                                f"slower test {j} at {partner.frequency:g} Hz"
+                            ),
+                        )
+                    )
+    return tuple(violations), skipped
+
+
+# Result sets with many ties: few amplitudes and speeds (2, 1, 0.5 Hz snap
+# exactly; 3 Hz does not), component frequencies on a 0.5 Hz grid, so a
+# scaled target often sits midway between two candidates.  Half the tests
+# take their component frequencies from a small shared set, so tests of one
+# speed often share a layout and are matched together.
+_dofs = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 0.2, 0.5, math.nan]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _components(draw):
+    if draw(st.booleans()):
+        shared = draw(st.sampled_from([(1.0, 3.0), (0.5, 1.5, 2.5), (2.0, math.inf)]))
+        return [(f, 1.0, draw(_dofs)) for f in shared]
+    grid = st.sampled_from([0.5 * k for k in range(1, 9)] + [0.75, math.inf, math.nan])
+    return draw(st.lists(st.tuples(grid, st.just(1.0), _dofs), max_size=5))
+
+
+_results = st.lists(
+    st.builds(
+        make_result,
+        shape=st.sampled_from([ShapeKind.SQUARE, ShapeKind.TRIANGLE]),
+        amp=st.sampled_from([0.5, 1.0, 1.5]),
+        frequency=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        dnl=st.one_of(
+            st.sampled_from([0.0, 0.05, 0.1, 0.2, math.inf, math.nan]),
+            st.floats(0.0, 0.2),
+        ),
+        components=_components(),
+        diverged=st.sampled_from([False, False, False, True]),
+        periods=st.sampled_from([1, 5]),
+    ),
+    min_size=2,
+    max_size=14,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +337,110 @@ def test_mr2_wide_bin_tolerance_matches_offset_components():
     # Partner dof 0.3 - 0.1 = 0.2 exceeds the extra component's dof 0.0.
     assert len(violations) == 1
     assert violations[0].witnesses[0] == 7.0
+
+
+# ---------------------------------------------------------------------------
+# the numpy checkers against the reference loops
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=_results)
+def test_mr1_matches_the_reference_loops(results):
+    assert check_mr1(results) == reference_mr1(results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    results=_results,
+    bin_tolerance=st.sampled_from([None, 0.3, math.inf]),
+    equality_tolerance=st.sampled_from([1e-6, 0.0, -1.0]),
+)
+def test_mr2_matches_the_reference_loops(results, bin_tolerance, equality_tolerance):
+    expected = reference_mr2(results, 0.15, bin_tolerance, equality_tolerance)
+    assert check_mr2(results, 0.15, bin_tolerance, equality_tolerance) == expected
+
+
+def test_mr2_equidistant_partners_pick_the_first():
+    # The 1.5 Hz component of the 2 Hz test maps to 0.75 Hz, midway between
+    # the slow test's 0.5 and 1.0 Hz components: the first one is the partner.
+    results = [
+        make_result(frequency=2.0, dnl=0.01, components=[(1.5, 1.0, 0.0)]),
+        make_result(
+            frequency=1.0, dnl=0.01, components=[(0.5, 1.0, 0.3), (1.0, 1.0, 0.6)]
+        ),
+    ]
+    violations, skipped = check_mr2(results, 0.15, bin_tolerance=0.3)
+    assert (violations, skipped) == reference_mr2(results, 0.15, bin_tolerance=0.3)
+    assert [v.witnesses for v in violations] == [(1.5, 0.0, 0.5, 0.3)]
+
+
+def test_mr2_scales_the_target_as_frequency_times_slow_over_fast():
+    # (f * T_j) / T_i lands exactly on 11 Hz; f * (T_j / T_i) would land one
+    # ulp short and miss the partner at zero tolerance.
+    fast = snap_time_gain(3.0, 0.001)
+    f = 11 * fast
+    assert f * (1.0 / fast) != 11.0
+    results = [
+        make_result(frequency=3.0, dnl=0.01, components=[(f, 1.0, 0.1)]),
+        make_result(frequency=1.0, dnl=0.01, components=[(11.0, 1.0, 0.2)]),
+    ]
+    violations, skipped = check_mr2(results, 0.15, bin_tolerance=0.0)
+    assert (violations, skipped) == reference_mr2(results, 0.15, bin_tolerance=0.0)
+    assert skipped == 0 and len(violations) == 1
+
+
+def test_mr2_matches_slow_tests_by_their_own_tolerance_and_dof_mask():
+    # The 1.5 Hz component of the 2 Hz test maps to 0.75 Hz.  The slow tests
+    # share speed and component frequencies in two pairs, but the first pair
+    # differs in run length (bin tolerance 0.1 vs 0.5 Hz) and the second in
+    # which component carries a dof.
+    results = [
+        make_result(frequency=2.0, dnl=0.01, components=[(1.5, 1.0, 0.0)]),
+        make_result(frequency=1.0, dnl=0.01, periods=5, components=[(1.0, 1.0, 0.3)]),
+        make_result(frequency=1.0, dnl=0.01, periods=1, components=[(1.0, 1.0, 0.3)]),
+        make_result(
+            frequency=1.0, dnl=0.01, periods=1,
+            components=[(0.5, 1.0, None), (1.0, 1.0, 0.6)],
+        ),
+        make_result(
+            frequency=1.0, dnl=0.01, periods=1,
+            components=[(0.5, 1.0, 0.2), (1.0, 1.0, 0.6)],
+        ),
+    ]
+    violations, skipped = check_mr2(results, 0.15)
+    assert (violations, skipped) == reference_mr2(results, 0.15)
+    assert skipped == 1
+    assert [(v.subjects, v.witnesses[2:]) for v in violations] == [
+        ((0, 2), (1.0, 0.3)),
+        ((0, 3), (1.0, 0.6)),
+        ((0, 4), (0.5, 0.2)),
+    ]
+
+
+def test_mr1_chunks_rows_of_large_groups(monkeypatch):
+    from loopstress import analysis
+
+    results = _mr1_battery({0, 3}) + _mr1_battery({1})
+    expected = reference_mr1(results)
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 7)
+    assert check_mr1(results) == expected
+    assert len(expected) > 3
+
+
+def test_mr2_chunks_pairs_of_large_groups(monkeypatch):
+    from loopstress import analysis
+
+    # Two fast tests share a layout; all three slow tests share another.
+    results = (
+        _mr2_pair({1, 4})
+        + _mr2_pair({0}, fast_extra=((7.0, 1.0, 0.4),))
+        + _mr2_pair({2, 3})
+    )
+    expected = reference_mr2(results, 0.15)
+    monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 7)
+    assert check_mr2(results, 0.15) == expected
+    assert len(expected[0]) > 3 and expected[1] > 0
 
 
 # ---------------------------------------------------------------------------

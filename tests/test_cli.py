@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from loopstress import cli, persist
+from loopstress.signals import ShapeKind
+
+from conftest import make_result
 
 ARTIFACTS = (
     cli.BOUNDS_FILE,
@@ -147,6 +151,66 @@ def test_seed_override_changes_the_test_set(tmp_path):
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(b), "--seed", "99"]) == 0
     assert digest(a / cli.TESTS_FILE) != digest(b / cli.TESTS_FILE)
     assert persist.load_test_set(b / cli.TESTS_FILE).seed == 99
+
+
+# ---------------------------------------------------------------------------
+# bound
+# ---------------------------------------------------------------------------
+
+
+def test_bound_cap_hit_saves_the_partial_map_and_warns(tmp_path):
+    # The envelope drops by more than delta_a between f_min and f_max, so
+    # refinement needs a third frequency that the cap does not allow.
+    cfg = write_config(tmp_path, delta_a=0.05, max_frequencies=2)
+    out = tmp_path / "out"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_WARNINGS
+    bound_map = persist.load_bounds(out / cli.BOUNDS_FILE)
+    assert bound_map.frequencies == (0.5, 1.0)
+    assert bound_map.probes > 0
+
+
+# ---------------------------------------------------------------------------
+# analyze
+# ---------------------------------------------------------------------------
+
+
+def golden_results():
+    """Seven synthetic results: MR1 and MR2 violations, one diverged test."""
+    sq, tri = ShapeKind.SQUARE, ShapeKind.TRIANGLE
+    return [
+        make_result(sq, amp=1.0, frequency=1.0, dnl=0.02,
+                    components=[(1.0, 1.0, 0.1), (3.0, 0.3, 0.3), (5.0, 0.2, 0.6)]),
+        make_result(sq, amp=1.5, frequency=1.0, dnl=0.01,
+                    components=[(1.0, 1.5, 0.12), (3.0, 0.5, 0.35)], actuator_sat=0.25),
+        make_result(sq, amp=1.0, frequency=2.0, dnl=0.03,
+                    components=[(2.0, 1.0, 0.05), (6.0, 0.3, 0.7), (10.0, 0.2, -0.0)]),
+        make_result(sq, amp=1.2, frequency=0.5, dnl=math.inf, diverged=True,
+                    components=[(0.5, 1.2, None), (1.5, 0.4, None)], deviation=0.125),
+        make_result(tri, amp=1.0, frequency=1.0, dnl=0.1,
+                    components=[(1.0, 1.0, 0.2), (3.0, 0.1, 0.4)]),
+        make_result(tri, amp=0.5, frequency=2.0, dnl=0.2, components=[(2.0, 0.5, None)]),
+        make_result(tri, amp=0.8, frequency=0.5, dnl=0.05,
+                    components=[(0.5, 0.8, 0.3), (1.5, 0.1, 0.45)], sensor_sat=0.5),
+    ]
+
+
+# sha256 of mr_report.json for golden_results(), computed with the
+# double-loop checkers and json.dumps before the numpy checkers existed.
+GOLDEN_REPORT_SHA256 = "b07c530207b667a2b1ad8ed9f92a3d7e3eba995096da769702e6fc8a7b37ad7e"
+
+
+def test_analyze_report_bytes_are_pinned(tmp_path):
+    # Any change to the checkers or the report writer that moves a byte of
+    # mr_report.json fails here.
+    cfg = write_config(tmp_path)
+    results_path = tmp_path / "results.jsonl"
+    persist.save_results(results_path, golden_results())
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", str(cfg), "--results", str(results_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = persist.load_json_report(out / cli.MR_REPORT_FILE)
+    assert report["mr1"]["violations"] and report["mr2"]["violations"]
+    assert digest(out / cli.MR_REPORT_FILE) == GOLDEN_REPORT_SHA256
 
 
 # ---------------------------------------------------------------------------

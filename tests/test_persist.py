@@ -5,8 +5,11 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopstress import persist
+from loopstress.analysis import ScopeClass
 from loopstress.campaign import (
     AmplitudeBoundMap,
     RequiredInput,
@@ -181,6 +184,84 @@ def test_json_report_is_deterministically_formatted(tmp_path):
     persist.save_json_report(a, {"b": 1, "a": 2})
     persist.save_json_report(b, {"a": 2, "b": 1})
     assert a.read_bytes() == b.read_bytes()
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(list(ScopeClass))  # a str subclass: the fallback path
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+@example({"a": [], "b": {}, "c": [{}], "d": [[]]})
+@example({"\u00e9\u2603\U0001f600": "\x00\x1f\"\\\n\u2028", "": True, " ": False})
+@example([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-320, 10**30, -(10**30), None])
+@example({"s": ScopeClass.OUTSIDE, "t": {3: [1, (2.5, "x")], -1: None}})
+def test_report_writer_matches_json_dumps(value):
+    expected = json.dumps(value, sort_keys=True, indent=2, allow_nan=True)
+    assert persist._indented_json(value) == expected
+
+
+def test_report_writer_raises_where_json_dumps_raises():
+    with pytest.raises(TypeError):
+        persist._indented_json({"a": [1, {"b": object()}]})
+    with pytest.raises(TypeError):
+        persist._indented_json({"a": 1, 2: 3})  # keys that do not sort
+    circular = []
+    circular.append(circular)
+    with pytest.raises(ValueError):
+        persist._indented_json({"a": circular})
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: persist.save_bounds(
+            path, AmplitudeBoundMap(frequencies=(0.5, 1.0), bounds=(1.0, object()))
+        ),
+        lambda path: persist.save_json_report(path, {"kind": "x", "value": object()}),
+    ],
+    ids=["records", "report"],
+)
+def test_failed_write_keeps_the_previous_artifact(tmp_path, write):
+    path = tmp_path / "artifact"
+    persist.save_json_report(path, {"kind": "previous", "curve": [0.5, math.inf]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_csv_write_failing_mid_table_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "table.csv"
+    persist.save_csv(path, ("a", "b"), [(1, 2)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (3, 4)
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError):
+        persist.save_csv(path, ("a", "b"), rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_json_report_rejects_future_version(tmp_path):
