@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MrViolation:
     """One falsified relation instance.
 
@@ -68,16 +68,24 @@ def _shape_groups(results, indices) -> list[np.ndarray]:
     return [np.array(g, dtype=np.intp) for g in groups.values()]
 
 
-def _g_formatter():
-    """``format(x, "g")`` through a memo: witnesses repeat a few values often."""
+def _g_formatter(values):
+    """``format(x, "g")`` through a memo: witnesses repeat a few values often.
+
+    Every ``x`` must be a value of the float array ``values``.  0.0 and -0.0
+    are equal keys that format apart, so zero is memoised when all zeros of
+    ``values`` have one sign; otherwise each zero's sign is tested.
+    """
     memo = {}
+    signs = np.signbit(values[values == 0.0])
+    if signs.size and (signs.all() or not signs.any()):
+        memo[0.0] = "-0" if signs[0] else "0"
 
     def g(x) -> str:
         s = memo.get(x)
         if s is None:
             if x:
                 s = memo[x] = format(x, "g")
-            else:  # 0.0 and -0.0 are equal keys that format apart
+            else:
                 s = "-0" if math.copysign(1.0, x) < 0.0 else "0"
         return s
 
@@ -110,7 +118,7 @@ def check_mr1(results) -> tuple[MrViolation, ...]:
         return ()
     first, second = np.concatenate(firsts), np.concatenate(seconds)
     order = np.lexsort((second, first))
-    g = _g_formatter()
+    g = _g_formatter(dnl)
     violations = []
     for i, j in zip(first[order].tolist(), second[order].tolist()):
         di, dj = results[i].dnl, results[j].dnl
@@ -172,6 +180,7 @@ def check_mr2(
     min_gap = max(equality_tolerance, 0.0)
     skipped = 0
     found = []  # (i, j, component of i, matched component of j) arrays
+    witnessed = []  # frequencies and dofs that violations can name
     for idx in _shape_groups(results, linear):
         group = [results[k] for k in idx]
         width = max(len(r.components) for r in group)
@@ -187,6 +196,7 @@ def check_mr2(
                 if comp.dof is not None:
                     dof[row, k] = comp.dof
                     valid[row, k] = True
+        witnessed += [freq[valid], dof[valid]]
         speed = np.array([r.case.time_gain for r in group], dtype=float)
         if bin_tolerance is None:
             tol = np.array([0.5 / r.case.duration for r in group], dtype=float)
@@ -231,7 +241,7 @@ def check_mr2(
         return (), skipped
     first, second, comp_k, partner_k = (np.concatenate(a) for a in zip(*found))
     order = np.lexsort((comp_k, second, first))
-    g = _g_formatter()
+    g = _g_formatter(np.concatenate(witnessed))
     violations = []
     for i, j, k, m in zip(
         first[order].tolist(),

@@ -22,7 +22,6 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +262,9 @@ class GeneratedTest:
 
 @dataclass(frozen=True)
 class TestSet:
+    # Not a pytest test class, despite the name.
+    __test__ = False
+
     tests: tuple[GeneratedTest, ...]
     seed: int
     frequency_step: float
@@ -284,9 +286,6 @@ def generate_test_set(
     near the bound) scaled to ``(0, bound]``.  The draw order is fixed, so
     equal arguments and seed reproduce the identical test set.
     """
-
-    # Not a pytest test class, despite the name.
-    __test__ = False
     shapes = tuple(ShapeKind(s) for s in shapes)
     if not shapes:
         raise ValueError("need at least one shape")
@@ -339,6 +338,9 @@ class Component:
 
 @dataclass(frozen=True)
 class TestResult:
+    # Not a pytest test class, despite the name.
+    __test__ = False
+
     test: GeneratedTest
     dnl: float
     components: tuple[Component, ...]
@@ -396,9 +398,6 @@ def execute_campaign(
     Each test is an independent deterministic simulation, so the outcome is
     identical for any ``workers`` count; workers only trade wall time.
     """
-
-    # Not a pytest test class, despite the name.
-    __test__ = False
     if isinstance(tests, TestSet):
         tests = tests.tests
     tests = tuple(tests)
@@ -406,6 +405,9 @@ def execute_campaign(
         raise ValueError("workers must be at least 1")
     if workers == 1 or len(tests) < 2:
         return tuple(_run_one(plant, t, inputs) for t in tests)
+    # Imported here: the pool module adds noticeably to every start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     args = [(plant, t, inputs) for t in tests]
     chunk = max(1, len(tests) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:

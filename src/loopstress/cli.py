@@ -158,15 +158,6 @@ def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
     return EXIT_OK
 
 
-def _violation_dict(v: analysis.MrViolation) -> dict:
-    return {
-        "relation": v.relation,
-        "subjects": list(v.subjects),
-        "witnesses": list(v.witnesses),
-        "detail": v.detail,
-    }
-
-
 def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
     results = persist.load_results(results_path or out / RESULTS_FILE)
     th = cfg.inputs.dnl_threshold
@@ -208,13 +199,13 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
         {
             "kind": "mr_report",
             "dnl_threshold": th,
-            "mr1": {"violations": [_violation_dict(v) for v in mr1]},
+            "mr1": {"violations": mr1},
             "mr2": {
-                "violations": [_violation_dict(v) for v in mr2],
+                "violations": mr2,
                 "skipped_components": skipped,
             },
             "mr3": {
-                "violations": [_violation_dict(v) for v in mr3],
+                "violations": mr3,
                 "undefined_shapes": list(undefined),
                 "epsilon": cfg.mr3_epsilon,
             },

@@ -18,6 +18,7 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
+from .analysis import MrViolation
 from .campaign import (
     AmplitudeBoundMap,
     Component,
@@ -252,16 +253,60 @@ class _FloatText(dict):
         return text
 
 
-def _indented_json(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``, faster.
+def _violation_form(value) -> dict:
+    """The JSON object an ``MrViolation`` stands for; ``json.dumps``'s ``default``."""
+    if isinstance(value, MrViolation):
+        return {
+            "detail": value.detail,
+            "relation": value.relation,
+            "subjects": list(value.subjects),
+            "witnesses": list(value.witnesses),
+        }
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(value) -> str:
+    return json.dumps(
+        value, sort_keys=True, indent=2, allow_nan=True, default=_violation_form
+    )
+
+
+def _violation_template(nl: str, n_subjects: int, n_witnesses: int) -> str:
+    """``%``-template of an ``MrViolation``'s JSON object at indentation ``nl``.
+
+    Its ``%s`` slots take the JSON texts of the detail, the relation, the
+    subjects and the witnesses, in that order.
+    """
+    inner = nl + "  "
+
+    def array(n: int) -> str:
+        if not n:
+            return "[]"
+        item = inner + "  "
+        return "[" + item + ("," + item).join(["%s"] * n) + inner + "]"
+
+    return (
+        "{" + inner + '"detail": %s,' + inner + '"relation": %s,' + inner
+        + '"subjects": ' + array(n_subjects) + "," + inner
+        + '"witnesses": ' + array(n_witnesses) + nl + "}"
+    )
+
+
+def _json_pieces(value) -> list[str]:
+    """Pieces of ``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``.
 
     With ``indent`` set, the stdlib runs its pure-Python encoder.  This
-    writer builds the same text from the plain types a report holds:
-    ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
-    ``float``, ``bool`` and ``None``.  Any other value (a subclass, a
-    non-``str`` key) is handed to ``json.dumps`` and its lines re-indented,
-    so unserialisable values raise as they do there.
+    writer appends the same text, piece by piece, to one list from the
+    plain types a report holds: ``dict`` with ``str`` keys, ``list``,
+    ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``.  An
+    ``MrViolation`` is written as the object ``_violation_form`` gives,
+    through a template cached per indentation and subject and witness
+    counts.  Any other value (a subclass, a non-``str`` key) is handed to
+    ``json.dumps`` and its lines re-indented, so unserialisable values raise
+    as they do there.
     """
+    pieces: list[str] = []
+    append = pieces.append
     encode_str = json.encoder.encode_basestring_ascii
     # Exact scalar type -> builtin callable giving its JSON text.
     scalar = {
@@ -271,52 +316,89 @@ def _indented_json(value) -> str:
         bool: {True: "true", False: "false"}.__getitem__,
         type(None): {None: "null"}.__getitem__,
     }.get
+    templates: dict = {}
 
-    def encode(value, nl: str) -> str:
+    def encode(value, nl: str) -> None:
         # ``nl`` is a newline plus the indentation of ``value``'s own line.
         # Scalar members of a container are written inline, saving a call.
         t = type(value)
         text = scalar(t)
         if text is not None:
-            return text(value)
+            append(text(value))
+            return
+        if t is MrViolation:
+            subjects, witnesses = value.subjects, value.witnesses
+            try:
+                key = (nl, len(subjects), len(witnesses))
+                template = templates.get(key)
+                if template is None:
+                    template = templates[key] = _violation_template(*key)
+                # A value of no plain scalar type makes this raise TypeError.
+                append(template % tuple([
+                    scalar(type(v))(v)
+                    for v in (value.detail, value.relation, *subjects, *witnesses)
+                ]))
+                return
+            except TypeError:
+                value, t = _violation_form(value), dict
         if t is list or t is tuple:
             if not value:
-                return "[]"
+                append("[]")
+                return
             inner = nl + "  "
-            items = [
-                text(v) if (text := scalar(type(v))) else encode(v, inner)
-                for v in value
-            ]
-            return "[" + inner + ("," + inner).join(items) + nl + "]"
+            lead, sep = "[" + inner, "," + inner
+            for v in value:
+                append(lead)
+                lead = sep
+                if (text := scalar(type(v))) is not None:
+                    append(text(v))
+                else:
+                    encode(v, inner)
+            append(nl + "]")
+            return
         if t is dict:
             if not value:
-                return "{}"
+                append("{}")
+                return
             inner = nl + "  "
+            lead, sep = "{" + inner, "," + inner
             try:
-                items = [
-                    encode_str(k) + ": "
-                    + (text(v) if (text := scalar(type(v := value[k])))
-                       else encode(v, inner))
-                    for k in sorted(value)
-                ]
-            except TypeError:  # a key that is no str, or a value json.dumps rejects
+                for k in sorted(value):
+                    v = value[k]
+                    if (text := scalar(type(v))) is not None:
+                        append(lead + encode_str(k) + ": " + text(v))
+                    else:
+                        append(lead + encode_str(k) + ": ")
+                        encode(v, inner)
+                    lead = sep
+            except TypeError:
+                # Keys that are no str fail at the first one, before any
+                # piece; a value fails only where json.dumps raises, too.
                 pass
             else:
-                return "{" + inner + ("," + inner).join(items) + nl + "}"
-        return json.dumps(value, sort_keys=True, indent=2, allow_nan=True).replace("\n", nl)
+                append(nl + "}")
+                return
+        append(_dumps(value).replace("\n", nl))
 
     try:
-        return encode(value, "\n")
+        encode(value, "\n")
     except RecursionError:  # too deep or circular: raise as json.dumps does
-        return json.dumps(value, sort_keys=True, indent=2, allow_nan=True)
+        return [_dumps(value)]
+    return pieces
+
+
+def _indented_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``, faster,
+    with each ``MrViolation`` written as the object ``_violation_form`` gives."""
+    return "".join(_json_pieces(value))
 
 
 def save_json_report(path, payload: dict) -> None:
     """Single-object JSON report with a schema version, stable formatting."""
-    body = {"schema_version": SCHEMA_VERSION, **payload}
-    text = _indented_json(body) + "\n"
+    pieces = _json_pieces({"schema_version": SCHEMA_VERSION, **payload})
+    pieces.append("\n")
     with _replacing(path) as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def load_json_report(path) -> dict:

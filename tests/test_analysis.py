@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from loopstress.analysis import (
     BandwidthStatus,
     MrViolation,
     ScopeClass,
+    _g_formatter,
     check_mr1,
     check_mr2,
     check_mr3,
@@ -375,6 +377,20 @@ def test_mr2_equidistant_partners_pick_the_first():
     assert [v.witnesses for v in violations] == [(1.5, 0.0, 0.5, 0.3)]
 
 
+def test_mr2_details_keep_the_sign_of_zero_dofs_beside_0_hz():
+    # Zero frequencies are +0.0 here and the fast test's dof at 0 Hz is -0.0:
+    # the detail must print both zeros as they are.
+    results = [
+        make_result(frequency=2.0, dnl=0.01, components=[(0.0, 0.1, -0.0), (2.0, 1.0, 0.5)]),
+        make_result(frequency=1.0, dnl=0.01, components=[(0.0, 0.1, 0.25), (1.0, 1.0, 0.3)]),
+    ]
+    violations, skipped = check_mr2(results, 0.15)
+    assert (violations, skipped) == reference_mr2(results, 0.15)
+    assert [v.detail for v in violations] == [
+        "dof of test 0 at 0 Hz is -0, not above dof 0.25 of slower test 1 at 0 Hz"
+    ]
+
+
 def test_mr2_scales_the_target_as_frequency_times_slow_over_fast():
     # (f * T_j) / T_i lands exactly on 11 Hz; f * (T_j / T_i) would land one
     # ulp short and miss the partner at zero tolerance.
@@ -645,6 +661,15 @@ def test_export_scatter_preserves_result_order():
     results = [make_result(dnl=0.01 * k, frequency=0.5 + 0.5 * k) for k in range(4)]
     scatter, _ = export_plot_data(results, dnl_threshold=0.15)
     assert [row[3] for row in scatter] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+
+
+@pytest.mark.parametrize(
+    "values", [[0.5, 0.0], [0.5, -0.0], [0.0, -0.0, 0.5], [0.5], [math.nan, math.inf, 0.0]]
+)
+def test_g_formatter_keeps_the_sign_of_zero(values):
+    g = _g_formatter(np.array(values))
+    for _ in range(2):  # the second round reads the memo
+        assert [g(x) for x in values] == [format(x, "g") for x in values]
 
 
 def test_mr_violation_is_a_plain_record():

@@ -10,6 +10,8 @@ from loopstress.campaign import (
     AmplitudeBoundMap,
     BoundRefinementError,
     RequiredInput,
+    TestResult,
+    TestSet,
     binary_search_upperbound,
     calibration_curve,
     choose_num_periods,
@@ -20,7 +22,7 @@ from loopstress.campaign import (
     pick_num_periods,
 )
 from loopstress.plants import drone_spec
-from loopstress.signals import ShapeKind
+from loopstress.signals import ShapeKind, TestCase
 
 DEFAULT_INPUTS = RequiredInput(f_min=0.1, f_max=2.0, a_max=6.0, delta_a=0.05)
 
@@ -366,3 +368,8 @@ def test_calibration_curve_for_drone_crosses_threshold():
     chosen = choose_num_periods(drone_spec(), inputs, max_periods=6)
     assert 1 <= chosen <= 6
     assert chosen == pick_num_periods(curve, inputs.dnl_threshold, 6)[0]
+
+
+@pytest.mark.parametrize("cls", [TestCase, TestSet, TestResult])
+def test_library_classes_named_test_are_not_collected(cls):
+    assert cls.__test__ is False

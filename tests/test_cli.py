@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -211,6 +212,63 @@ def test_analyze_report_bytes_are_pinned(tmp_path):
     report = persist.load_json_report(out / cli.MR_REPORT_FILE)
     assert report["mr1"]["violations"] and report["mr2"]["violations"]
     assert digest(out / cli.MR_REPORT_FILE) == GOLDEN_REPORT_SHA256
+
+
+def scale_results():
+    """240 synthetic results, drawn with a fixed seed: thousands of MR1 and
+    MR2 violations, one MR3 violation, diverged tests, and None, 0.0 and
+    -0.0 dofs."""
+    rng = random.Random(4)
+    results = []
+    for n in range(240):
+        shape = (ShapeKind.SQUARE, ShapeKind.TRIANGLE, ShapeKind.SINE)[n % 3]
+        frequency = 0.25 * (1 + n // 3 % 12)
+        amp = 0.5 + 0.25 * (n // 36 % 5)
+        u = rng.random()
+        if u < 0.05:
+            dnl, diverged = math.inf, True
+        elif u < 0.15:
+            dnl, diverged = round(0.2 + u, 3), False
+        else:
+            dnl, diverged = round(0.1 * rng.random(), 3), False
+        components = []
+        for k in (1, 3, 5):
+            v = rng.random()
+            if v < 0.05:
+                dof = None
+            elif v < 0.1:
+                dof = -0.0
+            elif v < 0.12:
+                dof = 0.0
+            else:
+                slope = (0.05, 0.12, 0.08)[n % 3]
+                dof = round(slope * k * frequency + 0.2 * rng.random(), 2)
+            components.append((k * frequency, round(amp / k, 4), dof))
+        results.append(make_result(shape, amp=amp, frequency=frequency, dnl=dnl,
+                                   components=components, diverged=diverged))
+    return results
+
+
+# sha256 of the analyze artifacts for scale_results(), computed with the
+# report writer that built one dict per violation.
+SCALE_SHA256 = {
+    cli.MR_REPORT_FILE: "4d2bf0190581f6d35c04fdf8fcaad1d360ba346757eb16644f2ca4d065f19c39",
+    cli.SCATTER_FILE: "5852a6a5669c7c8ac2477928d90ebbe3fb3a31a6e59b2fc03932214286e0c758",
+    cli.DOF_FILE: "40df5955824041379a2a6f9337e347b9de2e8e7c45a21272775ab053e025c86c",
+}
+
+
+def test_analyze_artifacts_at_scale_are_pinned(tmp_path):
+    cfg = write_config(tmp_path)
+    results_path = tmp_path / "results.jsonl"
+    persist.save_results(results_path, scale_results())
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", str(cfg), "--results", str(results_path), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = persist.load_json_report(out / cli.MR_REPORT_FILE)
+    counts = [len(report[rel]["violations"]) for rel in ("mr1", "mr2", "mr3")]
+    assert counts == [3208, 2634, 1]
+    assert {name: digest(out / name) for name in SCALE_SHA256} == SCALE_SHA256
 
 
 # ---------------------------------------------------------------------------

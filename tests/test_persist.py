@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopstress import persist
-from loopstress.analysis import ScopeClass
+from loopstress.analysis import MrViolation, ScopeClass
 from loopstress.campaign import (
     AmplitudeBoundMap,
     RequiredInput,
@@ -229,6 +229,59 @@ def test_report_writer_raises_where_json_dumps_raises():
         persist._indented_json({"a": circular})
 
 
+_witnesses = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+_violations = st.builds(
+    MrViolation,
+    relation=st.sampled_from(["MR1", "MR2", "MR3"]),
+    subjects=(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6))  # MR1/MR2
+        | st.tuples(st.text(max_size=8), st.text(max_size=8))  # MR3
+        | st.tuples(st.sampled_from(list(ScopeClass)), st.integers())  # fallback path
+    ),
+    witnesses=st.sampled_from([0, 2, 3, 4]).flatmap(
+        lambda n: st.tuples(*[_witnesses] * n)
+    ),
+    detail=st.text(max_size=30) | st.just("d\u00e9\u2603\U0001f600 \x00\x1f\"\\\n\u2028"),
+)
+_violation_payloads = st.recursive(
+    st.lists(_violations, max_size=4) | st.lists(_violations, max_size=4).map(tuple),
+    lambda children: (
+        st.dictionaries(st.text(max_size=6), children | _violations, max_size=3)
+        | st.lists(children | _json_scalars, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+def _dict_form(value):
+    """``value`` with each ``MrViolation`` as the object a report holds."""
+    if isinstance(value, MrViolation):
+        return {
+            "relation": value.relation,
+            "subjects": list(value.subjects),
+            "witnesses": list(value.witnesses),
+            "detail": value.detail,
+        }
+    if isinstance(value, dict):
+        return {k: _dict_form(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_dict_form(v) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_violation_payloads)
+@example({"mr2": {"violations": (
+    MrViolation("MR2", (3, 0), (0.0, -0.0, math.inf, math.nan), "dof -0"),
+    MrViolation("MR1", (3, 1), (), ""),
+    MrViolation("MR3", ("square", "triangle"), (1.5, -math.inf, 0.3), "\x00\u2028"),
+)}})
+@example({"keys": {2: MrViolation("MR1", (0, 1), (0.5, 0.25), "int key")}, "x": [-0.0]})
+def test_report_writer_writes_violations_as_json_dumps_of_their_dicts(value):
+    expected = json.dumps(_dict_form(value), sort_keys=True, indent=2, allow_nan=True)
+    assert persist._indented_json(value) == expected
+
+
 @pytest.mark.parametrize(
     "write",
     [
@@ -247,6 +300,18 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, write):
         write(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_report_write_failing_in_a_violation_list_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "mr_report.json"
+    persist.save_json_report(path, {"kind": "previous", "violations": []})
+    before = path.read_bytes()
+    good = MrViolation("MR2", (0, 1), (1.0, 0.5, 0.5, 0.6), "fine")
+    bad = MrViolation("MR2", (2, 3), (1.0, object(), 0.5, 0.6), "no JSON")
+    with pytest.raises(TypeError):
+        persist.save_json_report(path, {"kind": "x", "violations": (good,) * 50 + (bad, good)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["mr_report.json"]
 
 
 def test_csv_write_failing_mid_table_keeps_the_previous_artifact(tmp_path):
