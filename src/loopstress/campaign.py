@@ -21,14 +21,19 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .plants import PlantSpec, run_plant
+from . import spectral
+from .plants import LaneRun, PlantSpec, run_lanes, run_plant
 from .signals import ShapeKind, TestCase, render_reference, snap_time_gain
-from .spectral import Trace, degree_of_nonlinearity, dof_profile, fa_map
+# ``fa_map`` and ``dof_profile`` are imported for callers that look them up
+# here (perfbench/tracer.py wraps them by name); the run stage scores from
+# spectra.
+from .spectral import Trace, degree_of_nonlinearity, dof_profile, fa_map  # noqa: F401
 
 __all__ = [
     "RequiredInput",
@@ -354,20 +359,44 @@ class TestResult:
         return self.test.case
 
 
-def _run_one(plant: PlantSpec, test: GeneratedTest, inputs: RequiredInput) -> TestResult:
-    reference = render_reference(test.case)
-    comps = fa_map(reference, test.case.sample_interval, inputs.rho)
-    run = run_plant(plant, reference)
+# Largest chunk of the run stage, in lanes times steps.  A chunk holds 26
+# bytes per lane-step at its peak (the rendered references, outputs,
+# velocities and flags; 34 with a dead zone or backlash; see
+# ``plants.run_lanes``), so 400,000 lane-steps add about 10 to 15 MB to the
+# process that runs it.  That keeps a pool worker on the servo campaign
+# (about 37 MB) below the main process's peak in the analyze stage (about
+# 42 MB); 2**19 lane-steps measured no faster.
+_CHUNK_LANE_STEPS = 400_000
+# Chunks narrower than this run test by test through ``run_plant``: one
+# lockstep step costs about as much as 20 to 30 scalar steps, nearly
+# whatever the lane count (``scripts/bench_sim.py`` measures both).
+_MIN_LANES = 25
+
+
+def _result(
+    plant: PlantSpec,
+    test: GeneratedTest,
+    reference: np.ndarray,
+    run: LaneRun,
+    inputs: RequiredInput,
+) -> TestResult:
+    """Score one run from one spectrum per signal.
+
+    The numbers are those of ``fa_map`` on the reference and, on the run's
+    trace, ``degree_of_nonlinearity`` and (for a linear run)
+    ``dof_profile``.
+    """
+    ref_spec = spectral.dft_amplitude(reference, test.case.sample_interval)
+    comps = spectral.components(ref_spec, inputs.rho)
     if run.diverged:
         dnl = math.inf
         dof = {}
     else:
-        dnl = degree_of_nonlinearity(
-            run.trace, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
+        out_spec = spectral.dft_amplitude(run.output, plant.sample_interval)
+        dnl = spectral.dnl_of_spectra(
+            ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
         )
-        dof = (
-            dof_profile(run.trace, inputs.rho) if dnl < inputs.dnl_threshold else {}
-        )
+        dof = spectral.dof_of_spectrum(comps, out_spec) if dnl < inputs.dnl_threshold else {}
     components = tuple(
         Component(frequency=float(f), amplitude=float(a), dof=dof.get(float(f)))
         for f, a in zip(comps.frequencies, comps.amplitudes)
@@ -376,15 +405,41 @@ def _run_one(plant: PlantSpec, test: GeneratedTest, inputs: RequiredInput) -> Te
         test=test,
         dnl=dnl,
         components=components,
-        actuator_saturation_fraction=run.log.actuator_saturation_fraction,
-        sensor_saturation_fraction=run.log.sensor_saturation_fraction,
-        deviation_mean=run.log.mean_deviation,
+        actuator_saturation_fraction=run.actuator_saturation_fraction,
+        sensor_saturation_fraction=run.sensor_saturation_fraction,
+        deviation_mean=run.deviation_mean,
         diverged=run.diverged,
     )
 
 
-def _run_one_star(args) -> TestResult:
-    return _run_one(*args)
+def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests, lanes: bool) -> list[TestResult]:
+    """Results of ``tests``, simulated as the lanes of one lockstep loop or
+    one by one."""
+    references = [render_reference(t.case) for t in tests]
+    if lanes:
+        runs = run_lanes(plant, references)
+    else:
+        runs = [LaneRun.of(run_plant(plant, r)) for r in references]
+    return [
+        _result(plant, test, reference, run, inputs)
+        for test, reference, run in zip(tests, references, runs)
+    ]
+
+
+def _chunks(tests) -> list[list[int]]:
+    """Indices of ``tests`` cut into run chunks, longest tests first.
+
+    Tests are sorted by sample count, and each chunk takes as many as fit
+    in ``_CHUNK_LANE_STEPS`` at the length of its first, longest test.
+    """
+    lengths = [t.case.periods * t.case.samples_per_period for t in tests]
+    order = sorted(range(len(tests)), key=lambda i: -lengths[i])
+    chunks, pos = [], 0
+    while pos < len(order):
+        width = max(1, _CHUNK_LANE_STEPS // lengths[order[pos]])
+        chunks.append(order[pos:pos + width])
+        pos += width
+    return chunks
 
 
 def execute_campaign(
@@ -395,23 +450,37 @@ def execute_campaign(
 ) -> tuple[TestResult, ...]:
     """Run every generated test; results keep the test order.
 
-    Each test is an independent deterministic simulation, so the outcome is
-    identical for any ``workers`` count; workers only trade wall time.
+    Tests of similar length are simulated together as the lanes of one
+    lockstep loop (:func:`loopstress.plants.run_lanes`), in chunks of at
+    most ``_CHUNK_LANE_STEPS`` lane-steps; each chunk renders its own
+    references.  Chunks narrower than ``_MIN_LANES`` run test by test.
+    With ``workers > 1`` the chunks go to a process pool, longest first.
+    Each test is an independent deterministic simulation, and both paths
+    give the same bits, so the outcome is identical for any ``workers``
+    count; workers only trade wall time.
     """
     if isinstance(tests, TestSet):
         tests = tests.tests
     tests = tuple(tests)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if workers == 1 or len(tests) < 2:
-        return tuple(_run_one(plant, t, inputs) for t in tests)
-    # Imported here: the pool module adds noticeably to every start-up.
-    from concurrent.futures import ProcessPoolExecutor
+    chunks = _chunks(tests)
+    run_chunk = functools.partial(_run_chunk, plant, inputs)
+    chunk_tests = [[tests[i] for i in chunk] for chunk in chunks]
+    lanes = [len(chunk) >= _MIN_LANES for chunk in chunks]
+    if workers == 1 or len(chunks) < 2:
+        chunk_results = map(run_chunk, chunk_tests, lanes)
+    else:
+        # Imported here: the pool module adds noticeably to every start-up.
+        from concurrent.futures import ProcessPoolExecutor
 
-    args = [(plant, t, inputs) for t in tests]
-    chunk = max(1, len(tests) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(_run_one_star, args, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk_results = list(pool.map(run_chunk, chunk_tests, lanes))
+    results: list = [None] * len(tests)
+    for chunk, chunk_result in zip(chunks, chunk_results):
+        for i, result in zip(chunk, chunk_result):
+            results[i] = result
+    return tuple(results)
 
 
 def calibration_curve(

@@ -10,6 +10,14 @@ artifacts inspected between steps::
     loopstress analyze   --config cfg.json --out out/
     loopstress campaign  --config cfg.json --out out/   # bound..analyze in one go
 
+The run stage sorts the tests by length and simulates tests of similar
+length together, as the lanes of one lockstep loop, in chunks of at most
+400,000 lane-steps (10 to 15 MB each); chunks of fewer than 25 tests run
+test by test.  ``--workers N`` spreads the chunks over N processes, longest
+first.  ``calibrate`` and ``bound`` run their simulations one at a time in
+this process and ignore ``--workers``.  Results are the same bits for any
+worker count.
+
 Exit codes: 0 success, 2 success with warnings (e.g. the calibration stress
 test never crossed the threshold, a bound gap could not be resolved, or the
 bound search hit ``max_frequencies`` and saved its partial map), 3 invalid

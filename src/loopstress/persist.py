@@ -238,18 +238,23 @@ def load_results(path) -> tuple[TestResult, ...]:
 
 # -- reports and tables ---------------------------------------------------
 
+# 0.0 and -0.0 are one dict key that prints apart, so zeros go by sign.
+_ZERO_TEXT = {1.0: "0.0", -1.0: "-0.0"}
+
+
 class _FloatText(dict):
     """JSON text of floats, memoised: a report repeats few distinct values."""
 
     def __missing__(self, value: float) -> str:
+        if not value:
+            return _ZERO_TEXT[math.copysign(1.0, value)]
         if value != value:
             text = "NaN"
         elif value in (math.inf, -math.inf):
             text = "Infinity" if value > 0 else "-Infinity"
         else:
             text = float.__repr__(value)
-        if value:  # 0.0 and -0.0 are equal keys that print apart
-            self[value] = text
+        self[value] = text
         return text
 
 

@@ -25,8 +25,11 @@ can be attributed to specific non-linearities afterwards.
 
 from __future__ import annotations
 
+import collections
 import math
+import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,6 +52,8 @@ __all__ = [
     "InstrumentationLog",
     "PlantRun",
     "run_plant",
+    "LaneRun",
+    "run_lanes",
 ]
 
 # kind -> required parameter names
@@ -337,6 +342,17 @@ class PlantRun:
     diverged: bool
 
 
+def _checked_reference(reference) -> tuple[np.ndarray, float]:
+    """``reference`` as a float array, with the output limit that flags divergence."""
+    ref = np.asarray(reference, dtype=float)
+    if ref.ndim != 1 or len(ref) < 2:
+        raise ValueError("reference must be 1-D with at least two samples")
+    if not np.all(np.isfinite(ref)):
+        raise ValueError("reference contains non-finite samples")
+    peak = float(np.max(np.abs(ref)))
+    return ref, 1e6 * peak if peak > 0.0 else math.inf
+
+
 def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     """Simulate the closed loop over ``reference`` and return the instrumented run.
 
@@ -349,14 +365,7 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     turns non-finite) the simulation stops and the run is flagged diverged,
     with the trace truncated to the completed steps.
     """
-    ref = np.asarray(reference, dtype=float)
-    if ref.ndim != 1 or len(ref) < 2:
-        raise ValueError("reference must be 1-D with at least two samples")
-    if not np.all(np.isfinite(ref)):
-        raise ValueError("reference contains non-finite samples")
-    peak = float(np.max(np.abs(ref)))
-    limit = 1e6 * peak if peak > 0.0 else math.inf
-
+    ref, limit = _checked_reference(reference)
     out, act, a_sat, s_sat, dev, diverged = _simulate(spec, ref.tolist(), limit)
 
     n = len(out)
@@ -374,33 +383,50 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     return PlantRun(trace=trace, log=log, diverged=diverged)
 
 
-def _simulate(spec: PlantSpec, ref: list, limit: float):
-    """Run the shared loop with ``spec``'s coefficients; returns per-step lists."""
+def _loop(spec: PlantSpec) -> SimpleNamespace:
+    """The shared loop's scalars for ``spec``; a block's entries are None
+    when the block is absent."""
     dt = spec.sample_interval
     params = {**spec.physical, **spec.controller}
     gain_key, damping_key, inertia_key, p_key, i_key, d_key = _LOOP_ROLES[spec.model]
-    gain = 1.0 if gain_key is None else params[gain_key]
-    damping, inertia = params[damping_key], params[inertia_key]
-    kp, ki, kd = params[p_key], params[i_key], params[d_key]
-    alpha = dt / (params["deriv_tau"] + dt)
-    pwm_step = params.get("pwm_step", 0.0)
-
     blocks = {b.kind: b.params for b in spec.blocks}
 
     def block_param(kind, name):
         return blocks[kind][name] if kind in blocks else None
 
-    sens_lo = block_param("sensor_saturation", "lo")
-    sens_hi = block_param("sensor_saturation", "hi")
-    sens_step = block_param("quantizer", "step")
-    dz_hw = block_param("dead_zone", "half_width")
     play = block_param("backlash", "play")
-    bl_half = None if play is None else play / 2.0
-    act_lo = block_param("actuator_saturation", "lo")
-    act_hi = block_param("actuator_saturation", "hi")
-    coulomb = block_param("coulomb_friction", "level")
     quad = block_param("quadratic_friction", "coef")
-    quad_lin = None if quad is None else quad * abs(params["nominal_speed"])
+    return SimpleNamespace(
+        dt=dt,
+        gain=1.0 if gain_key is None else params[gain_key],
+        damping=params[damping_key],
+        inertia=params[inertia_key],
+        kp=params[p_key],
+        ki=params[i_key],
+        kd=params[d_key],
+        alpha=dt / (params["deriv_tau"] + dt),
+        pwm_step=params.get("pwm_step", 0.0),
+        sens_lo=block_param("sensor_saturation", "lo"),
+        sens_hi=block_param("sensor_saturation", "hi"),
+        sens_step=block_param("quantizer", "step"),
+        dz_hw=block_param("dead_zone", "half_width"),
+        bl_half=None if play is None else play / 2.0,
+        act_lo=block_param("actuator_saturation", "lo"),
+        act_hi=block_param("actuator_saturation", "hi"),
+        coulomb=block_param("coulomb_friction", "level"),
+        quad=quad,
+        quad_lin=None if quad is None else quad * abs(params["nominal_speed"]),
+    )
+
+
+def _simulate(spec: PlantSpec, ref: list, limit: float):
+    """Run the shared loop with ``spec``'s coefficients; returns per-step lists."""
+    c = _loop(spec)
+    dt, gain, damping, inertia = c.dt, c.gain, c.damping, c.inertia
+    kp, ki, kd, alpha, pwm_step = c.kp, c.ki, c.kd, c.alpha, c.pwm_step
+    sens_lo, sens_hi, sens_step = c.sens_lo, c.sens_hi, c.sens_step
+    dz_hw, bl_half, act_lo, act_hi = c.dz_hw, c.bl_half, c.act_lo, c.act_hi
+    coulomb, quad, quad_lin = c.coulomb, c.quad, c.quad_lin
 
     x = v = 0.0
     integ = dfilt = 0.0
@@ -473,3 +499,241 @@ def _simulate(spec: PlantSpec, ref: list, limit: float):
                 diverged = True
                 break
     return out, act, a_sat, s_sat, dev_log, diverged
+
+
+class LaneRun(collections.namedtuple(
+    "LaneRun",
+    "output deviation_mean actuator_saturation_fraction sensor_saturation_fraction diverged",
+)):
+    """What the run stage reads of one closed-loop simulation.
+
+    Each field equals its counterpart in the :class:`PlantRun` that
+    :func:`run_plant` returns for the same reference, bit for bit:
+    ``trace.output``, ``log.mean_deviation``, the two saturation fractions
+    and ``diverged``.  (A named tuple: a dataclass costs about as much to
+    create at import as the rest of this module.)
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, run: PlantRun) -> LaneRun:
+        """The fields of ``run`` that a lane run holds."""
+        return cls(
+            output=run.trace.output,
+            deviation_mean=run.log.mean_deviation,
+            actuator_saturation_fraction=run.log.actuator_saturation_fraction,
+            sensor_saturation_fraction=run.log.sensor_saturation_fraction,
+            diverged=run.diverged,
+        )
+
+
+def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
+    """Simulate ``spec`` over every reference at once; results keep their order.
+
+    The references may differ in length.  They become the lanes of one
+    lockstep loop that performs :func:`run_plant`'s float operations in its
+    order, with every state variable held as an array over the lanes, so a
+    step costs a few dozen numpy calls whatever the lane count.  Lanes are
+    sorted by length, longest first, so the lanes still running always form
+    a prefix.  Memory grows with lanes times steps: 18 bytes per lane-step
+    (26 with a dead zone or backlash), on top of the references.
+    """
+    checked = [_checked_reference(r) for r in references]
+    if not checked:
+        return ()
+    order = sorted(range(len(checked)), key=lambda j: -len(checked[j][0]))
+    lengths = [len(checked[j][0]) for j in order]
+    steps, n_lanes = lengths[0], len(order)
+    c = _loop(spec)
+
+    refs = [checked[j][0] for j in order]
+    bounds = [checked[j][1] for j in order]
+    # Row i holds every lane's output (velocity) at the start of step i.
+    out_rows = np.zeros((steps + 1, n_lanes))
+    v_rows = np.zeros((steps + 1, n_lanes))
+    # Deviation of the dead zone and backlash; friction's is computed below.
+    blocks_dev = c.dz_hw is not None or c.bl_half is not None
+    dev_rows = np.zeros((steps, n_lanes if blocks_dev else 0))
+    # Saturation above and below are exclusive, so their counts add up.
+    a_hi_rows, a_lo_rows = np.zeros((2, steps, n_lanes), dtype=bool)
+
+    with np.errstate(all="ignore"):
+        _step_lanes(c, lengths, refs, out_rows, v_rows, dev_rows, a_hi_rows, a_lo_rows)
+
+    # Everything but the outputs first: the velocities, deviations and
+    # flags are freed before the outputs are copied out, to bound the peak.
+    kept = []
+    for lane in range(n_lanes):
+        # The lane diverged at step i >= 1 if the output after it breaks
+        # ``|x| <= limit`` (or is not finite when the limit is infinite).  A
+        # non-finite velocity makes that output non-finite, so the output
+        # alone decides.  Lanes ran on past their divergence.
+        limit = bounds[lane] if math.isfinite(bounds[lane]) else sys.float_info.max
+        with np.errstate(invalid="ignore"):
+            broken = ~(np.abs(out_rows[2:lengths[lane] + 1, lane]) <= limit)
+        first = int(broken.argmax())
+        diverged = bool(broken[first])
+        m = first + 2 if diverged else lengths[lane]
+        dev = _deviation(c, v_rows[:m, lane].copy(), dev_rows[:m, lane] if blocks_dev else None)
+        a_sat = np.count_nonzero(a_hi_rows[:m, lane]) + np.count_nonzero(a_lo_rows[:m, lane])
+        kept.append((m, diverged, float(np.mean(dev)), int(a_sat) / m))
+    del v_rows, dev_rows, a_hi_rows, a_lo_rows
+
+    runs: list = [None] * n_lanes
+    for lane, (j, (m, diverged, deviation_mean, a_fraction)) in enumerate(zip(order, kept)):
+        output = out_rows[:m, lane].copy()
+        if not np.all(np.isfinite(output)):
+            raise ValueError("trace contains non-finite samples")  # as run_plant's Trace
+        s_sat = 0
+        if c.sens_lo is not None:
+            s_sat = np.count_nonzero(output > c.sens_hi) + np.count_nonzero(output < c.sens_lo)
+        runs[j] = LaneRun(
+            output=output,
+            deviation_mean=deviation_mean,
+            actuator_saturation_fraction=a_fraction,
+            sensor_saturation_fraction=int(s_sat) / m,
+            diverged=diverged,
+        )
+    return tuple(runs)
+
+
+def _deviation(c: SimpleNamespace, v: np.ndarray, shaping_dev: np.ndarray | None) -> np.ndarray:
+    """One lane's deviation log from its velocities at the start of each step
+    and the dead zone's and backlash's part, as ``_simulate`` sums them."""
+    fdev = 0.0
+    if c.coulomb is not None:
+        fdev = np.where(v != 0.0, 0.0 + abs(c.coulomb), 0.0)
+    if c.quad is not None:
+        fq = -c.quad * v * np.abs(v)
+        fdev = fdev + np.abs(fq - (-c.quad_lin * v))
+    dev = np.zeros(len(v)) if shaping_dev is None else shaping_dev
+    return dev + fdev
+
+
+def _reference_rows(refs, start: int, stop: int, k: int, block: int = 4096):
+    """Rows ``start`` to ``stop`` of the first ``k`` references side by side,
+    assembled a block of rows at a time, so that no steps-by-lanes copy of
+    the references is ever held."""
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        rows = np.empty((hi - lo, k))
+        for lane in range(k):
+            rows[:, lane] = refs[lane][lo:hi]
+        yield from rows
+
+
+def _step_lanes(c: SimpleNamespace, lengths, refs, out_rows, v_rows, dev_rows,
+                a_hi_rows, a_lo_rows) -> None:
+    """The lockstep loop of :func:`run_lanes`; fills the ``*_rows`` arrays.
+
+    Each expression below is ``_simulate``'s, with ``np.copyto(...,
+    where=...)`` for its branches; keep the two in step.  Every constant is
+    an array over the lanes: numpy converts a Python float on each call,
+    which costs as much as the operation.  The sensor flags and the friction
+    deviation depend only on the stored outputs and velocities, so
+    :func:`run_lanes` derives them after the loop.
+    """
+    n_lanes = len(lengths)
+    absent = 0.0  # placeholder for the parameters of blocks that are absent
+    table = np.array([
+        c.dt, c.gain, c.damping, c.inertia, c.kp, c.ki, c.kd, c.alpha, c.pwm_step,
+        *(absent if p is None else p for p in (
+            c.sens_lo, c.sens_hi, c.sens_step, c.dz_hw, c.bl_half, c.act_lo, c.act_hi,
+        )),
+        absent if c.dz_hw is None else -c.dz_hw,
+        # ``fric = 0.0; fric += fc`` for fc = -coulomb (moving up) or coulomb
+        *((absent,) * 2 if c.coulomb is None else (0.0 + -c.coulomb, 0.0 + c.coulomb)),
+        absent if c.quad is None else -c.quad,
+        0.0, 0.5,
+    ])
+    table = np.repeat(table[:, None], n_lanes, axis=1)
+    sens_sat, quantize = c.sens_lo is not None, c.sens_step is not None
+    dead_zone, backlash, act_sat = c.dz_hw is not None, c.bl_half is not None, c.act_lo is not None
+    pwm, coulomb, quad = c.pwm_step > 0.0, c.coulomb is not None, c.quad is not None
+    # With bounds of no zero, min/max equal the branches bit for bit; at a
+    # zero bound they may pick the other signed zero.
+    sens_minmax = sens_sat and c.sens_lo != 0.0 and c.sens_hi != 0.0
+    act_minmax = act_sat and c.act_lo != 0.0 and c.act_hi != 0.0
+
+    integ, dfilt, bl_state = np.zeros((3, n_lanes))
+    prev_meas = None
+    # Steps [start, stop) share the active lane count k.
+    segments, start = [], 0
+    for k in range(n_lanes, 0, -1):
+        stop = lengths[k - 1]
+        if stop > start:
+            segments.append((k, start, stop))
+            start = stop
+
+    copyto, add = np.copyto, np.add
+    for k, start, stop in segments:
+        (dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step, sens_lo, sens_hi,
+         sens_step, dz_hw, bl_half, act_lo, act_hi, neg_dz_hw, fric_up, fric_down,
+         neg_quad, zero, half) = table[:, :k].copy()
+        integ, dfilt, bl_state = integ[:k], dfilt[:k], bl_state[:k]
+        if prev_meas is not None:
+            prev_meas = prev_meas[:k]
+        rows = zip(
+            _reference_rows(refs, start, stop, k), out_rows[start:stop, :k],
+            out_rows[start + 1:stop + 1, :k], v_rows[start:stop, :k],
+            v_rows[start + 1:stop + 1, :k],
+            dev_rows[start:stop, :k],
+            a_hi_rows[start:stop, :k], a_lo_rows[start:stop, :k],
+        )
+        for r, x, x_next, v, v_next, dev_row, a_hi, a_lo in rows:
+            meas = x
+            if sens_minmax:
+                meas = np.minimum(np.maximum(x, sens_lo), sens_hi)
+            elif sens_sat:
+                meas = x.copy()
+                copyto(meas, sens_hi, where=x > sens_hi)
+                copyto(meas, sens_lo, where=x < sens_lo)
+            if quantize:
+                meas = np.floor(meas / sens_step + half) * sens_step
+
+            e = r - meas
+            d_raw = zero if prev_meas is None else (meas - prev_meas) / dt
+            prev_meas = meas
+            dfilt = dfilt + alpha * (d_raw - dfilt)
+            u = kp * e + integ - kd * dfilt
+
+            dev = zero
+            if dead_zone:
+                shaped = zero.copy()
+                copyto(shaped, u - dz_hw, where=u > dz_hw)
+                copyto(shaped, u + dz_hw, where=u < neg_dz_hw)
+                dev = dev + np.abs(shaped - u)
+                u = shaped
+            if backlash:
+                held = bl_state.copy()
+                copyto(held, u - bl_half, where=u > bl_state + bl_half)
+                copyto(held, u + bl_half, where=u < bl_state - bl_half)
+                bl_state = held
+                dev = dev + np.abs(bl_state - u)
+                u = bl_state
+            if dead_zone or backlash:
+                dev_row[...] = dev
+            if act_sat:
+                np.greater(u, act_hi, out=a_hi)
+                np.less(u, act_lo, out=a_lo)
+                if act_minmax:
+                    u = np.minimum(np.maximum(u, act_lo), act_hi)
+                else:
+                    u = u.copy()
+                    copyto(u, act_hi, where=a_hi)
+                    copyto(u, act_lo, where=a_lo)
+            if pwm:
+                u = np.floor(u / pwm_step + half) * pwm_step
+            integ = integ + ki * e * dt
+
+            fric = zero
+            if coulomb:
+                fric = zero.copy()
+                copyto(fric, fric_down, where=v != zero)
+                copyto(fric, fric_up, where=v > zero)
+            if quad:
+                fric = fric + neg_quad * v * np.abs(v)
+
+            add(v, (gain * u + fric - damping * v) / inertia * dt, out=v_next)
+            add(x, v_next * dt, out=x_next)

@@ -30,8 +30,11 @@ __all__ = [
     "Trace",
     "dft_amplitude",
     "fa_map",
+    "components",
     "degree_of_nonlinearity",
+    "dnl_of_spectra",
     "dof_profile",
+    "dof_of_spectrum",
 ]
 
 
@@ -105,6 +108,11 @@ def dft_amplitude(samples: np.ndarray, sample_interval: float) -> Spectrum:
     return Spectrum(frequencies=freqs, amplitudes=amps)
 
 
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie strictly between 0 and 1")
+
+
 def fa_map(samples: np.ndarray, sample_interval: float, rho: float = 0.1) -> ComponentSet:
     """Return the components whose amplitude exceeds ``rho`` times the maximum.
 
@@ -112,17 +120,21 @@ def fa_map(samples: np.ndarray, sample_interval: float, rho: float = 0.1) -> Com
     always a member.  An all-zero series has no meaningful components and is
     rejected.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly between 0 and 1")
-    spec = dft_amplitude(samples, sample_interval)
-    peak = float(spec.amplitudes.max())
+    _check_rho(rho)
+    return components(dft_amplitude(samples, sample_interval), rho)
+
+
+def components(spectrum: Spectrum, rho: float = 0.1) -> ComponentSet:
+    """:func:`fa_map` of the series whose spectrum is ``spectrum``."""
+    _check_rho(rho)
+    amps = spectrum.amplitudes
+    peak = float(amps.max())
     if peak == 0.0:
         raise ValueError("all-zero series has no components above threshold")
-    keep = spec.amplitudes > rho * peak
-    idx = np.flatnonzero(keep)
+    idx = np.flatnonzero(amps > rho * peak)
     return ComponentSet(
-        frequencies=spec.frequencies[idx],
-        amplitudes=spec.amplitudes[idx],
+        frequencies=spectrum.frequencies[idx],
+        amplitudes=amps[idx],
         rho=rho,
         bin_indices=idx,
     )
@@ -145,11 +157,26 @@ def degree_of_nonlinearity(
     ``include_mean_in_scale=False`` excludes the 0 Hz bin from the
     denominator's maximum (the numerator's bin set is unaffected).
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly between 0 and 1")
-    ref_spec = dft_amplitude(trace.reference, trace.sample_interval)
-    out_spec = dft_amplitude(trace.output, trace.sample_interval)
-    ra = ref_spec.amplitudes
+    _check_rho(rho)
+    return dnl_of_spectra(
+        dft_amplitude(trace.reference, trace.sample_interval),
+        dft_amplitude(trace.output, trace.sample_interval),
+        rho,
+        include_mean_in_scale=include_mean_in_scale,
+    )
+
+
+def dnl_of_spectra(
+    reference: Spectrum,
+    output: Spectrum,
+    rho: float = 0.1,
+    *,
+    include_mean_in_scale: bool = True,
+) -> float:
+    """:func:`degree_of_nonlinearity` of a run whose reference and output
+    have the spectra ``reference`` and ``output``."""
+    _check_rho(rho)
+    ra = reference.amplitudes
     peak = float(ra.max())
     if peak == 0.0:
         raise ValueError("all-zero reference has no components above threshold")
@@ -159,7 +186,7 @@ def degree_of_nonlinearity(
         raise ValueError("reference has no non-mean component to scale against")
     if not np.any(new_bins):
         return 0.0
-    return float(out_spec.amplitudes[new_bins].max()) / scale
+    return float(output.amplitudes[new_bins].max()) / scale
 
 
 def dof_profile(trace: Trace, rho: float = 0.1) -> dict[float, float]:
@@ -171,7 +198,14 @@ def dof_profile(trace: Trace, rho: float = 0.1) -> dict[float, float]:
     only interpreting the profile when the run was linear (low dnl).
     """
     comps = fa_map(trace.reference, trace.sample_interval, rho)
-    out_spec = dft_amplitude(trace.output, trace.sample_interval)
-    out_amps = out_spec.amplitudes[comps.bin_indices]
-    dof = 1.0 - out_amps / comps.amplitudes
-    return {float(f): float(d) for f, d in zip(comps.frequencies, dof)}
+    return dof_of_spectrum(comps, dft_amplitude(trace.output, trace.sample_interval))
+
+
+def dof_of_spectrum(comps: ComponentSet, output: Spectrum) -> dict[float, float]:
+    """:func:`dof_profile` of a run whose reference has the components
+    ``comps`` and whose output has the spectrum ``output``; the keys are
+    ``output``'s frequencies."""
+    dof = 1.0 - output.amplitudes[comps.bin_indices] / comps.amplitudes
+    return {
+        float(f): float(d) for f, d in zip(output.frequencies[comps.bin_indices], dof)
+    }

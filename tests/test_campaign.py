@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from loopstress import campaign
 from loopstress.campaign import (
     AmplitudeBoundMap,
+    Component,
     BoundRefinementError,
     RequiredInput,
     TestResult,
@@ -21,8 +23,9 @@ from loopstress.campaign import (
     optimistic_amplitude_bound,
     pick_num_periods,
 )
-from loopstress.plants import drone_spec
-from loopstress.signals import ShapeKind, TestCase
+from loopstress.plants import dc_servo_spec, drone_spec, quadratic_friction, run_plant
+from loopstress.signals import ShapeKind, TestCase, render_reference
+from loopstress.spectral import degree_of_nonlinearity, dof_profile, fa_map
 
 DEFAULT_INPUTS = RequiredInput(f_min=0.1, f_max=2.0, a_max=6.0, delta_a=0.05)
 
@@ -332,6 +335,66 @@ def test_worker_count_does_not_change_results():
     serial = execute_campaign(drone_spec(), tests.tests, inputs, workers=1)
     parallel = execute_campaign(drone_spec(), tests.tests, inputs, workers=2)
     assert serial == parallel
+
+
+def reference_run_one(plant, test, inputs):
+    """One test through ``run_plant``, scored by the three series metrics."""
+    reference = render_reference(test.case)
+    comps = fa_map(reference, test.case.sample_interval, inputs.rho)
+    run = run_plant(plant, reference)
+    if run.diverged:
+        dnl, dof = math.inf, {}
+    else:
+        dnl = degree_of_nonlinearity(
+            run.trace, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
+        )
+        dof = dof_profile(run.trace, inputs.rho) if dnl < inputs.dnl_threshold else {}
+    return TestResult(
+        test=test,
+        dnl=dnl,
+        components=tuple(
+            Component(frequency=float(f), amplitude=float(a), dof=dof.get(float(f)))
+            for f, a in zip(comps.frequencies, comps.amplitudes)
+        ),
+        actuator_saturation_fraction=run.log.actuator_saturation_fraction,
+        sensor_saturation_fraction=run.log.sensor_saturation_fraction,
+        deviation_mean=run.log.mean_deviation,
+        diverged=run.diverged,
+    )
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        drone_spec(),
+        dc_servo_spec(extra_blocks=(quadratic_friction(0.002),)),
+        drone_spec(kp=-30.0, thrust_limit=0.0),  # every test diverges
+        # Steps twice as long as the references' samples: dof keys come
+        # from the output's spectrum, as in dof_profile, and miss but 0 Hz.
+        drone_spec(sample_interval=0.002),
+    ],
+    ids=["drone", "servo-friction", "diverging", "coarser-plant"],
+)
+def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
+    inputs = RequiredInput(
+        f_min=0.5, f_max=2.0, a_max=1.0, delta_a=0.25, base_periods=1,
+        dnl_includes_mean=False,
+    )
+    bound_map = AmplitudeBoundMap(
+        frequencies=(0.5, 0.75, 1.0, 1.5, 2.0), bounds=(1.0, 0.9, 0.8, 0.7, 0.6)
+    )
+    tests = generate_test_set(
+        bound_map, (ShapeKind.SQUARE, ShapeKind.SINE), inputs, seed=11
+    ).tests
+    monkeypatch.setattr(campaign, "_CHUNK_LANE_STEPS", 6000)
+    monkeypatch.setattr(campaign, "_MIN_LANES", 4)
+    widths = sorted(len(chunk) for chunk in campaign._chunks(tests))
+    assert widths[0] < 4 <= widths[-1] and len(widths) > 3  # both paths, several chunks
+    expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
+    for workers in (1, 2, 3):
+        results = execute_campaign(plant, tests, inputs, workers=workers)
+        assert results == expected
+        assert repr(results) == repr(expected)  # the sign of zero, too
 
 
 def test_execute_rejects_nonpositive_workers():

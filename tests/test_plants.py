@@ -22,10 +22,11 @@ from loopstress.plants import (
     drone_spec,
     quadratic_friction,
     quantizer,
+    run_lanes,
     run_plant,
     sensor_saturation,
 )
-from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain
+from loopstress.signals import ShapeKind, TestCase, eval_shape, render_reference, snap_time_gain
 
 
 def simulate(spec, shape=ShapeKind.SQUARE, amp=1.0, time_gain=1.0, periods=2, dt=0.001):
@@ -533,3 +534,140 @@ def test_simulation_output_is_bit_exact(name):
         h.update(arr.tobytes())
     h.update(bytes([run.diverged]))
     assert h.hexdigest()[:16] == GOLDEN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes: every lane equals run_plant bit for bit
+# ---------------------------------------------------------------------------
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bits up to the NaN payload (the sign of zero counts)."""
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    )
+
+
+def assert_lanes_match_run_plant(spec, references):
+    lanes = run_lanes(spec, references)
+    assert len(lanes) == len(references)
+    for ref, lane in zip(references, lanes):
+        run = run_plant(spec, ref)
+        assert lane.output.dtype == run.trace.output.dtype
+        assert lane.output.shape == run.trace.output.shape  # the truncation length
+        assert lane.output.tobytes() == run.trace.output.tobytes()
+        assert lane.diverged == run.diverged
+        assert type(lane.deviation_mean) is type(run.log.mean_deviation) is float
+        assert type(lane.actuator_saturation_fraction) is type(lane.sensor_saturation_fraction) is float
+        assert same_float(lane.deviation_mean, run.log.mean_deviation)
+        assert same_float(lane.actuator_saturation_fraction, run.log.actuator_saturation_fraction)
+        assert same_float(lane.sensor_saturation_fraction, run.log.sensor_saturation_fraction)
+
+
+def golden_reference(shape, amp, time_gain, periods):
+    return render_reference(
+        TestCase(shape=shape, amp_gain=amp, time_gain=time_gain, periods=periods, sample_interval=0.001)
+    )
+
+
+@pytest.mark.parametrize("extra", sorted(GOLDEN_EXTRAS))
+@pytest.mark.parametrize("plant", sorted(GOLDEN_PLANTS))
+def test_lanes_match_run_plant_on_the_golden_specs(plant, extra):
+    spec = GOLDEN_PLANTS[plant](GOLDEN_EXTRAS[extra])
+    # Four references of 2000, 1500, 2000 and 1000 samples in one lane set.
+    assert_lanes_match_run_plant(spec, [golden_reference(*p) for p in GOLDEN_POINTS.values()])
+
+
+def test_lanes_truncate_a_diverging_lane_like_run_plant():
+    spec, point = GOLDEN_CASES["diverging"]
+    references = [golden_reference(*point), golden_reference(ShapeKind.SQUARE, 2.0, 0.5, 3)]
+    assert_lanes_match_run_plant(spec, references)
+    lanes = run_lanes(spec, references)
+    assert all(lane.diverged for lane in lanes)
+    assert [lane.output.size for lane in lanes] == [1124, 2096]
+
+
+def test_lanes_longer_than_a_block_of_reference_rows_match_run_plant():
+    # The lockstep loop assembles reference rows 4096 steps at a time; these
+    # lengths cross that block inside and at the ends of lane-count segments.
+    spec = dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002)))
+    rng = np.random.default_rng(5)
+    references = [rng.normal(0.0, 2.0, n) for n in (9000, 100, 8193, 4097, 4096)]
+    assert_lanes_match_run_plant(spec, references)
+
+
+def test_lanes_of_no_references_are_empty():
+    assert run_lanes(drone_spec(), []) == ()
+
+
+@pytest.mark.parametrize("reference", [np.array([1.0]), np.array([0.0, math.nan])])
+def test_lanes_reject_what_run_plant_rejects(reference):
+    with pytest.raises(ValueError):
+        run_lanes(drone_spec(), [np.ones(5), reference])
+
+
+def bounds_pair(limit):
+    """A (lo, hi) pair with lo < hi, zero bounds included."""
+    return st.tuples(
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(-limit, 0.0)),
+        st.one_of(st.just(0.0), st.floats(0.0, limit)),
+    ).filter(lambda p: p[0] < p[1])
+
+
+@st.composite
+def lane_specs(draw):
+    model = draw(st.sampled_from(["drone_alt", "dc_servo"]))
+    gains = st.floats(-3000.0, 60.0)  # negative gains make unstable loops
+    if model == "drone_alt":
+        physical = {"mass": draw(st.floats(0.05, 1.0)), "drag": draw(st.floats(0.0, 2.0))}
+        controller = {
+            "kp": draw(gains), "ki": draw(st.floats(-200.0, 20.0)),
+            "kd": draw(st.floats(0.0, 0.2)), "deriv_tau": draw(st.floats(0.0, 0.05)),
+        }
+    else:
+        physical = {
+            "inertia": draw(st.floats(0.005, 0.05)), "damping": draw(st.floats(0.0, 0.1)),
+            "torque_const": draw(st.floats(0.01, 0.1)),
+            "nominal_speed": draw(st.floats(-2.0, 2.0)),
+            "pwm_step": draw(st.one_of(st.just(0.0), st.floats(0.01, 0.5))),
+        }
+        controller = {
+            "k_pos": draw(gains), "k_int": draw(st.floats(-200.0, 20.0)),
+            "k_vel": draw(st.floats(0.0, 1.0)), "deriv_tau": draw(st.floats(0.0, 0.05)),
+        }
+    candidates = [
+        actuator_saturation(*draw(bounds_pair(10.0))),
+        sensor_saturation(*draw(bounds_pair(10.0))),
+        quantizer(draw(st.floats(1e-4, 0.5))),
+        dead_zone(draw(st.floats(0.0, 0.5))),
+        backlash(draw(st.floats(0.0, 0.5))),
+        coulomb_friction(draw(st.floats(0.0, 0.5))),
+        quadratic_friction(draw(st.floats(0.0, 0.05))),
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    blocks = tuple(b for b, k in zip(candidates, keep) if k)
+    # Coarse steps make stiff loops diverge within a few hundred samples.
+    dt = draw(st.sampled_from([0.001, 0.01, 0.05]))
+    return PlantSpec(
+        model=model, physical=physical, controller=controller, blocks=blocks, sample_interval=dt
+    )
+
+
+lane_references = st.lists(
+    st.tuples(
+        st.sampled_from(list(ShapeKind)),
+        st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
+        st.integers(3, 60),  # samples per period
+        st.integers(1, 4),  # periods
+    ).map(
+        lambda p: p[1] * eval_shape(p[0], (np.arange(p[2] * p[3]) % p[2]) / p[2])
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(spec=lane_specs(), references=lane_references)
+@settings(max_examples=150, deadline=None)
+def test_lanes_match_run_plant_on_random_loops(spec, references):
+    assert_lanes_match_run_plant(spec, references)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopstress.signals import ShapeKind, TestCase, render_reference
@@ -13,8 +13,11 @@ from loopstress.spectral import (
     ComponentSet,
     Spectrum,
     Trace,
+    components,
     degree_of_nonlinearity,
     dft_amplitude,
+    dnl_of_spectra,
+    dof_of_spectrum,
     dof_profile,
     fa_map,
 )
@@ -374,3 +377,122 @@ def test_component_set_len_and_dict_agree():
     comps = fa_map(np.array([1.0, 0.0, 0.0, 0.0]), 1.0, rho=0.4)
     assert isinstance(comps, ComponentSet)
     assert len(comps) == len(comps.as_dict())
+
+
+# ---------------------------------------------------------------------------
+# one spectrum per signal: the metrics from spectra equal the metrics from
+# series, as computed before they shared their spectra
+# ---------------------------------------------------------------------------
+
+
+def reference_fa_map(samples, sample_interval, rho):
+    spec = dft_amplitude(samples, sample_interval)
+    peak = float(spec.amplitudes.max())
+    if peak == 0.0:
+        raise ValueError("all-zero series")
+    idx = np.flatnonzero(spec.amplitudes > rho * peak)
+    return spec.frequencies[idx], spec.amplitudes[idx], idx
+
+
+def reference_dnl(trace, rho, include_mean_in_scale):
+    ra = dft_amplitude(trace.reference, trace.sample_interval).amplitudes
+    oa = dft_amplitude(trace.output, trace.sample_interval).amplitudes
+    peak = float(ra.max())
+    if peak == 0.0:
+        raise ValueError("all-zero reference")
+    new_bins = ~(ra > rho * peak)
+    scale = peak if include_mean_in_scale else float(ra[1:].max())
+    if scale == 0.0:
+        raise ValueError("no non-mean component")
+    if not np.any(new_bins):
+        return 0.0
+    return float(oa[new_bins].max()) / scale
+
+
+def reference_dof_profile(trace, rho):
+    freqs, amps, idx = reference_fa_map(trace.reference, trace.sample_interval, rho)
+    out = dft_amplitude(trace.output, trace.sample_interval).amplitudes[idx]
+    return {float(f): float(d) for f, d in zip(freqs, 1.0 - out / amps)}
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+
+
+def float_bits(value):
+    return value if isinstance(value, type) else np.float64(value).tobytes()
+
+
+def dict_bits(value):
+    if isinstance(value, type):
+        return value
+    return [(np.float64(k).tobytes(), np.float64(v).tobytes()) for k, v in value.items()]
+
+
+def random_series(n, seed, kind):
+    """A series of ``n`` samples: noise, a few spikes on zeros, a bin-aligned
+    tone (a constant at bin 0) or all zeros."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "noise":
+        return rng.normal(0.0, 10.0, n)
+    if kind == "spikes":
+        x = np.zeros(n)
+        x[rng.integers(0, n, 3)] = rng.normal(0.0, 10.0, 3)
+        return x
+    return 3.0 * np.sin(2.0 * np.pi * rng.integers(0, n // 2 + 1) * np.arange(n) / n) + 1.0
+
+
+series = st.sampled_from(["noise", "spikes", "tone", "zero"])
+
+
+@given(
+    n=st.integers(min_value=2, max_value=400),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(series, series),
+    rho=st.floats(0.01, 0.99),
+    periods=st.integers(1, 4),
+    dt=st.sampled_from([0.001, 0.003, 0.25]),
+)
+@example(n=3, seed=0, kinds=("tone", "noise"), rho=0.1, periods=1, dt=0.001)
+@example(n=5, seed=0, kinds=("zero", "noise"), rho=0.1, periods=2, dt=0.001)
+@example(n=7, seed=1, kinds=("spikes", "tone"), rho=0.2, periods=3, dt=0.25)
+@example(n=131, seed=2, kinds=("noise", "noise"), rho=0.5, periods=1, dt=0.001)
+@settings(max_examples=150, deadline=None)
+def test_metrics_from_one_spectrum_per_signal_match_the_series_metrics(
+    n, seed, kinds, rho, periods, dt
+):
+    # Repeating whole periods gives odd, even and prime lengths alike
+    # (7 * 3, 131 * 1, 400 * 4).
+    ref, out = (np.tile(random_series(n, seed + i, kind), periods) for i, kind in enumerate(kinds))
+    trace = Trace(reference=ref, output=out, sample_interval=dt)
+    ref_spec, out_spec = dft_amplitude(ref, dt), dft_amplitude(out, dt)
+
+    expected = outcome(reference_fa_map, ref, dt, rho)
+    for got in (outcome(fa_map, ref, dt, rho), outcome(components, ref_spec, rho)):
+        if isinstance(expected, type):
+            assert got is expected
+            continue
+        assert got.frequencies.tobytes() == expected[0].tobytes()
+        assert got.amplitudes.tobytes() == expected[1].tobytes()
+        assert got.bin_indices.tobytes() == expected[2].tobytes()
+
+    for include in (True, False):
+        expected_dnl = float_bits(outcome(reference_dnl, trace, rho, include))
+        assert float_bits(outcome(
+            degree_of_nonlinearity, trace, rho, include_mean_in_scale=include
+        )) == expected_dnl
+        assert float_bits(outcome(
+            dnl_of_spectra, ref_spec, out_spec, rho, include_mean_in_scale=include
+        )) == expected_dnl
+
+    expected_dof = dict_bits(outcome(reference_dof_profile, trace, rho))
+    assert dict_bits(outcome(dof_profile, trace, rho)) == expected_dof
+    if not isinstance(expected_dof, type):
+        comps = components(ref_spec, rho)
+        assert dict_bits(dof_of_spectrum(comps, out_spec)) == expected_dof
