@@ -28,6 +28,8 @@ from .signals import ShapeKind
 
 __all__ = [
     "MrViolation",
+    "MrSummary",
+    "TOP_K",
     "check_mr1",
     "check_mr2",
     "BandwidthEstimate",
@@ -58,6 +60,143 @@ class MrViolation:
 
 # Largest number of elements in one pairwise temporary of the MR checkers.
 _CHUNK_ELEMENTS = 1 << 20
+
+# Tests, and records, that an MR1/MR2 summary lists.
+TOP_K = 20
+
+
+class MrSummary:
+    """Fixed-size summary of one relation's violations; ``len()`` is their count.
+
+    * ``shape_counts``: shape name -> violations, for every shape present;
+    * ``top_tests``: ``(test index, violations)`` of the ``TOP_K`` tests that
+      take part in most violations, most first, ties by index;
+    * ``saturated``: violations in which either test saturates (actuator or
+      sensor fraction above 0);
+    * ``zero_hz`` and ``bands`` (MR2 only, else ``None``): violations whose
+      faster-test component lies at 0 Hz, and ``(lo, hi, count)`` per
+      octave ``[lo, hi)`` Hz holding any, ascending;
+    * ``violations``: the ``TOP_K`` records of largest margin (MR1:
+      ``dnl_j - dnl_i``; MR2: ``dof_j - dof_i``), NaN margins last, ties in
+      ``(i, j, component)`` order.
+    """
+
+    __slots__ = (
+        "count", "shape_counts", "top_tests", "saturated", "zero_hz", "bands",
+        "violations",
+    )
+
+    def __init__(self, count, shape_counts, top_tests, saturated, zero_hz, bands,
+                 violations):
+        self.count = count
+        self.shape_counts = shape_counts
+        self.top_tests = top_tests
+        self.saturated = saturated
+        self.zero_hz = zero_hz
+        self.bands = bands
+        self.violations = violations
+
+    def __len__(self) -> int:
+        return self.count
+
+    def as_report(self) -> dict:
+        """The summary as the plain values of an ``mr_report.json`` section."""
+        body = {
+            "count": self.count,
+            "shape_counts": dict(self.shape_counts),
+            "top_tests": [{"test": i, "violations": n} for i, n in self.top_tests],
+            "saturated": self.saturated,
+            "saturated_share": self.saturated / self.count if self.count else 0.0,
+            "violations": list(self.violations),
+        }
+        if self.bands is not None:
+            body["zero_hz"] = self.zero_hz
+            body["bands"] = [
+                {"lo_hz": lo, "hi_hz": hi, "count": n} for lo, hi, n in self.bands
+            ]
+        return body
+
+
+class _Tally:
+    """Folds chunks of one relation's violations into an :class:`MrSummary`.
+
+    Only per-test and per-band counts and the ``TOP_K`` best rows are kept,
+    so memory does not grow with the number of violations.
+    """
+
+    def __init__(self, results):
+        self.per_test = np.zeros(len(results), dtype=np.int64)
+        self.saturates = np.array(
+            [
+                r.actuator_saturation_fraction > 0 or r.sensor_saturation_fraction > 0
+                for r in results
+            ],
+            dtype=bool,
+        )
+        self.shape_counts = {r.case.shape.value: 0 for r in results}
+        self.saturated = 0
+        self.bands: dict = {}  # frexp exponent of the frequency (None: 0 Hz) -> count
+        empty = np.empty(0, dtype=np.intp)
+        # Margin, i, j, component of i, matched component of j.
+        self.top = (np.empty(0), empty, empty, empty, empty)
+
+    def add(self, shape, first, second, margin, comp=None, partner=None) -> None:
+        """Violations ``(first[n], second[n])`` of one shape, with margins and,
+        for MR2, the component of the faster test and its partner's."""
+        n = first.size
+        self.shape_counts[shape.value] += n
+        for side in (first, second):
+            counts = np.bincount(side)
+            self.per_test[:counts.size] += counts
+        self.saturated += int(np.count_nonzero(self.saturates[first] | self.saturates[second]))
+        rows = [margin, first, second, comp, partner]
+        if n > TOP_K:
+            # The chunk's best TOP_K rows.  Rows come in (i, j, component)
+            # order, so of the rows tied with the k-th best the first win.
+            key = np.where(np.isnan(margin), np.inf, -margin)
+            cut = np.partition(key, TOP_K - 1)[TOP_K - 1]
+            better = np.flatnonzero(key < cut)
+            tied = np.flatnonzero(key == cut)[:TOP_K - better.size]
+            keep = np.concatenate([better, tied])
+            rows = [None if col is None else col[keep] for col in rows]
+        if comp is None:
+            rows[3] = rows[4] = np.zeros(rows[1].size, dtype=np.intp)
+        rows = [np.concatenate(pair) for pair in zip(self.top, rows)]
+        margin, i, j, k = rows[:4]
+        nan = np.isnan(margin)
+        order = np.lexsort((k, j, i, np.where(nan, 0.0, -margin), nan))[:TOP_K]
+        self.top = tuple(col[order] for col in rows)
+
+    def add_bands(self, frequencies, counts) -> None:
+        """``counts[n]`` violations at the faster test's component ``frequencies[n]``."""
+        exponents = np.frexp(frequencies)[1].tolist()
+        for f, e, n in zip(frequencies.tolist(), exponents, counts.tolist()):
+            if n:
+                key = None if f == 0.0 else e
+                self.bands[key] = self.bands.get(key, 0) + n
+
+    def summary(self, records, bands: bool = False) -> MrSummary:
+        """``records(i, j, k, m)`` gives the records of the top rows."""
+        ranked = np.argsort(-self.per_test, kind="stable")[:TOP_K]
+        top_tests = tuple(
+            (i, n) for i, n in zip(ranked.tolist(), self.per_test[ranked].tolist()) if n
+        )
+        zero_hz = octaves = None
+        if bands:
+            zero_hz = self.bands.pop(None, 0)
+            octaves = tuple(
+                (math.ldexp(1.0, e - 1), math.ldexp(1.0, e), n)
+                for e, n in sorted(self.bands.items())
+            )
+        return MrSummary(
+            count=sum(self.shape_counts.values()),
+            shape_counts=self.shape_counts,
+            top_tests=top_tests,
+            saturated=self.saturated,
+            zero_hz=zero_hz,
+            bands=octaves,
+            violations=tuple(records(*self.top[1:])),
+        )
 
 
 def _shape_groups(results, indices) -> list[np.ndarray]:
@@ -92,16 +231,32 @@ def _g_formatter(values):
     return g
 
 
-def check_mr1(results) -> tuple[MrViolation, ...]:
+def _mr1_records(results, g, first, second):
+    """MR1 records of the pairs ``(first[n], second[n])``, one at a time."""
+    for i, j in zip(first.tolist(), second.tolist()):
+        di, dj = results[i].dnl, results[j].dnl
+        yield MrViolation(
+            relation="MR1",
+            subjects=(i, j),
+            witnesses=(di, dj),
+            detail=f"test {i} dominates test {j} but dnl {g(di)} <= {g(dj)}",
+        )
+
+
+def check_mr1(results, sink=None) -> MrSummary:
     """A same-shape test that is larger *and* at-least-as-fast (or vice versa)
-    must show strictly higher dnl.  Returns one violation per ordered pair
-    ``(i, j)`` for which that fails, in ascending ``(i, j)`` order."""
+    must show strictly higher dnl.  Each ordered pair ``(i, j)`` for which
+    that fails is a violation.  Returns their :class:`MrSummary`; ``sink``,
+    if given, is called with every violation's record, one iterable per
+    chunk of the search (ascending ``(i, j)`` within a chunk)."""
     results = list(results)
     amp = np.array([r.case.amp_gain for r in results], dtype=float)
     speed = np.array([r.case.time_gain for r in results], dtype=float)
     dnl = np.array([r.dnl for r in results], dtype=float)
-    firsts, seconds = [], []
+    tally = _Tally(results)
+    g = _g_formatter(dnl)
     for idx in _shape_groups(results, range(len(results))):
+        shape = results[idx[0]].case.shape
         a, t, d = amp[idx], speed[idx], dnl[idx]
         rows = max(1, _CHUNK_ELEMENTS // idx.size)
         for start in range(0, idx.size, rows):
@@ -112,25 +267,14 @@ def check_mr1(results) -> tuple[MrViolation, ...]:
             bad = ((ai > a) & (ti >= t)) | ((ai >= a) & (ti > t))
             bad &= ~(di > d)
             r, c = np.nonzero(bad)
-            firsts.append(idx[r + start])
-            seconds.append(idx[c])
-    if not firsts:
-        return ()
-    first, second = np.concatenate(firsts), np.concatenate(seconds)
-    order = np.lexsort((second, first))
-    g = _g_formatter(dnl)
-    violations = []
-    for i, j in zip(first[order].tolist(), second[order].tolist()):
-        di, dj = results[i].dnl, results[j].dnl
-        violations.append(
-            MrViolation(
-                relation="MR1",
-                subjects=(i, j),
-                witnesses=(di, dj),
-                detail=f"test {i} dominates test {j} but dnl {g(di)} <= {g(dj)}",
-            )
-        )
-    return tuple(violations)
+            if not r.size:
+                continue
+            first, second = idx[r + start], idx[c]
+            with np.errstate(invalid="ignore"):
+                tally.add(shape, first, second, dnl[second] - dnl[first])
+            if sink is not None:
+                sink(_mr1_records(results, g, first, second))
+    return tally.summary(lambda i, j, k, m: _mr1_records(results, g, i, j))
 
 
 def _match_components(f, t_fast, freq, speed, valid, tol):
@@ -153,12 +297,31 @@ def _match_components(f, t_fast, freq, speed, valid, tol):
     return best, (best_dist < np.inf) & ~(best_dist > tol[:, None])
 
 
+def _mr2_records(results, g, first, second, comp, partner):
+    """MR2 records: component ``comp[n]`` of test ``first[n]`` against
+    component ``partner[n]`` of the slower test ``second[n]``, one at a time."""
+    for i, j, k, m in zip(first.tolist(), second.tolist(), comp.tolist(), partner.tolist()):
+        c = results[i].components[k]
+        p = results[j].components[m]
+        yield MrViolation(
+            relation="MR2",
+            subjects=(i, j),
+            witnesses=(c.frequency, c.dof, p.frequency, p.dof),
+            detail=(
+                f"dof of test {i} at {g(c.frequency)} Hz is "
+                f"{g(c.dof)}, not above dof {g(p.dof)} of "
+                f"slower test {j} at {g(p.frequency)} Hz"
+            ),
+        )
+
+
 def check_mr2(
     results,
     dnl_threshold: float,
     bin_tolerance: float | None = None,
     equality_tolerance: float = 1e-6,
-) -> tuple[tuple[MrViolation, ...], int]:
+    sink=None,
+) -> tuple[MrSummary, int]:
     """Faster linear tests must be filtered strictly more, component by component.
 
     For each same-shape pair of linear tests (both dnl under the threshold)
@@ -168,8 +331,10 @@ def check_mr2(
     defaults to half the slower trace's DFT bin width; the first of equally
     near components wins).  The relation expects ``dof_i(f) > dof_j(matched)``;
     differences smaller than ``equality_tolerance`` are not flagged.  Returns
-    the violations in ``(i, j, component)`` order plus the number of
-    components that found no partner bin.
+    the :class:`MrSummary` of the violations plus the number of components
+    that found no partner bin; ``sink``, if given, is called with every
+    violation's record, one iterable per chunk of the search (ascending
+    ``(i, j, component)`` within a chunk).
     """
     results = list(results)
     linear = [
@@ -179,7 +344,7 @@ def check_mr2(
     ]
     min_gap = max(equality_tolerance, 0.0)
     skipped = 0
-    found = []  # (i, j, component of i, matched component of j) arrays
+    tally = _Tally(results)
     witnessed = []  # frequencies and dofs that violations can name
     for idx in _shape_groups(results, linear):
         group = [results[k] for k in idx]
@@ -197,6 +362,8 @@ def check_mr2(
                     dof[row, k] = comp.dof
                     valid[row, k] = True
         witnessed += [freq[valid], dof[valid]]
+        if sink is not None:
+            g = _g_formatter(np.concatenate(witnessed[-2:]))
         speed = np.array([r.case.time_gain for r in group], dtype=float)
         if bin_tolerance is None:
             tol = np.array([0.5 / r.case.duration for r in group], dtype=float)
@@ -236,34 +403,20 @@ def check_mr2(
                     with np.errstate(all="ignore"):
                         gap = partner_dof - dof[fast[:, None], comps][:, None, :]
                     f, j, c = np.nonzero((gap >= min_gap) & hit)
-                    found.append((idx[fast[f]], idx[js[j]], comps[c], best[j, c]))
-    if not found:
-        return (), skipped
-    first, second, comp_k, partner_k = (np.concatenate(a) for a in zip(*found))
-    order = np.lexsort((comp_k, second, first))
-    g = _g_formatter(np.concatenate(witnessed))
-    violations = []
-    for i, j, k, m in zip(
-        first[order].tolist(),
-        second[order].tolist(),
-        comp_k[order].tolist(),
-        partner_k[order].tolist(),
-    ):
-        comp = results[i].components[k]
-        partner = results[j].components[m]
-        violations.append(
-            MrViolation(
-                relation="MR2",
-                subjects=(i, j),
-                witnesses=(comp.frequency, comp.dof, partner.frequency, partner.dof),
-                detail=(
-                    f"dof of test {i} at {g(comp.frequency)} Hz is "
-                    f"{g(comp.dof)}, not above dof {g(partner.dof)} of "
-                    f"slower test {j} at {g(partner.frequency)} Hz"
-                ),
-            )
-        )
-    return tuple(violations), skipped
+                    if not f.size:
+                        continue
+                    first, second = idx[fast[f]], idx[js[j]]
+                    comp_k, partner_k = comps[c], best[j, c]
+                    tally.add(group[0].case.shape, first, second, gap[f, j, c],
+                              comp_k, partner_k)
+                    tally.add_bands(freq[a, comps], np.bincount(c, minlength=comps.size))
+                    if sink is not None:
+                        sink(_mr2_records(results, g, first, second, comp_k, partner_k))
+    g_all = _g_formatter(np.concatenate(witnessed)) if witnessed else None
+    summary = tally.summary(
+        lambda i, j, k, m: _mr2_records(results, g_all, i, j, k, m), bands=True
+    )
+    return summary, skipped
 
 
 class BandwidthStatus(str, enum.Enum):

@@ -447,6 +447,7 @@ def execute_campaign(
     tests,
     inputs: RequiredInput,
     workers: int = 1,
+    progress=None,
 ) -> tuple[TestResult, ...]:
     """Run every generated test; results keep the test order.
 
@@ -457,7 +458,8 @@ def execute_campaign(
     With ``workers > 1`` the chunks go to a process pool, longest first.
     Each test is an independent deterministic simulation, and both paths
     give the same bits, so the outcome is identical for any ``workers``
-    count; workers only trade wall time.
+    count; workers only trade wall time.  ``progress(done, total)``, if
+    given, is called with the number of tests collected after each chunk.
     """
     if isinstance(tests, TestSet):
         tests = tests.tests
@@ -468,18 +470,25 @@ def execute_campaign(
     run_chunk = functools.partial(_run_chunk, plant, inputs)
     chunk_tests = [[tests[i] for i in chunk] for chunk in chunks]
     lanes = [len(chunk) >= _MIN_LANES for chunk in chunks]
+    results: list = [None] * len(tests)
+
+    def collect(chunk_results) -> None:
+        done = 0
+        for chunk, chunk_result in zip(chunks, chunk_results):
+            for i, result in zip(chunk, chunk_result):
+                results[i] = result
+            done += len(chunk)
+            if progress is not None:
+                progress(done, len(tests))
+
     if workers == 1 or len(chunks) < 2:
-        chunk_results = map(run_chunk, chunk_tests, lanes)
+        collect(map(run_chunk, chunk_tests, lanes))
     else:
         # Imported here: the pool module adds noticeably to every start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(pool.map(run_chunk, chunk_tests, lanes))
-    results: list = [None] * len(tests)
-    for chunk, chunk_result in zip(chunks, chunk_results):
-        for i, result in zip(chunk, chunk_result):
-            results[i] = result
+            collect(pool.map(run_chunk, chunk_tests, lanes))
     return tuple(results)
 
 

@@ -16,7 +16,17 @@ length together, as the lanes of one lockstep loop, in chunks of at most
 test by test.  ``--workers N`` spreads the chunks over N processes, longest
 first.  ``calibrate`` and ``bound`` run their simulations one at a time in
 this process and ignore ``--workers``.  Results are the same bits for any
-worker count.
+worker count.  A run stage that lasts more than 5 s
+(``PROGRESS_INTERVAL_S``) prints the tests done, of the total, and the rate
+to stderr, at most that often.
+
+``analyze`` writes ``mr_report.json`` with a fixed-size summary of the MR1
+and MR2 violations (counts per shape, the tests in most violations, the
+saturating share, MR2 counts per octave of frequency with a 0 Hz bin, and
+the records of largest margin) and every MR3 violation.  With
+``--full-violations`` (also on ``campaign``) every violation record is
+streamed, chunk by chunk, to ``mr_violations.jsonl``; without it a stale
+one is removed.
 
 Exit codes: 0 success, 2 success with warnings (e.g. the calibration stress
 test never crossed the threshold, a bound gap could not be resolved, or the
@@ -27,8 +37,11 @@ input (config or artifact schema), 4 internal failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import sys
+import time
 from pathlib import Path
 
 from . import analysis, campaign, persist
@@ -44,8 +57,12 @@ TESTS_FILE = "tests.jsonl"
 RESULTS_FILE = "results.jsonl"
 CALIBRATION_FILE = "calibration.json"
 MR_REPORT_FILE = "mr_report.json"
+MR_VIOLATIONS_FILE = "mr_violations.jsonl"
 SCATTER_FILE = "scatter.csv"
 DOF_FILE = "dof.csv"
+
+# Seconds between two progress lines of the run stage on stderr.
+PROGRESS_INTERVAL_S = 5.0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--tests", default=None, help=f"test-set artifact (default <out>/{TESTS_FILE})")
     a = stage("analyze", "check relations, estimate bandwidth, export tables")
     a.add_argument("--results", default=None, help=f"results artifact (default <out>/{RESULTS_FILE})")
-    stage("campaign", "bound, generate, run and analyze in sequence")
+    c = stage("campaign", "bound, generate, run and analyze in sequence")
+    for p in (a, c):
+        p.add_argument(
+            "--full-violations", action="store_true",
+            help=f"also write every MR violation to <out>/{MR_VIOLATIONS_FILE}",
+        )
     return parser
 
 
@@ -155,10 +177,26 @@ def cmd_generate(cfg: CampaignConfig, out: Path, bounds_path=None) -> int:
     return EXIT_OK
 
 
+def _progress(label: str):
+    """``report(done, total)`` that prints the count and rate to stderr, once
+    ``PROGRESS_INTERVAL_S`` has passed since the start or the last line."""
+    start = last = time.monotonic()
+
+    def report(done: int, total: int) -> None:
+        nonlocal last
+        now = time.monotonic()
+        if now - last >= PROGRESS_INTERVAL_S:
+            last = now
+            print(f"{label}: {done}/{total} tests, {done / (now - start):.1f} tests/s",
+                  file=sys.stderr)
+
+    return report
+
+
 def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
     test_set = persist.load_test_set(tests_path or out / TESTS_FILE)
     results = campaign.execute_campaign(
-        cfg.plant, test_set, cfg.inputs, workers=cfg.workers
+        cfg.plant, test_set, cfg.inputs, workers=cfg.workers, progress=_progress("run")
     )
     persist.save_results(out / RESULTS_FILE, results)
     diverged = sum(r.diverged for r in results)
@@ -166,14 +204,10 @@ def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
+def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None,
+                full_violations: bool = False) -> int:
     results = persist.load_results(results_path or out / RESULTS_FILE)
     th = cfg.inputs.dnl_threshold
-
-    mr1 = analysis.check_mr1(results)
-    mr2, skipped = analysis.check_mr2(
-        results, th, cfg.mr2_bin_tolerance, cfg.mr2_equality_tolerance
-    )
 
     bandwidth_report = {}
     bandwidths = {}
@@ -193,6 +227,20 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
         bandwidths[shape] = est
     mr3, undefined = analysis.check_mr3(bandwidths, cfg.mr3_epsilon)
 
+    full_path = out / MR_VIOLATIONS_FILE
+    if full_violations:
+        writer = persist.violation_writer(full_path)
+    else:
+        full_path.unlink(missing_ok=True)  # it would not match the new report
+        writer = contextlib.nullcontext()
+    with writer as sink:
+        mr1 = analysis.check_mr1(results, sink)
+        mr2, skipped = analysis.check_mr2(
+            results, th, cfg.mr2_bin_tolerance, cfg.mr2_equality_tolerance, sink
+        )
+        if sink is not None:
+            sink(mr3)
+
     scatter, dof_rows = analysis.export_plot_data(results, th, cfg.boundary_factor)
     persist.save_csv(out / SCATTER_FILE, analysis.SCATTER_HEADER, scatter)
     persist.save_csv(out / DOF_FILE, analysis.DOF_HEADER, dof_rows)
@@ -207,11 +255,8 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
         {
             "kind": "mr_report",
             "dnl_threshold": th,
-            "mr1": {"violations": mr1},
-            "mr2": {
-                "violations": mr2,
-                "skipped_components": skipped,
-            },
+            "mr1": mr1.as_report(),
+            "mr2": {**mr2.as_report(), "skipped_components": skipped},
             "mr3": {
                 "violations": mr3,
                 "undefined_shapes": list(undefined),
@@ -228,13 +273,14 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None) -> int:
     return EXIT_OK
 
 
-def cmd_campaign(cfg: CampaignConfig, out: Path) -> int:
+def cmd_campaign(cfg: CampaignConfig, out: Path, full_violations: bool = False) -> int:
     # Each stage reloads its input artifact from disk, so a one-shot campaign
     # is byte-for-byte the same as running the stages one by one.
     code = cmd_bound(cfg, out)
     if code not in (EXIT_OK, EXIT_WARNINGS):
         return code
-    for step in (cmd_generate, cmd_run, cmd_analyze):
+    analyze = functools.partial(cmd_analyze, full_violations=full_violations)
+    for step in (cmd_generate, cmd_run, analyze):
         step_code = step(cfg, out)
         if step_code not in (EXIT_OK, EXIT_WARNINGS):
             return step_code
@@ -268,9 +314,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out, args.tests)
         if args.command == "analyze":
-            return cmd_analyze(cfg, out, args.results)
+            return cmd_analyze(cfg, out, args.results, args.full_violations)
         if args.command == "campaign":
-            return cmd_campaign(cfg, out)
+            return cmd_campaign(cfg, out, args.full_violations)
         raise AssertionError(f"unhandled command {args.command!r}")
     except (persist.SchemaError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

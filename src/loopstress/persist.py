@@ -1,12 +1,13 @@
 """Artifact files: line-delimited JSON records plus CSV plot tables.
 
-Every stream artifact (bounds, test sets, results) starts with a header
-record carrying ``schema_version`` and the artifact kind, followed by one
-record per entry.  Floats are serialised with Python's shortest round-trip
-representation, so loading reproduces the exact values and re-serialising
-reproduces the exact bytes; infinities use the JSON-extension ``Infinity``
-token that the stdlib emits and accepts.  Each file is written next to its
-target and renamed into place, so an artifact is never left half-written.
+Every stream artifact (bounds, test sets, results, MR violations) starts
+with a header record carrying ``schema_version`` and the artifact kind,
+followed by one record per entry.  Floats are serialised with Python's
+shortest round-trip representation, so loading reproduces the exact values
+and re-serialising reproduces the exact bytes; infinities use the
+JSON-extension ``Infinity`` token that the stdlib emits and accepts.  Each
+file is written next to its target and renamed into place, so an artifact
+is never left half-written.
 """
 
 from __future__ import annotations
@@ -238,26 +239,6 @@ def load_results(path) -> tuple[TestResult, ...]:
 
 # -- reports and tables ---------------------------------------------------
 
-# 0.0 and -0.0 are one dict key that prints apart, so zeros go by sign.
-_ZERO_TEXT = {1.0: "0.0", -1.0: "-0.0"}
-
-
-class _FloatText(dict):
-    """JSON text of floats, memoised: a report repeats few distinct values."""
-
-    def __missing__(self, value: float) -> str:
-        if not value:
-            return _ZERO_TEXT[math.copysign(1.0, value)]
-        if value != value:
-            text = "NaN"
-        elif value in (math.inf, -math.inf):
-            text = "Infinity" if value > 0 else "-Infinity"
-        else:
-            text = float.__repr__(value)
-        self[value] = text
-        return text
-
-
 def _violation_form(value) -> dict:
     """The JSON object an ``MrViolation`` stands for; ``json.dumps``'s ``default``."""
     if isinstance(value, MrViolation):
@@ -270,140 +251,36 @@ def _violation_form(value) -> dict:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _dumps(value) -> str:
+def _indented_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``, with
+    each ``MrViolation`` written as the object ``_violation_form`` gives."""
     return json.dumps(
         value, sort_keys=True, indent=2, allow_nan=True, default=_violation_form
     )
 
 
-def _violation_template(nl: str, n_subjects: int, n_witnesses: int) -> str:
-    """``%``-template of an ``MrViolation``'s JSON object at indentation ``nl``.
-
-    Its ``%s`` slots take the JSON texts of the detail, the relation, the
-    subjects and the witnesses, in that order.
-    """
-    inner = nl + "  "
-
-    def array(n: int) -> str:
-        if not n:
-            return "[]"
-        item = inner + "  "
-        return "[" + item + ("," + item).join(["%s"] * n) + inner + "]"
-
-    return (
-        "{" + inner + '"detail": %s,' + inner + '"relation": %s,' + inner
-        + '"subjects": ' + array(n_subjects) + "," + inner
-        + '"witnesses": ' + array(n_witnesses) + nl + "}"
-    )
-
-
-def _json_pieces(value) -> list[str]:
-    """Pieces of ``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``.
-
-    With ``indent`` set, the stdlib runs its pure-Python encoder.  This
-    writer appends the same text, piece by piece, to one list from the
-    plain types a report holds: ``dict`` with ``str`` keys, ``list``,
-    ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``.  An
-    ``MrViolation`` is written as the object ``_violation_form`` gives,
-    through a template cached per indentation and subject and witness
-    counts.  Any other value (a subclass, a non-``str`` key) is handed to
-    ``json.dumps`` and its lines re-indented, so unserialisable values raise
-    as they do there.
-    """
-    pieces: list[str] = []
-    append = pieces.append
-    encode_str = json.encoder.encode_basestring_ascii
-    # Exact scalar type -> builtin callable giving its JSON text.
-    scalar = {
-        str: encode_str,
-        int: int.__repr__,
-        float: _FloatText().__getitem__,
-        bool: {True: "true", False: "false"}.__getitem__,
-        type(None): {None: "null"}.__getitem__,
-    }.get
-    templates: dict = {}
-
-    def encode(value, nl: str) -> None:
-        # ``nl`` is a newline plus the indentation of ``value``'s own line.
-        # Scalar members of a container are written inline, saving a call.
-        t = type(value)
-        text = scalar(t)
-        if text is not None:
-            append(text(value))
-            return
-        if t is MrViolation:
-            subjects, witnesses = value.subjects, value.witnesses
-            try:
-                key = (nl, len(subjects), len(witnesses))
-                template = templates.get(key)
-                if template is None:
-                    template = templates[key] = _violation_template(*key)
-                # A value of no plain scalar type makes this raise TypeError.
-                append(template % tuple([
-                    scalar(type(v))(v)
-                    for v in (value.detail, value.relation, *subjects, *witnesses)
-                ]))
-                return
-            except TypeError:
-                value, t = _violation_form(value), dict
-        if t is list or t is tuple:
-            if not value:
-                append("[]")
-                return
-            inner = nl + "  "
-            lead, sep = "[" + inner, "," + inner
-            for v in value:
-                append(lead)
-                lead = sep
-                if (text := scalar(type(v))) is not None:
-                    append(text(v))
-                else:
-                    encode(v, inner)
-            append(nl + "]")
-            return
-        if t is dict:
-            if not value:
-                append("{}")
-                return
-            inner = nl + "  "
-            lead, sep = "{" + inner, "," + inner
-            try:
-                for k in sorted(value):
-                    v = value[k]
-                    if (text := scalar(type(v))) is not None:
-                        append(lead + encode_str(k) + ": " + text(v))
-                    else:
-                        append(lead + encode_str(k) + ": ")
-                        encode(v, inner)
-                    lead = sep
-            except TypeError:
-                # Keys that are no str fail at the first one, before any
-                # piece; a value fails only where json.dumps raises, too.
-                pass
-            else:
-                append(nl + "}")
-                return
-        append(_dumps(value).replace("\n", nl))
-
-    try:
-        encode(value, "\n")
-    except RecursionError:  # too deep or circular: raise as json.dumps does
-        return [_dumps(value)]
-    return pieces
-
-
-def _indented_json(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=True)``, faster,
-    with each ``MrViolation`` written as the object ``_violation_form`` gives."""
-    return "".join(_json_pieces(value))
-
-
 def save_json_report(path, payload: dict) -> None:
     """Single-object JSON report with a schema version, stable formatting."""
-    pieces = _json_pieces({"schema_version": SCHEMA_VERSION, **payload})
-    pieces.append("\n")
+    text = _indented_json({"schema_version": SCHEMA_VERSION, **payload})
     with _replacing(path) as fh:
-        fh.writelines(pieces)
+        fh.write(text + "\n")
+
+
+@contextmanager
+def violation_writer(path):
+    """``write(records)`` appends ``MrViolation`` records to ``path``.
+
+    The file is a stream artifact of kind ``mr_violations``: a header, then
+    one record per line in the object form a report gives it.  Records go
+    to disk as they come, and the file replaces ``path`` only once the
+    ``with`` block completes.
+    """
+    with _replacing(path) as fh:
+        fh.write(_dump({"record": "header", "schema_version": SCHEMA_VERSION,
+                        "kind": "mr_violations"}) + "\n")
+        yield lambda records: fh.writelines(
+            _dump(_violation_form(v)) + "\n" for v in records
+        )
 
 
 def load_json_report(path) -> dict:

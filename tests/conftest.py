@@ -73,3 +73,24 @@ def make_result(
         deviation_mean=deviation,
         diverged=diverged,
     )
+
+
+def violation_family(n_amps, n_speeds=92):
+    """Linear square tests at ``n_speeds`` speeds from 0.1 to 2 Hz times
+    ``n_amps`` amplitudes, whose dof falls with speed: every pair of speeds
+    violates MR2 at all three components, and every dominating pair MR1
+    (equal dnl).  Four amplitudes give 200,928 MR2 violations, eight give
+    four times as many."""
+    results = []
+    for s in range(n_speeds):
+        frequency = 0.1 + 1.9 * s / (n_speeds - 1)
+        dof = round(0.9 - 0.3 * s / n_speeds, 6)
+        for a in range(n_amps):
+            results.append(
+                make_result(
+                    ShapeKind.SQUARE, amp=0.5 + 0.25 * a, frequency=frequency, dnl=0.01,
+                    components=[(k * frequency, 1.0 / k, dof) for k in (1, 3, 5)],
+                    actuator_sat=0.1 if a == n_amps - 1 else 0.0,
+                )
+            )
+    return results

@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopstress import analysis
 from loopstress.analysis import (
     DOF_HEADER,
     SCATTER_HEADER,
@@ -26,7 +29,7 @@ from loopstress.analysis import (
 )
 from loopstress.signals import ShapeKind, snap_time_gain
 
-from conftest import make_result
+from conftest import make_result, violation_family
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +117,85 @@ def reference_mr2(results, dnl_threshold, bin_tolerance=None, equality_tolerance
     return tuple(violations), skipped
 
 
+def reference_summary(results, relation, violations):
+    """The MrSummary fields of the reference ``violations``, which are in
+    ``(i, j, component)`` order: counts, per-shape counts, top tests,
+    saturation, octave bands (MR2) and the top records by margin."""
+    top_k = analysis.TOP_K
+    mr2 = relation == "MR2"
+    margins = [w[3] - w[1] if mr2 else w[1] - w[0] for w in (v.witnesses for v in violations)]
+    order = sorted(
+        range(len(violations)),
+        key=lambda p: (math.isnan(margins[p]), 0.0 if math.isnan(margins[p]) else -margins[p], p),
+    )
+    shape_counts = {r.case.shape.value: 0 for r in results}
+    per_test = Counter()
+    saturated = 0
+    bands = Counter()
+    for v in violations:
+        i, j = v.subjects
+        shape_counts[results[i].case.shape.value] += 1
+        per_test[i] += 1
+        per_test[j] += 1
+        saturated += any(
+            r.actuator_saturation_fraction > 0 or r.sensor_saturation_fraction > 0
+            for r in (results[i], results[j])
+        )
+        f = v.witnesses[0]
+        n = math.frexp(f)[1]
+        bands[None if f == 0 else (2.0 ** (n - 1), 2.0 ** n)] += 1
+    return {
+        "count": len(violations),
+        "shape_counts": shape_counts,
+        "top_tests": tuple(sorted(per_test.items(), key=lambda t: (-t[1], t[0]))[:top_k]),
+        "saturated": saturated,
+        "zero_hz": bands.pop(None, 0) if mr2 else None,
+        "bands": tuple((lo, hi, n) for (lo, hi), n in sorted(bands.items())) if mr2 else None,
+        "violations": tuple(violations[p] for p in order[:top_k]),
+    }
+
+
+def summary_fields(summary):
+    return {name: getattr(summary, name) for name in analysis.MrSummary.__slots__}
+
+
+def full_mr1(results):
+    """check_mr1's summary and every record its sink received, by subjects."""
+    records = []
+    summary = check_mr1(results, sink=records.extend)
+    return summary, tuple(sorted(records, key=lambda v: v.subjects))
+
+
+def full_mr2(results, *args, **kwargs):
+    """check_mr2's summary, every record its sink received (by subjects,
+    stable, so components keep their order) and the skipped count."""
+    records = []
+    summary, skipped = check_mr2(results, *args, sink=records.extend, **kwargs)
+    return summary, tuple(sorted(records, key=lambda v: v.subjects)), skipped
+
+
+def assert_mr1_matches_reference(results):
+    """check_mr1 against the double loop: every record, the summary, and a
+    summary without a sink equal to the one with."""
+    summary, records = full_mr1(results)
+    expected = reference_mr1(results)
+    assert records == expected
+    assert summary_fields(summary) == reference_summary(results, "MR1", expected)
+    assert summary_fields(check_mr1(results)) == summary_fields(summary)
+    return expected
+
+
+def assert_mr2_matches_reference(results, *args, **kwargs):
+    """check_mr2 against the double loop, as ``assert_mr1_matches_reference``."""
+    summary, records, skipped = full_mr2(results, *args, **kwargs)
+    expected, expected_skipped = reference_mr2(results, *args, **kwargs)
+    assert (records, skipped) == (expected, expected_skipped)
+    assert summary_fields(summary) == reference_summary(results, "MR2", expected)
+    plain, plain_skipped = check_mr2(results, *args, **kwargs)
+    assert (summary_fields(plain), plain_skipped) == (summary_fields(summary), skipped)
+    return expected, skipped
+
+
 # Result sets with many ties: few amplitudes and speeds (2, 1, 0.5 Hz snap
 # exactly; 3 Hz does not), component frequencies on a 0.5 Hz grid, so a
 # scaled target often sits midway between two candidates.  Half the tests
@@ -148,6 +230,8 @@ _results = st.lists(
         components=_components(),
         diverged=st.sampled_from([False, False, False, True]),
         periods=st.sampled_from([1, 5]),
+        actuator_sat=st.sampled_from([0.0, 0.0, 0.25, math.nan]),
+        sensor_sat=st.sampled_from([0.0, 0.0, 0.5]),
     ),
     min_size=2,
     max_size=14,
@@ -166,9 +250,9 @@ def test_mr1_flags_the_pinned_counterexample():
         make_result(amp=1.5, frequency=0.1, dnl=0.01),
         make_result(amp=0.6, frequency=0.1, dnl=0.05),
     ]
-    violations = check_mr1(results)
-    assert len(violations) == 1
-    v = violations[0]
+    summary = check_mr1(results)
+    assert len(summary) == 1
+    v = summary.violations[0]
     assert v.relation == "MR1"
     assert v.subjects == (0, 1)
     assert v.witnesses == (0.01, 0.05)
@@ -179,7 +263,8 @@ def test_mr1_satisfied_when_dominance_and_dnl_agree():
         make_result(amp=1.5, frequency=0.1, dnl=0.08),
         make_result(amp=0.6, frequency=0.1, dnl=0.05),
     ]
-    assert check_mr1(results) == ()
+    assert len(check_mr1(results)) == 0
+    assert full_mr1(results)[1] == ()
 
 
 def test_mr1_ignores_pairs_across_shapes():
@@ -187,7 +272,8 @@ def test_mr1_ignores_pairs_across_shapes():
         make_result(shape=ShapeKind.SQUARE, amp=1.5, frequency=0.1, dnl=0.01),
         make_result(shape=ShapeKind.TRIANGLE, amp=0.6, frequency=0.1, dnl=0.05),
     ]
-    assert check_mr1(results) == ()
+    assert len(check_mr1(results)) == 0
+    assert full_mr1(results)[1] == ()
 
 
 def test_mr1_requires_strict_dominance():
@@ -197,7 +283,8 @@ def test_mr1_requires_strict_dominance():
         make_result(amp=1.0, frequency=0.5, dnl=0.01),
         make_result(amp=1.0, frequency=0.5, dnl=0.05),
     ]
-    assert check_mr1(results) == ()
+    assert len(check_mr1(results)) == 0
+    assert full_mr1(results)[1] == ()
 
 
 def test_mr1_equal_dnl_under_dominance_is_a_violation():
@@ -236,9 +323,8 @@ def test_mr1_violation_count_is_order_independent():
     results = _mr1_battery({1, 3})
     shuffled = results[:]
     random.Random(42).shuffle(shuffled)
-    a = check_mr1(results)
-    b = check_mr1(shuffled)
-    assert len(a) == len(b) == 2
+    (a_summary, a), (b_summary, b) = full_mr1(results), full_mr1(shuffled)
+    assert len(a_summary) == len(b_summary) == len(a) == len(b) == 2
     assert sorted(v.witnesses for v in a) == sorted(v.witnesses for v in b)
 
 
@@ -276,8 +362,8 @@ def _mr2_pair(violating, fast_extra=(), equalities=False):
 
 @pytest.mark.parametrize("violating", [set(), {3}, {0, 1, 2, 3, 4}])
 def test_mr2_reports_exactly_the_injected_violations(violating):
-    violations, skipped = check_mr2(_mr2_pair(violating), dnl_threshold=0.15)
-    assert len(violations) == len(violating)
+    summary, violations, skipped = full_mr2(_mr2_pair(violating), dnl_threshold=0.15)
+    assert len(summary) == len(violations) == len(violating)
     assert skipped == 0
     for v in violations:
         assert v.relation == "MR2"
@@ -285,23 +371,23 @@ def test_mr2_reports_exactly_the_injected_violations(violating):
 
 
 def test_mr2_equal_dofs_not_flagged_at_default_tolerance():
-    violations, _ = check_mr2(_mr2_pair(set(), equalities=True), dnl_threshold=0.15)
-    assert violations == ()
+    summary, violations, _ = full_mr2(_mr2_pair(set(), equalities=True), dnl_threshold=0.15)
+    assert len(summary) == 0 and violations == ()
 
 
 def test_mr2_equal_dofs_flagged_when_tolerance_is_zero():
-    violations, _ = check_mr2(
+    summary, violations, _ = full_mr2(
         _mr2_pair(set(), equalities=True), dnl_threshold=0.15, equality_tolerance=0.0
     )
-    assert len(violations) == 5
+    assert len(summary) == len(violations) == 5
 
 
 def test_mr2_counts_unmatched_components_as_skipped():
     # A fast component at 7 Hz maps to 3.5 Hz, which is half a bin away
     # from every slow component: skipped, not judged.
     results = _mr2_pair(set(), fast_extra=((7.0, 1.0, 0.4),))
-    violations, skipped = check_mr2(results, dnl_threshold=0.15)
-    assert violations == ()
+    summary, violations, skipped = full_mr2(results, dnl_threshold=0.15)
+    assert len(summary) == 0 and violations == ()
     assert skipped == 1
 
 
@@ -312,8 +398,8 @@ def test_mr2_ignores_nonlinear_and_diverged_results():
     results[0] = make_result(
         frequency=2.0, dnl=0.5, components=[(2.0 * (k + 1), 1.0, 0.3) for k in range(5)]
     )
-    violations, skipped = check_mr2(results, dnl_threshold=0.15)
-    assert violations == ()
+    summary, violations, skipped = full_mr2(results, dnl_threshold=0.15)
+    assert len(summary) == 0 and violations == ()
     assert skipped == 0
 
 
@@ -326,19 +412,19 @@ def test_mr2_ignores_pairs_across_shapes():
         dnl=0.01,
         components=[(c.frequency, c.amplitude, c.dof) for c in bad.components],
     )
-    violations, _ = check_mr2(results, dnl_threshold=0.15)
-    assert violations == ()
+    summary, violations, _ = full_mr2(results, dnl_threshold=0.15)
+    assert len(summary) == 0 and violations == ()
 
 
 def test_mr2_wide_bin_tolerance_matches_offset_components():
     # With an explicit generous tolerance the 7 Hz component finds the
     # 3 Hz slow component (distance 0.5) instead of being skipped.
     results = _mr2_pair(set(), fast_extra=((7.0, 1.0, 0.0),))
-    violations, skipped = check_mr2(results, dnl_threshold=0.15, bin_tolerance=0.6)
+    summary, skipped = check_mr2(results, dnl_threshold=0.15, bin_tolerance=0.6)
     assert skipped == 0
     # Partner dof 0.3 - 0.1 = 0.2 exceeds the extra component's dof 0.0.
-    assert len(violations) == 1
-    assert violations[0].witnesses[0] == 7.0
+    assert len(summary) == 1
+    assert summary.violations[0].witnesses[0] == 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +435,7 @@ def test_mr2_wide_bin_tolerance_matches_offset_components():
 @settings(max_examples=200, deadline=None)
 @given(results=_results)
 def test_mr1_matches_the_reference_loops(results):
-    assert check_mr1(results) == reference_mr1(results)
+    assert_mr1_matches_reference(results)
 
 
 @settings(max_examples=200, deadline=None)
@@ -359,8 +445,25 @@ def test_mr1_matches_the_reference_loops(results):
     equality_tolerance=st.sampled_from([1e-6, 0.0, -1.0]),
 )
 def test_mr2_matches_the_reference_loops(results, bin_tolerance, equality_tolerance):
-    expected = reference_mr2(results, 0.15, bin_tolerance, equality_tolerance)
-    assert check_mr2(results, 0.15, bin_tolerance, equality_tolerance) == expected
+    assert_mr2_matches_reference(results, 0.15, bin_tolerance, equality_tolerance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    results=_results,
+    bin_tolerance=st.sampled_from([None, 0.3, math.inf]),
+    top_k=st.integers(1, 4),
+)
+def test_summaries_of_few_top_rows_and_small_chunks_match_the_reference_loops(
+    results, bin_tolerance, top_k
+):
+    # Few top rows and tiny chunks: the top rows are merged across many
+    # chunks, and most chunks hold more violations than the top keeps.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "TOP_K", top_k)
+        mp.setattr(analysis, "_CHUNK_ELEMENTS", 7)
+        assert_mr1_matches_reference(results)
+        assert_mr2_matches_reference(results, 0.15, bin_tolerance, 0.0)
 
 
 def test_mr2_equidistant_partners_pick_the_first():
@@ -372,8 +475,7 @@ def test_mr2_equidistant_partners_pick_the_first():
             frequency=1.0, dnl=0.01, components=[(0.5, 1.0, 0.3), (1.0, 1.0, 0.6)]
         ),
     ]
-    violations, skipped = check_mr2(results, 0.15, bin_tolerance=0.3)
-    assert (violations, skipped) == reference_mr2(results, 0.15, bin_tolerance=0.3)
+    violations, skipped = assert_mr2_matches_reference(results, 0.15, bin_tolerance=0.3)
     assert [v.witnesses for v in violations] == [(1.5, 0.0, 0.5, 0.3)]
 
 
@@ -384,8 +486,9 @@ def test_mr2_details_keep_the_sign_of_zero_dofs_beside_0_hz():
         make_result(frequency=2.0, dnl=0.01, components=[(0.0, 0.1, -0.0), (2.0, 1.0, 0.5)]),
         make_result(frequency=1.0, dnl=0.01, components=[(0.0, 0.1, 0.25), (1.0, 1.0, 0.3)]),
     ]
-    violations, skipped = check_mr2(results, 0.15)
-    assert (violations, skipped) == reference_mr2(results, 0.15)
+    violations, skipped = assert_mr2_matches_reference(results, 0.15)
+    assert check_mr2(results, 0.15)[0].violations == violations
+    assert check_mr2(results, 0.15)[0].zero_hz == 1
     assert [v.detail for v in violations] == [
         "dof of test 0 at 0 Hz is -0, not above dof 0.25 of slower test 1 at 0 Hz"
     ]
@@ -401,8 +504,7 @@ def test_mr2_scales_the_target_as_frequency_times_slow_over_fast():
         make_result(frequency=3.0, dnl=0.01, components=[(f, 1.0, 0.1)]),
         make_result(frequency=1.0, dnl=0.01, components=[(11.0, 1.0, 0.2)]),
     ]
-    violations, skipped = check_mr2(results, 0.15, bin_tolerance=0.0)
-    assert (violations, skipped) == reference_mr2(results, 0.15, bin_tolerance=0.0)
+    violations, skipped = assert_mr2_matches_reference(results, 0.15, bin_tolerance=0.0)
     assert skipped == 0 and len(violations) == 1
 
 
@@ -424,8 +526,7 @@ def test_mr2_matches_slow_tests_by_their_own_tolerance_and_dof_mask():
             components=[(0.5, 1.0, 0.2), (1.0, 1.0, 0.6)],
         ),
     ]
-    violations, skipped = check_mr2(results, 0.15)
-    assert (violations, skipped) == reference_mr2(results, 0.15)
+    violations, skipped = assert_mr2_matches_reference(results, 0.15)
     assert skipped == 1
     assert [(v.subjects, v.witnesses[2:]) for v in violations] == [
         ((0, 2), (1.0, 0.3)),
@@ -435,28 +536,38 @@ def test_mr2_matches_slow_tests_by_their_own_tolerance_and_dof_mask():
 
 
 def test_mr1_chunks_rows_of_large_groups(monkeypatch):
-    from loopstress import analysis
-
     results = _mr1_battery({0, 3}) + _mr1_battery({1})
-    expected = reference_mr1(results)
     monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 7)
-    assert check_mr1(results) == expected
+    expected = assert_mr1_matches_reference(results)
     assert len(expected) > 3
 
 
 def test_mr2_chunks_pairs_of_large_groups(monkeypatch):
-    from loopstress import analysis
-
     # Two fast tests share a layout; all three slow tests share another.
     results = (
         _mr2_pair({1, 4})
         + _mr2_pair({0}, fast_extra=((7.0, 1.0, 0.4),))
         + _mr2_pair({2, 3})
     )
-    expected = reference_mr2(results, 0.15)
     monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 7)
-    assert check_mr2(results, 0.15) == expected
+    expected = assert_mr2_matches_reference(results, 0.15)
     assert len(expected[0]) > 3 and expected[1] > 0
+
+
+def test_checker_memory_does_not_grow_with_the_violation_count():
+    # 42,412 MR1 and 200,928 MR2 violations; one record each would take
+    # about 100 MB.  The summaries keep per-test counts and the top rows,
+    # and each chunk's index arrays go when the chunk is folded in.
+    results = violation_family(4)
+    tracemalloc.start()
+    try:
+        mr1 = check_mr1(results)
+        mr2, skipped = check_mr2(results, 0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(mr1), len(mr2), skipped) == (42_412, 200_928, 0)
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
-from loopstress import cli, persist
+from loopstress import analysis, cli, persist
 from loopstress.signals import ShapeKind
 
-from conftest import make_result
+from conftest import make_result, violation_family
 
 ARTIFACTS = (
     cli.BOUNDS_FILE,
@@ -195,23 +196,63 @@ def golden_results():
     ]
 
 
-# sha256 of mr_report.json for golden_results(), computed with the
-# double-loop checkers and json.dumps before the numpy checkers existed.
-GOLDEN_REPORT_SHA256 = "b07c530207b667a2b1ad8ed9f92a3d7e3eba995096da769702e6fc8a7b37ad7e"
+# sha256 of the summary mr_report.json for golden_results().
+GOLDEN_REPORT_SHA256 = "b2b2084d4be393184bae5ec9d28a5f9b84248f8051cd96cdcb486654b7793235"
+
+# sha256 of the sorted violation records of golden_results() (one compact
+# sorted-key JSON line each, MR1 to MR3), taken from the three full
+# violation lists of the per-pair mr_report.json that preceded the summary.
+GOLDEN_RECORDS_SHA256 = "95a435b4a3227bb15ca580ad822827584379e9d3ece605cfedd035d03eef93d5"
+
+
+def analyze(tmp_path, results, *flags, name="out"):
+    """``loopstress analyze`` on ``results``; returns the output directory."""
+    cfg = write_config(tmp_path)
+    results_path = tmp_path / f"{name}.jsonl"
+    persist.save_results(results_path, results)
+    out = tmp_path / name
+    argv = ["analyze", "--config", str(cfg), "--results", str(results_path),
+            "--out", str(out), *flags]
+    assert cli.main(argv) == cli.EXIT_OK
+    return out
+
+
+def records_digest(path, n_results):
+    """sha256 of the sorted records of an ``mr_violations.jsonl``, after
+    checking its header, the form of each line and each pair's subjects."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(header) == {
+        "record": "header", "schema_version": persist.SCHEMA_VERSION, "kind": "mr_violations",
+    }
+    for line in lines:
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+        assert set(record) == {"detail", "relation", "subjects", "witnesses"}
+        if record["relation"] != "MR3":
+            i, j = record["subjects"]
+            assert 0 <= i < n_results and 0 <= j < n_results and i != j
+    text = "".join(sorted(line + "\n" for line in lines))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_analyze_report_bytes_are_pinned(tmp_path):
     # Any change to the checkers or the report writer that moves a byte of
     # mr_report.json fails here.
-    cfg = write_config(tmp_path)
-    results_path = tmp_path / "results.jsonl"
-    persist.save_results(results_path, golden_results())
-    out = tmp_path / "out"
-    argv = ["analyze", "--config", str(cfg), "--results", str(results_path), "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
+    out = analyze(tmp_path, golden_results())
     report = persist.load_json_report(out / cli.MR_REPORT_FILE)
+    assert [report[rel]["count"] for rel in ("mr1", "mr2")] == [2, 5]
     assert report["mr1"]["violations"] and report["mr2"]["violations"]
     assert digest(out / cli.MR_REPORT_FILE) == GOLDEN_REPORT_SHA256
+    assert not (out / cli.MR_VIOLATIONS_FILE).exists()
+
+
+def test_full_violations_write_the_pinned_records_beside_the_same_report(tmp_path):
+    out = analyze(tmp_path, golden_results(), "--full-violations")
+    assert digest(out / cli.MR_REPORT_FILE) == GOLDEN_REPORT_SHA256
+    assert records_digest(out / cli.MR_VIOLATIONS_FILE, 7) == GOLDEN_RECORDS_SHA256
+    # Without the flag a stale list goes, as it would not match the report.
+    analyze(tmp_path, golden_results())
+    assert not (out / cli.MR_VIOLATIONS_FILE).exists()
 
 
 def scale_results():
@@ -249,26 +290,90 @@ def scale_results():
     return results
 
 
-# sha256 of the analyze artifacts for scale_results(), computed with the
-# report writer that built one dict per violation.
+# sha256 of the analyze artifacts for scale_results(): the summary report;
+# the tables as computed with the report writer that built one dict per
+# violation.
 SCALE_SHA256 = {
-    cli.MR_REPORT_FILE: "4d2bf0190581f6d35c04fdf8fcaad1d360ba346757eb16644f2ca4d065f19c39",
+    cli.MR_REPORT_FILE: "3fa306f8739e13f8a9bf360081d6c7b7f03062e983c6549d03ad170dc5dcb402",
     cli.SCATTER_FILE: "5852a6a5669c7c8ac2477928d90ebbe3fb3a31a6e59b2fc03932214286e0c758",
     cli.DOF_FILE: "40df5955824041379a2a6f9337e347b9de2e8e7c45a21272775ab053e025c86c",
 }
 
 
+# As GOLDEN_RECORDS_SHA256, for scale_results().
+SCALE_RECORDS_SHA256 = "6262453ca00bbdc7e15338811fc9bbdf4b7cc08d6159b78da5299fe214a508ff"
+
+
 def test_analyze_artifacts_at_scale_are_pinned(tmp_path):
-    cfg = write_config(tmp_path)
-    results_path = tmp_path / "results.jsonl"
-    persist.save_results(results_path, scale_results())
-    out = tmp_path / "out"
-    argv = ["analyze", "--config", str(cfg), "--results", str(results_path), "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
+    out = analyze(tmp_path, scale_results())
     report = persist.load_json_report(out / cli.MR_REPORT_FILE)
-    counts = [len(report[rel]["violations"]) for rel in ("mr1", "mr2", "mr3")]
+    counts = [report["mr1"]["count"], report["mr2"]["count"], len(report["mr3"]["violations"])]
     assert counts == [3208, 2634, 1]
     assert {name: digest(out / name) for name in SCALE_SHA256} == SCALE_SHA256
+
+
+def test_full_violations_at_scale_write_the_pinned_records(tmp_path):
+    out = analyze(tmp_path, scale_results(), "--full-violations")
+    assert {name: digest(out / name) for name in SCALE_SHA256} == SCALE_SHA256
+    assert records_digest(out / cli.MR_VIOLATIONS_FILE, 240) == SCALE_RECORDS_SHA256
+
+
+def test_report_size_does_not_grow_with_the_violation_count(tmp_path):
+    small = analyze(tmp_path, violation_family(4), name="small") / cli.MR_REPORT_FILE
+    large = analyze(tmp_path, violation_family(8), name="large") / cli.MR_REPORT_FILE
+    reports = [persist.load_json_report(p) for p in (small, large)]
+    assert [r["mr2"]["count"] for r in reports] == [200_928, 803_712]
+    sizes = [p.stat().st_size for p in (small, large)]
+    assert max(sizes) < 1_000_000
+    # Four times the violations: the same lists, only wider counts.
+    for rel in ("mr1", "mr2"):
+        lengths = [
+            {k: len(v) for k, v in r[rel].items() if isinstance(v, list)} for r in reports
+        ]
+        assert lengths[0] == lengths[1]
+        assert lengths[0]["violations"] == analysis.TOP_K
+    assert sizes[1] - sizes[0] < 0.01 * sizes[0]
+
+
+@pytest.mark.parametrize("diverged", [False, True], ids=["empty", "all-diverged"])
+def test_analyze_without_linear_results_reports_zero_counts(tmp_path, diverged):
+    results = [
+        make_result(ShapeKind.SQUARE, amp=0.5 + 0.5 * k, frequency=1.0 + k, dnl=math.inf,
+                    diverged=True, components=[(1.0 + k, 1.0, None)])
+        for k in range(3)
+    ] if diverged else []
+    out = analyze(tmp_path, results)
+    text = (out / cli.MR_REPORT_FILE).read_text()
+    assert "NaN" not in text
+    report = json.loads(text)
+    mr2 = report["mr2"]
+    assert (mr2["count"], mr2["zero_hz"], mr2["saturated"]) == (0, 0, 0)
+    assert (mr2["bands"], mr2["top_tests"], mr2["violations"]) == ([], [], [])
+    assert mr2["saturated_share"] == 0.0 and mr2["skipped_components"] == 0
+    # Diverged tests keep an infinite dnl, so a dominating one still
+    # violates MR1 (inf <= inf), as it did with the per-pair report.
+    assert report["mr1"]["count"] == (3 if diverged else 0)
+    assert len(report["mr1"]["violations"]) == report["mr1"]["count"]
+    assert sum(report["scope_counts"].values()) == len(results)
+
+
+def test_run_stage_reports_progress_only_when_it_lasts(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(quiet)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # With no interval every collected chunk prints a line.
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0.0)
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(loud)]) == 0
+    loud_captured = capsys.readouterr()
+    assert loud_captured.out == captured.out
+    lines = loud_captured.err.splitlines()
+    assert lines and all(re.fullmatch(r"run: \d+/18 tests, [\d.]+ tests/s", ln) for ln in lines)
+    done = [int(ln.split()[1].split("/")[0]) for ln in lines]
+    assert done == sorted(done) and done[-1] == 18
+    for name in ARTIFACTS:
+        assert digest(quiet / name) == digest(loud / name), name
 
 
 # ---------------------------------------------------------------------------
