@@ -31,7 +31,6 @@ from .campaign import (
     TestSet,
     binary_search_upperbound,
     calibration_curve,
-    choose_num_periods,
     derive_frequency_resolution,
     execute_campaign,
     generate_test_set,
@@ -45,7 +44,6 @@ from .plants import (
     PlantRun,
     PlantSpec,
     actuator_saturation,
-    apply_block,
     backlash,
     coulomb_friction,
     dc_servo_spec,

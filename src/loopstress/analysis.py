@@ -77,8 +77,8 @@ class MrSummary:
       faster-test component lies at 0 Hz, and ``(lo, hi, count)`` per
       octave ``[lo, hi)`` Hz holding any, ascending;
     * ``violations``: the ``TOP_K`` records of largest margin (MR1:
-      ``dnl_j - dnl_i``; MR2: ``dof_j - dof_i``), NaN margins last, ties in
-      ``(i, j, component)`` order.
+      ``dnl_j - dnl_i``; MR2: ``dof_j - dof_i``), ties in ``(i, j, component)``
+      order.
     """
 
     __slots__ = (
@@ -153,7 +153,7 @@ class _Tally:
         if n > TOP_K:
             # The chunk's best TOP_K rows.  Rows come in (i, j, component)
             # order, so of the rows tied with the k-th best the first win.
-            key = np.where(np.isnan(margin), np.inf, -margin)
+            key = -margin
             cut = np.partition(key, TOP_K - 1)[TOP_K - 1]
             better = np.flatnonzero(key < cut)
             tied = np.flatnonzero(key == cut)[:TOP_K - better.size]
@@ -163,8 +163,7 @@ class _Tally:
             rows[3] = rows[4] = np.zeros(rows[1].size, dtype=np.intp)
         rows = [np.concatenate(pair) for pair in zip(self.top, rows)]
         margin, i, j, k = rows[:4]
-        nan = np.isnan(margin)
-        order = np.lexsort((k, j, i, np.where(nan, 0.0, -margin), nan))[:TOP_K]
+        order = np.lexsort((k, j, i, -margin))[:TOP_K]
         self.top = tuple(col[order] for col in rows)
 
     def add_bands(self, frequencies, counts) -> None:
@@ -207,31 +206,7 @@ def _shape_groups(results, indices) -> list[np.ndarray]:
     return [np.array(g, dtype=np.intp) for g in groups.values()]
 
 
-def _g_formatter(values):
-    """``format(x, "g")`` through a memo: witnesses repeat a few values often.
-
-    Every ``x`` must be a value of the float array ``values``.  0.0 and -0.0
-    are equal keys that format apart, so zero is memoised when all zeros of
-    ``values`` have one sign; otherwise each zero's sign is tested.
-    """
-    memo = {}
-    signs = np.signbit(values[values == 0.0])
-    if signs.size and (signs.all() or not signs.any()):
-        memo[0.0] = "-0" if signs[0] else "0"
-
-    def g(x) -> str:
-        s = memo.get(x)
-        if s is None:
-            if x:
-                s = memo[x] = format(x, "g")
-            else:
-                s = "-0" if math.copysign(1.0, x) < 0.0 else "0"
-        return s
-
-    return g
-
-
-def _mr1_records(results, g, first, second):
+def _mr1_records(results, first, second):
     """MR1 records of the pairs ``(first[n], second[n])``, one at a time."""
     for i, j in zip(first.tolist(), second.tolist()):
         di, dj = results[i].dnl, results[j].dnl
@@ -239,22 +214,22 @@ def _mr1_records(results, g, first, second):
             relation="MR1",
             subjects=(i, j),
             witnesses=(di, dj),
-            detail=f"test {i} dominates test {j} but dnl {g(di)} <= {g(dj)}",
+            detail=f"test {i} dominates test {j} but dnl {di:g} <= {dj:g}",
         )
 
 
 def check_mr1(results, sink=None) -> MrSummary:
     """A same-shape test that is larger *and* at-least-as-fast (or vice versa)
     must show strictly higher dnl.  Each ordered pair ``(i, j)`` for which
-    that fails is a violation.  Returns their :class:`MrSummary`; ``sink``,
-    if given, is called with every violation's record, one iterable per
-    chunk of the search (ascending ``(i, j)`` within a chunk)."""
+    that fails is a violation, unless both tests diverged: their margin
+    ``dnl_j - dnl_i`` is ``inf - inf``.  Returns their :class:`MrSummary`;
+    ``sink``, if given, is called with every violation's record, one
+    iterable per chunk of the search (ascending ``(i, j)`` within a chunk)."""
     results = list(results)
     amp = np.array([r.case.amp_gain for r in results], dtype=float)
     speed = np.array([r.case.time_gain for r in results], dtype=float)
     dnl = np.array([r.dnl for r in results], dtype=float)
     tally = _Tally(results)
-    g = _g_formatter(dnl)
     for idx in _shape_groups(results, range(len(results))):
         shape = results[idx[0]].case.shape
         a, t, d = amp[idx], speed[idx], dnl[idx]
@@ -263,18 +238,19 @@ def check_mr1(results, sink=None) -> MrSummary:
             ai = a[start:start + rows, None]
             ti = t[start:start + rows, None]
             di = d[start:start + rows, None]
-            # i dominates j (strictly more stressful), yet dnl_i is not above dnl_j.
+            # i dominates j (strictly more stressful), yet dnl_i is not above
+            # dnl_j.  A diverged i (dnl_i infinite) ties only a diverged j,
+            # which leaves no margin (inf - inf), so it is no violation.
             bad = ((ai > a) & (ti >= t)) | ((ai >= a) & (ti > t))
-            bad &= ~(di > d)
+            bad &= (di <= d) & (di < np.inf)
             r, c = np.nonzero(bad)
             if not r.size:
                 continue
             first, second = idx[r + start], idx[c]
-            with np.errstate(invalid="ignore"):
-                tally.add(shape, first, second, dnl[second] - dnl[first])
+            tally.add(shape, first, second, dnl[second] - dnl[first])
             if sink is not None:
-                sink(_mr1_records(results, g, first, second))
-    return tally.summary(lambda i, j, k, m: _mr1_records(results, g, i, j))
+                sink(_mr1_records(results, first, second))
+    return tally.summary(lambda i, j, k, m: _mr1_records(results, i, j))
 
 
 def _match_components(f, t_fast, freq, speed, valid, tol):
@@ -297,7 +273,7 @@ def _match_components(f, t_fast, freq, speed, valid, tol):
     return best, (best_dist < np.inf) & ~(best_dist > tol[:, None])
 
 
-def _mr2_records(results, g, first, second, comp, partner):
+def _mr2_records(results, first, second, comp, partner):
     """MR2 records: component ``comp[n]`` of test ``first[n]`` against
     component ``partner[n]`` of the slower test ``second[n]``, one at a time."""
     for i, j, k, m in zip(first.tolist(), second.tolist(), comp.tolist(), partner.tolist()):
@@ -308,9 +284,9 @@ def _mr2_records(results, g, first, second, comp, partner):
             subjects=(i, j),
             witnesses=(c.frequency, c.dof, p.frequency, p.dof),
             detail=(
-                f"dof of test {i} at {g(c.frequency)} Hz is "
-                f"{g(c.dof)}, not above dof {g(p.dof)} of "
-                f"slower test {j} at {g(p.frequency)} Hz"
+                f"dof of test {i} at {c.frequency:g} Hz is "
+                f"{c.dof:g}, not above dof {p.dof:g} of "
+                f"slower test {j} at {p.frequency:g} Hz"
             ),
         )
 
@@ -345,7 +321,6 @@ def check_mr2(
     min_gap = max(equality_tolerance, 0.0)
     skipped = 0
     tally = _Tally(results)
-    witnessed = []  # frequencies and dofs that violations can name
     for idx in _shape_groups(results, linear):
         group = [results[k] for k in idx]
         width = max(len(r.components) for r in group)
@@ -361,9 +336,6 @@ def check_mr2(
                 if comp.dof is not None:
                     dof[row, k] = comp.dof
                     valid[row, k] = True
-        witnessed += [freq[valid], dof[valid]]
-        if sink is not None:
-            g = _g_formatter(np.concatenate(witnessed[-2:]))
         speed = np.array([r.case.time_gain for r in group], dtype=float)
         if bin_tolerance is None:
             tol = np.array([0.5 / r.case.duration for r in group], dtype=float)
@@ -411,11 +383,8 @@ def check_mr2(
                               comp_k, partner_k)
                     tally.add_bands(freq[a, comps], np.bincount(c, minlength=comps.size))
                     if sink is not None:
-                        sink(_mr2_records(results, g, first, second, comp_k, partner_k))
-    g_all = _g_formatter(np.concatenate(witnessed)) if witnessed else None
-    summary = tally.summary(
-        lambda i, j, k, m: _mr2_records(results, g_all, i, j, k, m), bands=True
-    )
+                        sink(_mr2_records(results, first, second, comp_k, partner_k))
+    summary = tally.summary(lambda i, j, k, m: _mr2_records(results, i, j, k, m), bands=True)
     return summary, skipped
 
 

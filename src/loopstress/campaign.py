@@ -4,9 +4,9 @@ A campaign stresses one control loop over a frequency range ``[f_min,
 f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 
 1. *Calibrate* how many periods each test repeats
-   (:func:`choose_num_periods`): repetitions insert DFT bins between the
-   reference harmonics, which is what makes non-periodic behaviour visible,
-   but longer tests cost simulation time.
+   (:func:`calibration_curve`, :func:`pick_num_periods`): repetitions
+   insert DFT bins between the reference harmonics, which is what makes
+   non-periodic behaviour visible, but longer tests cost simulation time.
 2. *Bound* the linear envelope (:func:`optimistic_amplitude_bound`):
    per frequency, a sinusoidal binary search finds the largest amplitude
    whose dnl stays under the threshold; frequencies are refined where
@@ -50,7 +50,6 @@ __all__ = [
     "execute_campaign",
     "calibration_curve",
     "pick_num_periods",
-    "choose_num_periods",
 ]
 
 
@@ -412,11 +411,11 @@ def _result(
     )
 
 
-def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests, lanes: bool) -> list[TestResult]:
-    """Results of ``tests``, simulated as the lanes of one lockstep loop or
-    one by one."""
+def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
+    """Results of ``tests``, simulated as the lanes of one lockstep loop or,
+    fewer than ``_MIN_LANES``, one by one."""
     references = [render_reference(t.case) for t in tests]
-    if lanes:
+    if len(tests) >= _MIN_LANES:
         runs = run_lanes(plant, references)
     else:
         runs = [LaneRun.of(run_plant(plant, r)) for r in references]
@@ -469,7 +468,6 @@ def execute_campaign(
     chunks = _chunks(tests)
     run_chunk = functools.partial(_run_chunk, plant, inputs)
     chunk_tests = [[tests[i] for i in chunk] for chunk in chunks]
-    lanes = [len(chunk) >= _MIN_LANES for chunk in chunks]
     results: list = [None] * len(tests)
 
     def collect(chunk_results) -> None:
@@ -482,13 +480,13 @@ def execute_campaign(
                 progress(done, len(tests))
 
     if workers == 1 or len(chunks) < 2:
-        collect(map(run_chunk, chunk_tests, lanes))
+        collect(map(run_chunk, chunk_tests))
     else:
         # Imported here: the pool module adds noticeably to every start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(run_chunk, chunk_tests, lanes))
+            collect(pool.map(run_chunk, chunk_tests))
     return tuple(results)
 
 
@@ -550,15 +548,3 @@ def pick_num_periods(
         if value > dnl_threshold:
             return min(k + 1, max_periods), True
     return max_periods, False
-
-
-def choose_num_periods(
-    plant: PlantSpec,
-    inputs: RequiredInput,
-    max_periods: int = 10,
-    shape: ShapeKind = ShapeKind.SINE,
-) -> int:
-    """Pick how many periods campaign tests should repeat (see module docs)."""
-    curve = calibration_curve(plant, inputs, max_periods, shape)
-    periods, _ = pick_num_periods(curve, inputs.dnl_threshold, max_periods)
-    return periods

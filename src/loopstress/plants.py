@@ -21,6 +21,12 @@ or the physics itself (coulomb and quadratic friction forces).  Every step
 is instrumented: saturation flags plus the absolute deviation each injected
 block introduced relative to an ideal linear counterpart, so test outcomes
 can be attributed to specific non-linearities afterwards.
+
+Two steppers run the loop: ``_simulate`` one reference at a time and
+``_step_lanes`` many in lockstep, with the same float operations.  Both only
+step: they keep the outputs and velocities, and of the instrumentation only
+what depends on the command inside a step.  One post-pass,
+``_instrument``, derives the sensor flags and the deviation log from those.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ __all__ = [
     "backlash",
     "coulomb_friction",
     "quadratic_friction",
-    "apply_block",
     "PlantSpec",
     "drone_spec",
     "dc_servo_spec",
@@ -128,49 +133,6 @@ def coulomb_friction(level: float) -> NonlinearBlock:
 
 def quadratic_friction(coef: float) -> NonlinearBlock:
     return NonlinearBlock("quadratic_friction", {"coef": coef})
-
-
-def apply_block(block: NonlinearBlock, value: float, state: float | None = None):
-    """Apply one block to a scalar; returns ``(output, new_state)``.
-
-    Only backlash is stateful: its state is the held output position
-    (initially 0.0).  Friction blocks map a velocity to an opposing
-    force/torque term.  Stateless blocks return ``state`` unchanged (None).
-    """
-    if not math.isfinite(value):
-        raise ValueError("block input must be finite")
-    p = block.params
-    kind = block.kind
-    if kind in ("actuator_saturation", "sensor_saturation"):
-        return min(max(value, p["lo"]), p["hi"]), state
-    if kind == "quantizer":
-        step = p["step"]
-        return math.floor(value / step + 0.5) * step, state
-    if kind == "dead_zone":
-        hw = p["half_width"]
-        if value > hw:
-            return value - hw, state
-        if value < -hw:
-            return value + hw, state
-        return 0.0, state
-    if kind == "backlash":
-        half = p["play"] / 2.0
-        held = 0.0 if state is None else state
-        if value > held + half:
-            held = value - half
-        elif value < held - half:
-            held = value + half
-        return held, held
-    if kind == "coulomb_friction":
-        level = p["level"]
-        if value > 0.0:
-            return -level, state
-        if value < 0.0:
-            return level, state
-        return 0.0, state
-    if kind == "quadratic_friction":
-        return -p["coef"] * value * abs(value), state
-    raise ValueError(f"unknown block kind {kind!r}")  # pragma: no cover
 
 
 _MODEL_DEFAULTS = {
@@ -366,18 +328,15 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     with the trace truncated to the completed steps.
     """
     ref, limit = _checked_reference(reference)
-    out, act, a_sat, s_sat, dev, diverged = _simulate(spec, ref.tolist(), limit)
-
-    n = len(out)
-    trace = Trace(
-        reference=ref[:n],
-        output=np.asarray(out, dtype=float),
-        sample_interval=spec.sample_interval,
-    )
+    c = _loop(spec)
+    out, vel, act, a_sat, shaping_dev, diverged = _simulate(c, ref.tolist(), limit)
+    out = np.asarray(out, dtype=float)
+    s_sat, dev = _instrument(c, out, np.asarray(vel), np.asarray(shaping_dev))
+    trace = Trace(reference=ref[:len(out)], output=out, sample_interval=spec.sample_interval)
     log = InstrumentationLog(
         actuator_saturated=np.asarray(a_sat, dtype=bool),
-        sensor_saturated=np.asarray(s_sat, dtype=bool),
-        nonlinearity_deviation=np.asarray(dev, dtype=float),
+        sensor_saturated=s_sat,
+        nonlinearity_deviation=dev,
         actuation=np.asarray(act, dtype=float),
     )
     return PlantRun(trace=trace, log=log, diverged=diverged)
@@ -419,35 +378,39 @@ def _loop(spec: PlantSpec) -> SimpleNamespace:
     )
 
 
-def _simulate(spec: PlantSpec, ref: list, limit: float):
-    """Run the shared loop with ``spec``'s coefficients; returns per-step lists."""
-    c = _loop(spec)
+def _simulate(c: SimpleNamespace, ref: list, limit: float):
+    """Run the shared loop with the scalars ``c`` of :func:`_loop`.
+
+    Returns per-step lists of the output and velocity at the step's start,
+    the actuation, the actuator flags and the dead zone's and backlash's
+    deviation (what depends on the command inside the step), plus the
+    divergence flag; :func:`_instrument` derives the rest.
+    """
     dt, gain, damping, inertia = c.dt, c.gain, c.damping, c.inertia
     kp, ki, kd, alpha, pwm_step = c.kp, c.ki, c.kd, c.alpha, c.pwm_step
     sens_lo, sens_hi, sens_step = c.sens_lo, c.sens_hi, c.sens_step
     dz_hw, bl_half, act_lo, act_hi = c.dz_hw, c.bl_half, c.act_lo, c.act_hi
-    coulomb, quad, quad_lin = c.coulomb, c.quad, c.quad_lin
+    coulomb, quad = c.coulomb, c.quad
 
     x = v = 0.0
     integ = dfilt = 0.0
     prev_meas = None
     bl_state = 0.0
-    out, act, a_sat, s_sat, dev_log = [], [], [], [], []
+    out, vel, act, a_sat, dev_log = [], [], [], [], []
     diverged = False
 
     for r in ref:
         out.append(x)
+        vel.append(v)
 
         meas = x
-        sflag = False
         if sens_lo is not None:
             if meas > sens_hi:
-                meas, sflag = sens_hi, True
+                meas = sens_hi
             elif meas < sens_lo:
-                meas, sflag = sens_lo, True
+                meas = sens_lo
         if sens_step is not None:
             meas = math.floor(meas / sens_step + 0.5) * sens_step
-        s_sat.append(sflag)
 
         e = r - meas
         d_raw = 0.0 if prev_meas is None else (meas - prev_meas) / dt
@@ -467,6 +430,7 @@ def _simulate(spec: PlantSpec, ref: list, limit: float):
                 bl_state = u + bl_half
             dev += abs(bl_state - u)
             u = bl_state
+        dev_log.append(dev)
         aflag = False
         if act_lo is not None:
             if u > act_hi:
@@ -479,18 +443,11 @@ def _simulate(spec: PlantSpec, ref: list, limit: float):
         act.append(u)
         integ += ki * e * dt
 
-        # Friction deviation is summed apart and added to ``dev`` once, so
-        # the logged value keeps its rounding when several blocks are active.
-        fric = fdev = 0.0
+        fric = 0.0
         if coulomb is not None and v != 0.0:
-            fc = -coulomb if v > 0.0 else coulomb
-            fric += fc
-            fdev += abs(fc)
+            fric += -coulomb if v > 0.0 else coulomb
         if quad is not None:
-            fq = -quad * v * abs(v)
-            fric += fq
-            fdev += abs(fq - (-quad_lin * v))
-        dev_log.append(dev + fdev)
+            fric += -quad * v * abs(v)
 
         v += (gain * u + fric - damping * v) / inertia * dt
         x += v * dt
@@ -498,7 +455,29 @@ def _simulate(spec: PlantSpec, ref: list, limit: float):
             if len(out) >= 2:
                 diverged = True
                 break
-    return out, act, a_sat, s_sat, dev_log, diverged
+    return out, vel, act, a_sat, dev_log, diverged
+
+
+def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray,
+                shaping_dev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The sensor flags and the deviation log of one run, from its outputs
+    and velocities at the start of each step and the dead zone's and
+    backlash's part of the deviation (None: neither block is attached).
+
+    The friction deviation is summed apart and added once, so the logged
+    value keeps its rounding when several blocks are active.
+    """
+    sensor = np.zeros(len(out), dtype=bool)
+    if c.sens_lo is not None:
+        sensor = (out > c.sens_hi) | (out < c.sens_lo)
+    fdev = 0.0
+    if c.coulomb is not None:
+        fdev = np.where(v != 0.0, 0.0 + abs(c.coulomb), 0.0)
+    if c.quad is not None:
+        fq = -c.quad * v * np.abs(v)
+        fdev = fdev + np.abs(fq - (-c.quad_lin * v))
+    dev = np.zeros(len(v)) if shaping_dev is None else shaping_dev
+    return sensor, dev + fdev
 
 
 class LaneRun(collections.namedtuple(
@@ -537,7 +516,8 @@ def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
     step costs a few dozen numpy calls whatever the lane count.  Lanes are
     sorted by length, longest first, so the lanes still running always form
     a prefix.  Memory grows with lanes times steps: 18 bytes per lane-step
-    (26 with a dead zone or backlash), on top of the references.
+    (26 with a dead zone or backlash), on top of the references.  Each
+    ``output`` is a view of one array that holds every lane's outputs.
     """
     checked = [_checked_reference(r) for r in references]
     if not checked:
@@ -548,11 +528,10 @@ def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
     c = _loop(spec)
 
     refs = [checked[j][0] for j in order]
-    bounds = [checked[j][1] for j in order]
     # Row i holds every lane's output (velocity) at the start of step i.
     out_rows = np.zeros((steps + 1, n_lanes))
     v_rows = np.zeros((steps + 1, n_lanes))
-    # Deviation of the dead zone and backlash; friction's is computed below.
+    # Deviation of the dead zone and backlash; friction's is derived below.
     blocks_dev = c.dz_hw is not None or c.bl_half is not None
     dev_rows = np.zeros((steps, n_lanes if blocks_dev else 0))
     # Saturation above and below are exclusive, so their counts add up.
@@ -561,54 +540,33 @@ def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
     with np.errstate(all="ignore"):
         _step_lanes(c, lengths, refs, out_rows, v_rows, dev_rows, a_hi_rows, a_lo_rows)
 
-    # Everything but the outputs first: the velocities, deviations and
-    # flags are freed before the outputs are copied out, to bound the peak.
-    kept = []
-    for lane in range(n_lanes):
+    runs: list = [None] * n_lanes
+    for lane, j in enumerate(order):
         # The lane diverged at step i >= 1 if the output after it breaks
         # ``|x| <= limit`` (or is not finite when the limit is infinite).  A
         # non-finite velocity makes that output non-finite, so the output
         # alone decides.  Lanes ran on past their divergence.
-        limit = bounds[lane] if math.isfinite(bounds[lane]) else sys.float_info.max
+        limit = checked[j][1] if math.isfinite(checked[j][1]) else sys.float_info.max
         with np.errstate(invalid="ignore"):
             broken = ~(np.abs(out_rows[2:lengths[lane] + 1, lane]) <= limit)
         first = int(broken.argmax())
         diverged = bool(broken[first])
         m = first + 2 if diverged else lengths[lane]
-        dev = _deviation(c, v_rows[:m, lane].copy(), dev_rows[:m, lane] if blocks_dev else None)
-        a_sat = np.count_nonzero(a_hi_rows[:m, lane]) + np.count_nonzero(a_lo_rows[:m, lane])
-        kept.append((m, diverged, float(np.mean(dev)), int(a_sat) / m))
-    del v_rows, dev_rows, a_hi_rows, a_lo_rows
-
-    runs: list = [None] * n_lanes
-    for lane, (j, (m, diverged, deviation_mean, a_fraction)) in enumerate(zip(order, kept)):
-        output = out_rows[:m, lane].copy()
+        output = out_rows[:m, lane]
         if not np.all(np.isfinite(output)):
             raise ValueError("trace contains non-finite samples")  # as run_plant's Trace
-        s_sat = 0
-        if c.sens_lo is not None:
-            s_sat = np.count_nonzero(output > c.sens_hi) + np.count_nonzero(output < c.sens_lo)
+        s_sat, dev = _instrument(
+            c, output, v_rows[:m, lane], dev_rows[:m, lane] if blocks_dev else None
+        )
+        a_sat = np.count_nonzero(a_hi_rows[:m, lane]) + np.count_nonzero(a_lo_rows[:m, lane])
         runs[j] = LaneRun(
             output=output,
-            deviation_mean=deviation_mean,
-            actuator_saturation_fraction=a_fraction,
-            sensor_saturation_fraction=int(s_sat) / m,
+            deviation_mean=float(np.mean(dev)),
+            actuator_saturation_fraction=int(a_sat) / m,
+            sensor_saturation_fraction=float(np.mean(s_sat)),
             diverged=diverged,
         )
     return tuple(runs)
-
-
-def _deviation(c: SimpleNamespace, v: np.ndarray, shaping_dev: np.ndarray | None) -> np.ndarray:
-    """One lane's deviation log from its velocities at the start of each step
-    and the dead zone's and backlash's part, as ``_simulate`` sums them."""
-    fdev = 0.0
-    if c.coulomb is not None:
-        fdev = np.where(v != 0.0, 0.0 + abs(c.coulomb), 0.0)
-    if c.quad is not None:
-        fq = -c.quad * v * np.abs(v)
-        fdev = fdev + np.abs(fq - (-c.quad_lin * v))
-    dev = np.zeros(len(v)) if shaping_dev is None else shaping_dev
-    return dev + fdev
 
 
 def _reference_rows(refs, start: int, stop: int, k: int, block: int = 4096):
@@ -632,7 +590,7 @@ def _step_lanes(c: SimpleNamespace, lengths, refs, out_rows, v_rows, dev_rows,
     an array over the lanes: numpy converts a Python float on each call,
     which costs as much as the operation.  The sensor flags and the friction
     deviation depend only on the stored outputs and velocities, so
-    :func:`run_lanes` derives them after the loop.
+    :func:`_instrument` derives them after the loop, as for ``_simulate``.
     """
     n_lanes = len(lengths)
     absent = 0.0  # placeholder for the parameters of blocks that are absent

@@ -16,7 +16,6 @@ from loopstress.campaign import (
     TestSet,
     binary_search_upperbound,
     calibration_curve,
-    choose_num_periods,
     derive_frequency_resolution,
     execute_campaign,
     generate_test_set,
@@ -428,9 +427,6 @@ def test_calibration_curve_for_drone_crosses_threshold():
     assert len(curve) == 6
     assert curve[0] < 0.15  # one period hides the windup wander
     assert max(curve[:4]) >= 0.15  # a few repetitions expose it
-    chosen = choose_num_periods(drone_spec(), inputs, max_periods=6)
-    assert 1 <= chosen <= 6
-    assert chosen == pick_num_periods(curve, inputs.dnl_threshold, 6)[0]
 
 
 @pytest.mark.parametrize("cls", [TestCase, TestSet, TestResult])

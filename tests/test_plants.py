@@ -14,7 +14,6 @@ from loopstress.plants import (
     NonlinearBlock,
     PlantSpec,
     actuator_saturation,
-    apply_block,
     backlash,
     coulomb_friction,
     dc_servo_spec,
@@ -35,68 +34,122 @@ def simulate(spec, shape=ShapeKind.SQUARE, amp=1.0, time_gain=1.0, periods=2, dt
 
 
 # ---------------------------------------------------------------------------
-# blocks: pinned input/output pairs
+# blocks: pinned input/output pairs, read through the simulator
 # ---------------------------------------------------------------------------
 
 
+def pass_through(*blocks, drive=0.0, pwm_step=0.0):
+    """A servo whose controller passes the reference straight through.
+
+    The encoder's quantisation step is so coarse that every position reads
+    0, and the controller has a unit proportional gain only, so the command
+    of each step is the reference sample itself.  Without drive (a torque
+    constant of 0) the rotor stays at rest, so the logged actuation is the
+    actuation path's blocks applied to the reference.
+    """
+    return dc_servo_spec(
+        voltage_limit=0.0, sensor_range=0.0, adc_step=1e9, extra_blocks=blocks,
+        torque_const=drive, pwm_step=pwm_step, k_pos=1.0, k_int=0.0, k_vel=0.0,
+    )
+
+
+def shaped(values, *blocks, **kwargs):
+    """The log of the pass-through servo commanded with ``values``."""
+    return run_plant(pass_through(*blocks, **kwargs), np.array(values, dtype=float)).log
+
+
+def unit_gain_servo(sensor_range=0.0, adc_step=0.0):
+    """A servo under proportional control of gain 1: the command is
+    ``reference - measurement``, exactly."""
+    return dc_servo_spec(
+        voltage_limit=0.0, sensor_range=sensor_range, adc_step=adc_step,
+        k_pos=1.0, k_int=0.0, k_vel=0.0,
+    )
+
+
+def terminal_speed(spec, command):
+    """Speed at the end of a 6 s constant ``command`` to the pass-through servo."""
+    run = run_plant(spec, np.full(6000, command))
+    assert not run.diverged
+    return (run.trace.output[-1] - run.trace.output[-2]) / spec.sample_interval, run
+
+
 def test_actuator_saturation_clips_symmetrically():
-    block = actuator_saturation(-2.0, 2.0)
-    assert apply_block(block, 3.1)[0] == 2.0
-    assert apply_block(block, -5.0)[0] == -2.0
-    assert apply_block(block, 1.5)[0] == 1.5
+    log = shaped([3.1, -5.0, 1.5], actuator_saturation(-2.0, 2.0))
+    assert log.actuation.tolist() == [2.0, -2.0, 1.5]
+    assert log.actuator_saturated.tolist() == [True, True, False]
 
 
 def test_sensor_saturation_same_rule_different_slot():
-    block = sensor_saturation(-1.0, 1.0)
-    assert apply_block(block, 4.0)[0] == 1.0
-    assert block.kind == "sensor_saturation"
+    assert sensor_saturation(-0.5, 0.5).kind == "sensor_saturation"
+    spec = unit_gain_servo(sensor_range=0.5)
+    run = run_plant(spec, np.ones(3000))
+    out = run.trace.output
+    clipped = (out > 0.5) | (out < -0.5)
+    assert 0 < np.count_nonzero(clipped) < out.size
+    # The controller reads the clipped position: the command is 1 - 0.5 there.
+    np.testing.assert_array_equal(run.log.actuation, 1.0 - np.clip(out, -0.5, 0.5))
+    np.testing.assert_array_equal(run.log.sensor_saturated, clipped)
 
 
 def test_quantizer_rounds_to_nearest_level():
-    block = quantizer(0.1)
-    assert apply_block(block, 0.2499)[0] == pytest.approx(0.2)
-    assert apply_block(block, 0.25)[0] == pytest.approx(0.3)  # half rounds up
-    assert apply_block(block, -0.14)[0] == pytest.approx(-0.1)
-    assert apply_block(block, 0.0)[0] == 0.0
+    # The encoder's quantizer, read through a unit-gain loop ...
+    run = run_plant(unit_gain_servo(adc_step=0.1), np.ones(3000))
+    out = run.trace.output
+    levels = np.floor(out / 0.1 + 0.5) * 0.1
+    assert np.any(levels != out)
+    np.testing.assert_array_equal(run.log.actuation, 1.0 - levels)
+    # ... and the PWM quantiser of the drive voltage round alike.
+    log = shaped([0.2499, 0.25, -0.14, 0.0], pwm_step=0.1)
+    # The half rounds up.
+    assert log.actuation.tolist() == pytest.approx([0.2, 0.3, -0.1, 0.0])
 
 
 def test_dead_zone_swallows_small_commands():
-    block = dead_zone(0.5)
-    assert apply_block(block, 0.3)[0] == 0.0
-    assert apply_block(block, -0.4)[0] == 0.0
-    assert apply_block(block, 0.8)[0] == pytest.approx(0.3)
-    assert apply_block(block, -1.0)[0] == pytest.approx(-0.5)
+    log = shaped([0.3, -0.4, 0.8, -1.0], dead_zone(0.5))
+    assert log.actuation.tolist() == pytest.approx([0.0, 0.0, 0.3, -0.5])
+    assert log.nonlinearity_deviation.tolist() == pytest.approx([0.3, 0.4, 0.5, 0.5])
 
 
 def test_backlash_holds_output_inside_play():
-    block = backlash(0.2)
-    out, state = apply_block(block, 0.3, None)
-    assert out == pytest.approx(0.2)  # rising: input minus half play
-    out, state = apply_block(block, 0.25, state)
-    assert out == pytest.approx(0.2)  # still inside the play band
-    out, state = apply_block(block, 0.05, state)
-    assert out == pytest.approx(0.15)  # falling: input plus half play
-    out, state = apply_block(block, 0.1, state)
-    assert out == pytest.approx(0.15)
+    log = shaped([0.3, 0.25, 0.05, 0.1], backlash(0.2))
+    # Rising: input minus half play; inside the band: held; falling: input
+    # plus half play.
+    assert log.actuation.tolist() == pytest.approx([0.2, 0.2, 0.15, 0.15])
 
 
 def test_coulomb_friction_opposes_motion():
-    block = coulomb_friction(0.4)
-    assert apply_block(block, 2.0)[0] == pytest.approx(-0.4)
-    assert apply_block(block, -1.0)[0] == pytest.approx(0.4)
-    assert apply_block(block, 0.0)[0] == 0.0
+    # A constant drive against viscous damping settles at gain * u / damping
+    # (2.5 rad/s); the friction subtracts its level in either direction.
+    free, _ = terminal_speed(pass_through(drive=0.05), 1.0)
+    assert free == pytest.approx(2.5, rel=1e-4)
+    spec = pass_through(coulomb_friction(0.01), drive=0.05)
+    up, run = terminal_speed(spec, 1.0)
+    down, mirrored = terminal_speed(spec, -1.0)
+    assert up == pytest.approx((0.05 - 0.01) / 0.02, rel=1e-4)
+    np.testing.assert_array_equal(mirrored.trace.output, -run.trace.output)
+    assert down == -up
+    # Its deviation from no friction is its level, once the rotor moves.
+    assert run.log.nonlinearity_deviation[0] == 0.0
+    assert np.all(run.log.nonlinearity_deviation[1:] == 0.01)
 
 
 def test_quadratic_friction_grows_with_speed_squared():
-    block = quadratic_friction(0.5)
-    assert apply_block(block, 2.0)[0] == pytest.approx(-2.0)
-    assert apply_block(block, -3.0)[0] == pytest.approx(4.5)
+    coef, damping = 0.02, 0.02
+    spec = pass_through(quadratic_friction(coef), drive=0.05)
+    for command in (1.0, 4.0, -4.0):
+        speed, run = terminal_speed(spec, command)
+        # The drive balances damping plus the friction: coef * v * |v|.
+        assert 0.05 * command == pytest.approx(damping * speed + coef * speed * abs(speed), rel=1e-6)
+        # Deviation from the linear drag matched at the nominal speed of 1.
+        expected = coef * abs(speed * abs(speed) - speed)
+        assert run.log.nonlinearity_deviation[-1] == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_apply_block_rejects_non_finite_input(value):
+def test_run_plant_rejects_non_finite_reference(value):
     with pytest.raises(ValueError):
-        apply_block(actuator_saturation(-1.0, 1.0), value)
+        run_plant(drone_spec(), np.array([0.0, value]))
 
 
 def test_block_kind_registry_is_complete():
@@ -147,7 +200,7 @@ def test_block_with_wrong_parameter_names_rejected():
 @settings(max_examples=200)
 @example(value=0.5, step=0.2)  # 3 * 0.2 rounds to 0.6000000000000001
 def test_quantizer_error_bounded_by_half_step(value, step):
-    out, _ = apply_block(quantizer(step), value)
+    out = shaped([value, value], pwm_step=step).actuation[0]
     # k * step is rounded to a double, so the error may pass step/2 by a few ulp.
     slack = 4 * math.ulp(max(abs(value), step))
     assert abs(out - value) <= step / 2.0 + slack
@@ -162,22 +215,13 @@ def test_quantizer_error_bounded_by_half_step(value, step):
 )
 @settings(max_examples=100)
 def test_backlash_is_monotone_for_monotone_input(values):
-    ordered = sorted(values)
-    block = backlash(0.3)
-    state = None
-    outputs = []
-    for v in ordered:
-        out, state = apply_block(block, v, state)
-        outputs.append(out)
-    assert all(b >= a - 1e-12 for a, b in zip(outputs, outputs[1:]))
+    outputs = shaped(sorted(values), backlash(0.3)).actuation
+    assert np.all(np.diff(outputs) >= -1e-12)
 
 
 def test_backlash_with_zero_play_is_identity():
-    block = backlash(0.0)
-    state = None
-    for v in (0.5, -0.2, 1.7, 0.0):
-        out, state = apply_block(block, v, state)
-        assert out == v
+    values = [0.5, -0.2, 1.7, 0.0]
+    assert shaped(values, backlash(0.0)).actuation.tolist() == values
 
 
 # ---------------------------------------------------------------------------
