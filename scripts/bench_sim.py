@@ -10,11 +10,14 @@ injected blocks, times ``run_plant`` on one reference and ``run_lanes`` on
 * per lane width, ``us_per_step`` (one lockstep step of every lane) and
   ``us_per_lane_step`` (the same divided by the width);
 * ``crossover_lanes``: the width above which lanes are cheaper per test,
-  from a straight line through the lockstep cost at widths 1 and 128.
+  from a straight line through the lockstep cost at widths 1 and 128;
+* ``bytes_per_lane_step``: what ``run_lanes`` holds per lane and step
+  (``plants.lane_step_bytes``), which sets how many lanes of a given
+  length fit in the run stage's chunk budget ``campaign._CHUNK_BYTES``.
 
 Every lane is checked against ``run_plant`` bit for bit before it is timed.
 Times are the best of ``--repeats`` runs.  The run stage's constants
-``campaign._MIN_LANES`` and ``campaign._CHUNK_LANE_STEPS`` rest on this
+``campaign._MIN_LANES`` and ``campaign._CHUNK_BYTES`` rest on this
 measurement.
 
     PYTHONPATH=src python3 scripts/bench_sim.py [--steps 2000] [--repeats 3]
@@ -34,6 +37,7 @@ from loopstress.plants import (
     dc_servo_spec,
     dead_zone,
     drone_spec,
+    lane_step_bytes,
     quadratic_friction,
     run_lanes,
     run_plant,
@@ -108,6 +112,7 @@ def main(argv=None) -> int:
                 "model": model,
                 "blocks": name,
                 "scalar_us_per_step": scalar_us,
+                "bytes_per_lane_step": lane_step_bytes(spec),
                 "lanes": lanes,
                 "crossover_lanes": fixed / (scalar_us - slope) if scalar_us > slope else None,
             })

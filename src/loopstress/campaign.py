@@ -9,26 +9,28 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    non-periodic behaviour visible, but longer tests cost simulation time.
 2. *Bound* the linear envelope (:func:`optimistic_amplitude_bound`):
    per frequency, a sinusoidal binary search finds the largest amplitude
-   whose dnl stays under the threshold; frequencies are refined where
-   adjacent bounds disagree by more than ``delta_a``.
+   whose dnl stays under the threshold; frequencies are refined in rounds
+   where adjacent bounds disagree by more than ``delta_a``.  Each snapped
+   period is searched once, and a round's searches may run in parallel.
 3. *Generate* the test set (:func:`generate_test_set`): a uniform frequency
    grid, all requested shapes, amplitudes drawn under the interpolated
    bound -- skewed toward the bound, where the interesting behaviour is.
 4. *Execute* (:func:`execute_campaign`): run every test, score dnl, the
    per-component degree of filtering (for linear tests), saturation
-   fractions and the injected-non-linearity deviation.
+   fractions and the injected-non-linearity deviation.  Tests of similar
+   length run as the lanes of one lockstep loop, in chunks sized in bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral
-from .plants import LaneRun, PlantSpec, run_lanes, run_plant
+from .plants import LaneRun, PlantSpec, lane_step_bytes, run_lanes, run_plant
 from .signals import ShapeKind, TestCase, render_reference, snap_time_gain
 # ``fa_map`` and ``dof_profile`` are imported for callers that look them up
 # here (perfbench/tracer.py wraps them by name); the run stage scores from
@@ -187,34 +189,64 @@ def binary_search_upperbound(
     return best if best is not None else hi
 
 
+def _counted_search(plant, inputs: RequiredInput, probe, frequency: float):
+    """``(bound, probes)``: :func:`binary_search_upperbound` at ``frequency``
+    with ``probe`` (None: the sine probe) and how many probes it ran."""
+    if probe is None:
+        probe = _sine_probe(plant, inputs)
+    probes = 0
+
+    def counted(f: float, amplitude: float) -> float:
+        nonlocal probes
+        probes += 1
+        return probe(f, amplitude)
+
+    return binary_search_upperbound(plant, frequency, inputs, counted), probes
+
+
 def optimistic_amplitude_bound(
     plant: PlantSpec | None,
     inputs: RequiredInput,
     probe=None,
     max_frequencies: int = 256,
+    workers: int = 1,
+    progress=None,
 ) -> AmplitudeBoundMap:
     """Sample the linear amplitude envelope over ``[f_min, f_max]``.
 
-    Starts from the range endpoints, then repeatedly splits the adjacent
-    frequency pair with the largest bound gap above ``delta_a`` at its
-    geometric mean.  Pairs whose midpoint collapses onto an endpoint (a
-    sharper-than-resolvable jump) are reported as ``unresolved``.  Raises
-    :class:`BoundRefinementError` carrying the partial map if more than
-    ``max_frequencies`` frequencies would be sampled.
+    Starts from the range endpoints, then refines in rounds: each round
+    splits every adjacent frequency pair whose bound gap exceeds
+    ``delta_a`` at its geometric mean.  Pairs whose midpoint collapses onto
+    an endpoint (a sharper-than-resolvable jump) are reported as
+    ``unresolved``.  A split depends only on its own pair, so the map is the
+    one that splitting one pair at a time would give.  If a round would take
+    the map past ``max_frequencies``, only its largest-gap splits that fit
+    are searched (ties go to the lower frequency), and
+    :class:`BoundRefinementError` is raised carrying that partial map.
+
+    With the sine probe (``probe`` None) a search depends only on the
+    frequency's snapped period, so each period is searched once and later
+    frequencies that snap to it reuse its bound; ``probes`` counts the
+    simulations that ran.  A round's searches go to ``workers`` processes
+    when there are at least two; the map is the same for any ``workers``.
+    A custom ``probe`` runs in this process, once per frequency.
+    ``progress(round, frequencies, probes)``, if given, is called after each
+    round.
     """
-    if probe is None:
-        probe = _sine_probe(plant, inputs)
-    probes = 0
-
-    def counted(frequency: float, amplitude: float) -> float:
-        nonlocal probes
-        probes += 1
-        return probe(frequency, amplitude)
-
+    if probe is None and plant is None:
+        raise ValueError("need either a plant or a probe")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     bounds: dict[float, float] = {}
-    for f in (inputs.f_min, inputs.f_max):
-        bounds[f] = binary_search_upperbound(plant, f, inputs, counted)
     closed: set[tuple[float, float]] = set()
+    # What a search depends on: with the sine probe, the snapped period.
+    if probe is None:
+        key = functools.partial(snap_time_gain, sample_interval=inputs.sample_interval)
+    else:
+        key = float
+    searched: dict[float, float] = {}  # key -> bound
+    probes = rounds = 0
+    pool = None
 
     def build() -> AmplitudeBoundMap:
         fs = tuple(sorted(bounds))
@@ -225,27 +257,67 @@ def optimistic_amplitude_bound(
             probes=probes,
         )
 
-    while True:
-        fs = sorted(bounds)
-        gaps = [
-            (abs(bounds[a] - bounds[b]), a, b)
-            for a, b in zip(fs, fs[1:])
-            if abs(bounds[a] - bounds[b]) > inputs.delta_a and (a, b) not in closed
-        ]
-        if not gaps:
-            return build()
-        gap, f_lo, f_hi = max(gaps, key=lambda g: (g[0], -g[1]))
-        f_new = math.sqrt(f_lo * f_hi)
-        if not f_lo < f_new < f_hi:
-            closed.add((f_lo, f_hi))
-            continue
-        if len(bounds) >= max_frequencies:
-            raise BoundRefinementError(
-                f"bound refinement exceeded {max_frequencies} frequencies; "
-                f"widest remaining gap {gap:g} between {f_lo:g} and {f_hi:g} Hz",
-                build(),
-            )
-        bounds[f_new] = binary_search_upperbound(plant, f_new, inputs, counted)
+    def refine(frequencies) -> None:
+        """Search the bound at each of ``frequencies``: one round."""
+        nonlocal probes, rounds, pool
+        keys = [key(f) for f in frequencies]
+        due: dict[float, float] = {}  # unsearched key -> its first frequency
+        for k, f in zip(keys, frequencies):
+            if k not in searched:
+                due.setdefault(k, f)
+        search = functools.partial(_counted_search, plant, inputs, probe)
+        if probe is None and workers > 1 and len(due) >= 2:
+            if pool is None:
+                # Imported here: the pool module adds noticeably to every start-up.
+                # The platform's default start method, as in the run stage: a
+                # spawned worker would import numpy and this package again,
+                # which takes about as long as the servo's whole bound stage.
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=workers)
+            found = pool.map(search, due.values())
+        else:
+            found = map(search, due.values())
+        for k, (bound, n) in zip(due, found):
+            searched[k] = bound
+            probes += n
+        for k, f in zip(keys, frequencies):
+            bounds[f] = searched[k]
+        rounds += 1
+        if progress is not None:
+            progress(rounds, len(bounds), probes)
+
+    try:
+        refine((inputs.f_min, inputs.f_max))
+        while True:
+            fs = sorted(bounds)
+            splits = []  # (gap, f_lo, midpoint, f_hi)
+            for f_lo, f_hi in zip(fs, fs[1:]):
+                gap = abs(bounds[f_lo] - bounds[f_hi])
+                if gap <= inputs.delta_a or (f_lo, f_hi) in closed:
+                    continue
+                f_new = math.sqrt(f_lo * f_hi)
+                if f_lo < f_new < f_hi:
+                    splits.append((gap, f_lo, f_new, f_hi))
+                else:
+                    closed.add((f_lo, f_hi))
+            if not splits:
+                return build()
+            room = max(0, max_frequencies - len(bounds))
+            if len(splits) > room:
+                splits.sort(key=lambda s: (-s[0], s[1]))
+                if room:
+                    refine([s[2] for s in splits[:room]])
+                gap, f_lo, _, f_hi = splits[room]
+                raise BoundRefinementError(
+                    f"bound refinement exceeded {max_frequencies} frequencies; "
+                    f"widest remaining gap {gap:g} between {f_lo:g} and {f_hi:g} Hz",
+                    build(),
+                )
+            refine([s[2] for s in splits])
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def derive_frequency_resolution(bound_map: AmplitudeBoundMap) -> float:
@@ -358,14 +430,14 @@ class TestResult:
         return self.test.case
 
 
-# Largest chunk of the run stage, in lanes times steps.  A chunk holds 26
-# bytes per lane-step at its peak (the rendered references, outputs,
-# velocities and flags; 34 with a dead zone or backlash; see
-# ``plants.run_lanes``), so 400,000 lane-steps add about 10 to 15 MB to the
-# process that runs it.  That keeps a pool worker on the servo campaign
-# (about 37 MB) below the main process's peak in the analyze stage (about
-# 42 MB); 2**19 lane-steps measured no faster.
-_CHUNK_LANE_STEPS = 400_000
+# Largest chunk of the run stage, in bytes: its lanes times its longest
+# test's steps times ``plants.lane_step_bytes`` (10 for the drone, 18 for
+# the servo with friction, 8 more with a dead zone or backlash).  One period
+# of each reference is held besides, and each test's full reference only
+# while it is scored.  10.4 MB keeps a pool worker on the servo campaign
+# below the main process's peak in the analyze stage (about 42 MB), and is
+# what the former budget of 400,000 lane-steps at 26 bytes held at most.
+_CHUNK_BYTES = 10_400_000
 # Chunks narrower than this run test by test through ``run_plant``: one
 # lockstep step costs about as much as 20 to 30 scalar steps, nearly
 # whatever the lane count (``scripts/bench_sim.py`` measures both).
@@ -413,29 +485,41 @@ def _result(
 
 def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
     """Results of ``tests``, simulated as the lanes of one lockstep loop or,
-    fewer than ``_MIN_LANES``, one by one."""
-    references = [render_reference(t.case) for t in tests]
+    fewer than ``_MIN_LANES``, one by one.
+
+    A lane's reference is one rendered period, repeated by ``run_lanes``:
+    ``render_reference`` derives each sample's phase from its index modulo
+    the period, so every period equals the first.  Each test's full
+    reference is rendered only to score it.
+    """
     if len(tests) >= _MIN_LANES:
-        runs = run_lanes(plant, references)
-    else:
-        runs = [LaneRun.of(run_plant(plant, r)) for r in references]
-    return [
-        _result(plant, test, reference, run, inputs)
-        for test, reference, run in zip(tests, references, runs)
-    ]
+        periods = [render_reference(replace(t.case, periods=1)) for t in tests]
+        runs = run_lanes(plant, periods, [t.case.periods for t in tests])
+        return [
+            _result(plant, test, render_reference(test.case), run, inputs)
+            for test, run in zip(tests, runs)
+        ]
+    results = []
+    for test in tests:
+        reference = render_reference(test.case)
+        run = LaneRun.of(run_plant(plant, reference))
+        results.append(_result(plant, test, reference, run, inputs))
+    return results
 
 
-def _chunks(tests) -> list[list[int]]:
+def _chunks(plant: PlantSpec, tests) -> list[list[int]]:
     """Indices of ``tests`` cut into run chunks, longest tests first.
 
     Tests are sorted by sample count, and each chunk takes as many as fit
-    in ``_CHUNK_LANE_STEPS`` at the length of its first, longest test.
+    in ``_CHUNK_BYTES`` at ``plant``'s bytes per lane-step and the length
+    of its first, longest test.
     """
+    lane_steps = _CHUNK_BYTES // lane_step_bytes(plant)
     lengths = [t.case.periods * t.case.samples_per_period for t in tests]
     order = sorted(range(len(tests)), key=lambda i: -lengths[i])
     chunks, pos = [], 0
     while pos < len(order):
-        width = max(1, _CHUNK_LANE_STEPS // lengths[order[pos]])
+        width = max(1, lane_steps // lengths[order[pos]])
         chunks.append(order[pos:pos + width])
         pos += width
     return chunks
@@ -452,8 +536,8 @@ def execute_campaign(
 
     Tests of similar length are simulated together as the lanes of one
     lockstep loop (:func:`loopstress.plants.run_lanes`), in chunks of at
-    most ``_CHUNK_LANE_STEPS`` lane-steps; each chunk renders its own
-    references.  Chunks narrower than ``_MIN_LANES`` run test by test.
+    most ``_CHUNK_BYTES``; each chunk renders its own references.  Chunks
+    narrower than ``_MIN_LANES`` run test by test.
     With ``workers > 1`` the chunks go to a process pool, longest first.
     Each test is an independent deterministic simulation, and both paths
     give the same bits, so the outcome is identical for any ``workers``
@@ -465,7 +549,7 @@ def execute_campaign(
     tests = tuple(tests)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    chunks = _chunks(tests)
+    chunks = _chunks(plant, tests)
     run_chunk = functools.partial(_run_chunk, plant, inputs)
     chunk_tests = [[tests[i] for i in chunk] for chunk in chunks]
     results: list = [None] * len(tests)

@@ -10,15 +10,19 @@ artifacts inspected between steps::
     loopstress analyze   --config cfg.json --out out/
     loopstress campaign  --config cfg.json --out out/   # bound..analyze in one go
 
-The run stage sorts the tests by length and simulates tests of similar
-length together, as the lanes of one lockstep loop, in chunks of at most
-400,000 lane-steps (10 to 15 MB each); chunks of fewer than 25 tests run
-test by test.  ``--workers N`` spreads the chunks over N processes, longest
-first.  ``calibrate`` and ``bound`` run their simulations one at a time in
-this process and ignore ``--workers``.  Results are the same bits for any
-worker count.  A run stage that lasts more than 5 s
-(``PROGRESS_INTERVAL_S``) prints the tests done, of the total, and the rate
-to stderr, at most that often.
+``bound`` refines its frequency map in rounds, searches each snapped
+period once, and with ``--workers N`` spreads a round's searches over N
+processes.  The run stage sorts the tests by length and simulates tests of
+similar length together, as the lanes of one lockstep loop, in chunks of at
+most 10.4 MB (lanes times the longest test's steps times the plant's bytes
+per lane-step); chunks of fewer than 25 tests run test by test.
+``--workers N`` spreads the chunks over N processes, longest first.
+``calibrate`` runs its one simulation in this process and ignores
+``--workers``.  Results are the same bits for any worker count.  A bound or
+run stage that lasts more than 5 s (``PROGRESS_INTERVAL_S``) prints its
+progress to stderr, at most that often: the bound stage its rounds,
+frequencies, probes and elapsed time, the run stage the tests done, of the
+total, and the rate.
 
 ``analyze`` writes ``mr_report.json`` with a fixed-size summary of the MR1
 and MR2 violations (counts per shape, the tests in most violations, the
@@ -61,7 +65,7 @@ MR_VIOLATIONS_FILE = "mr_violations.jsonl"
 SCATTER_FILE = "scatter.csv"
 DOF_FILE = "dof.csv"
 
-# Seconds between two progress lines of the run stage on stderr.
+# Seconds between two progress lines of the bound or run stage on stderr.
 PROGRESS_INTERVAL_S = 5.0
 
 
@@ -142,7 +146,8 @@ def cmd_calibrate(cfg: CampaignConfig, out: Path) -> int:
 def cmd_bound(cfg: CampaignConfig, out: Path) -> int:
     try:
         bound_map = campaign.optimistic_amplitude_bound(
-            cfg.plant, cfg.inputs, max_frequencies=cfg.max_frequencies
+            cfg.plant, cfg.inputs, max_frequencies=cfg.max_frequencies,
+            workers=cfg.workers, progress=_progress(_bound_line),
         )
     except campaign.BoundRefinementError as exc:
         # The plant and config ask for more frequencies than the cap allows.
@@ -177,26 +182,33 @@ def cmd_generate(cfg: CampaignConfig, out: Path, bounds_path=None) -> int:
     return EXIT_OK
 
 
-def _progress(label: str):
-    """``report(done, total)`` that prints the count and rate to stderr, once
-    ``PROGRESS_INTERVAL_S`` has passed since the start or the last line."""
+def _progress(line):
+    """``report(*counts)`` that prints ``line(elapsed_s, *counts)`` to stderr,
+    once ``PROGRESS_INTERVAL_S`` has passed since the start or the last line."""
     start = last = time.monotonic()
 
-    def report(done: int, total: int) -> None:
+    def report(*counts) -> None:
         nonlocal last
         now = time.monotonic()
         if now - last >= PROGRESS_INTERVAL_S:
             last = now
-            print(f"{label}: {done}/{total} tests, {done / (now - start):.1f} tests/s",
-                  file=sys.stderr)
+            print(line(now - start, *counts), file=sys.stderr)
 
     return report
+
+
+def _bound_line(elapsed: float, rounds: int, frequencies: int, probes: int) -> str:
+    return f"bound: round {rounds}, {frequencies} frequencies, {probes} probes, {elapsed:.1f} s"
+
+
+def _run_line(elapsed: float, done: int, total: int) -> str:
+    return f"run: {done}/{total} tests, {done / elapsed:.1f} tests/s"
 
 
 def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
     test_set = persist.load_test_set(tests_path or out / TESTS_FILE)
     results = campaign.execute_campaign(
-        cfg.plant, test_set, cfg.inputs, workers=cfg.workers, progress=_progress("run")
+        cfg.plant, test_set, cfg.inputs, workers=cfg.workers, progress=_progress(_run_line)
     )
     persist.save_results(out / RESULTS_FILE, results)
     diverged = sum(r.diverged for r in results)

@@ -32,6 +32,7 @@ what depends on the command inside a step.  One post-pass,
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -58,6 +59,7 @@ __all__ = [
     "PlantRun",
     "run_plant",
     "LaneRun",
+    "lane_step_bytes",
     "run_lanes",
 ]
 
@@ -458,11 +460,12 @@ def _simulate(c: SimpleNamespace, ref: list, limit: float):
     return out, vel, act, a_sat, dev_log, diverged
 
 
-def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray,
+def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray | None,
                 shaping_dev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The sensor flags and the deviation log of one run, from its outputs
-    and velocities at the start of each step and the dead zone's and
-    backlash's part of the deviation (None: neither block is attached).
+    and velocities at the start of each step (None without friction, which
+    alone reads them) and the dead zone's and backlash's part of the
+    deviation (None: neither block is attached).
 
     The friction deviation is summed apart and added once, so the logged
     value keeps its rounding when several blocks are active.
@@ -476,7 +479,7 @@ def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray,
     if c.quad is not None:
         fq = -c.quad * v * np.abs(v)
         fdev = fdev + np.abs(fq - (-c.quad_lin * v))
-    dev = np.zeros(len(v)) if shaping_dev is None else shaping_dev
+    dev = np.zeros(len(out)) if shaping_dev is None else shaping_dev
     return sensor, dev + fdev
 
 
@@ -507,38 +510,65 @@ class LaneRun(collections.namedtuple(
         )
 
 
-def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
+def lane_step_bytes(spec: PlantSpec) -> int:
+    """Bytes that :func:`run_lanes` holds per lane and step for ``spec``.
+
+    Every lane keeps its outputs (8 bytes) and its actuator flags above and
+    below (2); the velocities (8) only when a friction block needs them, and
+    the dead zone's and backlash's deviation (8) only when one is attached.
+    """
+    keep_v, keep_dev = _kept_rows(_loop(spec))
+    return 10 + 8 * keep_v + 8 * keep_dev
+
+
+def _kept_rows(c: SimpleNamespace) -> tuple[bool, bool]:
+    """Whether :func:`run_lanes` keeps every step's velocities (friction
+    reads them) and the dead zone's and backlash's deviation."""
+    return (c.coulomb is not None or c.quad is not None,
+            c.dz_hw is not None or c.bl_half is not None)
+
+
+def run_lanes(spec: PlantSpec, references, repeats=None) -> tuple[LaneRun, ...]:
     """Simulate ``spec`` over every reference at once; results keep their order.
 
-    The references may differ in length.  They become the lanes of one
-    lockstep loop that performs :func:`run_plant`'s float operations in its
-    order, with every state variable held as an array over the lanes, so a
-    step costs a few dozen numpy calls whatever the lane count.  Lanes are
-    sorted by length, longest first, so the lanes still running always form
-    a prefix.  Memory grows with lanes times steps: 18 bytes per lane-step
-    (26 with a dead zone or backlash), on top of the references.  Each
-    ``output`` is a view of one array that holds every lane's outputs.
+    Lane ``j``'s reference is ``references[j]`` repeated ``repeats[j]``
+    times (once when ``repeats`` is None), so a periodic reference can be
+    given as one period.  The references may differ in length.  They become
+    the lanes of one lockstep loop that performs :func:`run_plant`'s float
+    operations in its order, with every state variable held as an array over
+    the lanes, so a step costs a few dozen numpy calls whatever the lane
+    count.  Lanes are sorted by length, longest first, so the lanes still
+    running always form a prefix.  Memory grows with lanes times steps, by
+    :func:`lane_step_bytes` per lane-step, on top of the references as
+    given.  Each ``output`` is a view of one array that holds every lane's
+    outputs.
     """
     checked = [_checked_reference(r) for r in references]
     if not checked:
         return ()
-    order = sorted(range(len(checked)), key=lambda j: -len(checked[j][0]))
-    lengths = [len(checked[j][0]) for j in order]
+    if repeats is None:
+        repeats = [1] * len(checked)
+    if len(repeats) != len(checked) or min(repeats) < 1:
+        raise ValueError("need one repeat count of at least 1 per reference")
+    order = sorted(range(len(checked)), key=lambda j: -len(checked[j][0]) * repeats[j])
+    lengths = [len(checked[j][0]) * repeats[j] for j in order]
     steps, n_lanes = lengths[0], len(order)
     c = _loop(spec)
 
     refs = [checked[j][0] for j in order]
+    keep_v, blocks_dev = _kept_rows(c)
     # Row i holds every lane's output (velocity) at the start of step i.
+    # Without friction, which alone reads the velocities afterwards, two
+    # rows serve the loop in turn.
     out_rows = np.zeros((steps + 1, n_lanes))
-    v_rows = np.zeros((steps + 1, n_lanes))
+    v_rows = np.zeros((steps + 1 if keep_v else 2, n_lanes))
     # Deviation of the dead zone and backlash; friction's is derived below.
-    blocks_dev = c.dz_hw is not None or c.bl_half is not None
     dev_rows = np.zeros((steps, n_lanes if blocks_dev else 0))
     # Saturation above and below are exclusive, so their counts add up.
     a_hi_rows, a_lo_rows = np.zeros((2, steps, n_lanes), dtype=bool)
 
     with np.errstate(all="ignore"):
-        _step_lanes(c, lengths, refs, out_rows, v_rows, dev_rows, a_hi_rows, a_lo_rows)
+        _step_lanes(c, lengths, refs, out_rows, v_rows, keep_v, dev_rows, a_hi_rows, a_lo_rows)
 
     runs: list = [None] * n_lanes
     for lane, j in enumerate(order):
@@ -556,7 +586,8 @@ def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
         if not np.all(np.isfinite(output)):
             raise ValueError("trace contains non-finite samples")  # as run_plant's Trace
         s_sat, dev = _instrument(
-            c, output, v_rows[:m, lane], dev_rows[:m, lane] if blocks_dev else None
+            c, output, v_rows[:m, lane] if keep_v else None,
+            dev_rows[:m, lane] if blocks_dev else None,
         )
         a_sat = np.count_nonzero(a_hi_rows[:m, lane]) + np.count_nonzero(a_lo_rows[:m, lane])
         runs[j] = LaneRun(
@@ -569,21 +600,34 @@ def run_lanes(spec: PlantSpec, references) -> tuple[LaneRun, ...]:
     return tuple(runs)
 
 
-def _reference_rows(refs, start: int, stop: int, k: int, block: int = 4096):
+def _reference_rows(refs, start: int, stop: int, k: int, block: int = 1024):
     """Rows ``start`` to ``stop`` of the first ``k`` references side by side,
-    assembled a block of rows at a time, so that no steps-by-lanes copy of
-    the references is ever held."""
+    each repeated as far as needed, assembled a block of rows at a time, so
+    that no steps-by-lanes copy of the references is ever held."""
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
+        index = np.arange(lo, hi)
         rows = np.empty((hi - lo, k))
         for lane in range(k):
-            rows[:, lane] = refs[lane][lo:hi]
+            rows[:, lane] = refs[lane].take(index, mode="wrap")
         yield from rows
 
 
-def _step_lanes(c: SimpleNamespace, lengths, refs, out_rows, v_rows, dev_rows,
+def _row_pairs(rows, start: int, stop: int, k: int, kept: bool):
+    """``(row i, row i + 1)`` of the first ``k`` lanes for the steps ``i``
+    from ``start``: of ``rows`` if it ``kept`` every step, else of its two
+    rows in turn, row ``i % 2`` holding step ``i``."""
+    if kept:
+        return zip(rows[start:stop, :k], rows[start + 1:stop + 1, :k])
+    even, odd = rows[0, :k], rows[1, :k]
+    turns = ((even, odd), (odd, even))
+    return itertools.cycle(turns if start % 2 == 0 else turns[::-1])
+
+
+def _step_lanes(c: SimpleNamespace, lengths, refs, out_rows, v_rows, keep_v, dev_rows,
                 a_hi_rows, a_lo_rows) -> None:
-    """The lockstep loop of :func:`run_lanes`; fills the ``*_rows`` arrays.
+    """The lockstep loop of :func:`run_lanes`; fills the ``*_rows`` arrays
+    (``v_rows`` holds every step only if ``keep_v``, else two in turn).
 
     Each expression below is ``_simulate``'s, with ``np.copyto(...,
     where=...)`` for its branches; keep the two in step.  Every constant is
@@ -633,13 +677,11 @@ def _step_lanes(c: SimpleNamespace, lengths, refs, out_rows, v_rows, dev_rows,
         if prev_meas is not None:
             prev_meas = prev_meas[:k]
         rows = zip(
-            _reference_rows(refs, start, stop, k), out_rows[start:stop, :k],
-            out_rows[start + 1:stop + 1, :k], v_rows[start:stop, :k],
-            v_rows[start + 1:stop + 1, :k],
-            dev_rows[start:stop, :k],
+            _reference_rows(refs, start, stop, k), _row_pairs(out_rows, start, stop, k, True),
+            _row_pairs(v_rows, start, stop, k, keep_v), dev_rows[start:stop, :k],
             a_hi_rows[start:stop, :k], a_lo_rows[start:stop, :k],
         )
-        for r, x, x_next, v, v_next, dev_row, a_hi, a_lo in rows:
+        for r, (x, x_next), (v, v_next), dev_row, a_hi, a_lo in rows:
             meas = x
             if sens_minmax:
                 meas = np.minimum(np.maximum(x, sens_lo), sens_hi)

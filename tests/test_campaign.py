@@ -22,8 +22,16 @@ from loopstress.campaign import (
     optimistic_amplitude_bound,
     pick_num_periods,
 )
-from loopstress.plants import dc_servo_spec, drone_spec, quadratic_friction, run_plant
-from loopstress.signals import ShapeKind, TestCase, render_reference
+from loopstress.plants import (
+    coulomb_friction,
+    dc_servo_spec,
+    dead_zone,
+    drone_spec,
+    lane_step_bytes,
+    quadratic_friction,
+    run_plant,
+)
+from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain
 from loopstress.spectral import degree_of_nonlinearity, dof_profile, fa_map
 
 DEFAULT_INPUTS = RequiredInput(f_min=0.1, f_max=2.0, a_max=6.0, delta_a=0.05)
@@ -159,6 +167,137 @@ def test_refinement_cap_raises_with_partial_map():
     partial = err.value.partial
     assert isinstance(partial, AmplitudeBoundMap)
     assert len(partial.frequencies) >= 2
+
+
+def grid_probe(levels):
+    """Linear up to the bound ``levels(frequency)``: with ``a_max`` 8 and
+    ``delta_a`` 0.5 the bisection lands on 2, 4, 5 or 6 exactly."""
+
+    def probe(frequency, amplitude):
+        return 0.05 if amplitude <= levels(frequency) else 0.4
+
+    return probe
+
+
+GRID_INPUTS = RequiredInput(f_min=1.0, f_max=16.0, a_max=8.0, delta_a=0.5)
+
+
+@pytest.mark.parametrize(
+    "mid_level, cap, expected",
+    [
+        # Bounds 6, 5, 2 at 1, 4 and 16 Hz: the wider gap (4, 16) is split.
+        (5.0, 4, (1.0, 4.0, 8.0, 16.0)),
+        # Bounds 6, 4, 2: equal gaps, so the lower pair (1, 4) is split.
+        (4.0, 4, (1.0, 2.0, 4.0, 16.0)),
+        # Room for no split of the round after the endpoints and 4 Hz.
+        (4.0, 3, (1.0, 4.0, 16.0)),
+    ],
+)
+def test_refinement_cap_splits_the_widest_gaps_that_fit(mid_level, cap, expected):
+    def levels(f):
+        return 6.0 if f < 3.0 else (mid_level if f < 6.0 else 2.0)
+
+    searched = []
+
+    def probe(f, a):
+        if f not in searched:
+            searched.append(f)
+        return grid_probe(levels)(f, a)
+
+    with pytest.raises(BoundRefinementError) as err:
+        optimistic_amplitude_bound(None, GRID_INPUTS, probe=probe, max_frequencies=cap)
+    partial = err.value.partial
+    assert partial.frequencies == expected and len(partial.frequencies) == cap
+    assert partial.bounds == tuple(levels(f) for f in expected)
+    assert sorted(searched) == list(expected)  # nothing beyond the cap was searched
+
+
+def one_split_at_a_time(inputs, probe):
+    """The refinement before rounds: always split the pair of widest gap
+    (ties to the lower frequency); returns (frequencies, bounds, unresolved,
+    probes)."""
+    count = [0]
+
+    def counted(f, a):
+        count[0] += 1
+        return probe(f, a)
+
+    bounds = {f: binary_search_upperbound(None, f, inputs, counted) for f in (inputs.f_min, inputs.f_max)}
+    closed = set()
+    while True:
+        fs = sorted(bounds)
+        gaps = [(abs(bounds[a] - bounds[b]), a, b) for a, b in zip(fs, fs[1:])
+                if abs(bounds[a] - bounds[b]) > inputs.delta_a and (a, b) not in closed]
+        if not gaps:
+            return tuple(fs), tuple(bounds[f] for f in fs), tuple(sorted(closed)), count[0]
+        _, a, b = max(gaps, key=lambda g: (g[0], -g[1]))
+        mid = math.sqrt(a * b)
+        if a < mid < b:
+            bounds[mid] = binary_search_upperbound(None, mid, inputs, counted)
+        else:
+            closed.add((a, b))
+
+
+@pytest.mark.parametrize(
+    "inputs, probe, batched",
+    [
+        # A jump refines one pair a round.
+        (RequiredInput(f_min=0.1, f_max=10.0, a_max=6.0, delta_a=0.5), two_level_probe, False),
+        (GRID_INPUTS, grid_probe(lambda f: 6.0 if f < 3.0 else (5.0 if f < 6.0 else 2.0)), True),
+        (DEFAULT_INPUTS, grid_probe(lambda f: 5.9 - 2.5 * math.log10(f) ** 2), True),
+    ],
+    ids=["jump", "grid", "smooth"],
+)
+def test_rounds_give_the_map_of_one_split_at_a_time(inputs, probe, batched):
+    rounds = []
+    bound_map = optimistic_amplitude_bound(
+        None, inputs, probe=probe, progress=lambda *counts: rounds.append(counts)
+    )
+    got = (bound_map.frequencies, bound_map.bounds, bound_map.unresolved, bound_map.probes)
+    assert got == one_split_at_a_time(inputs, probe)
+    assert len(bound_map.frequencies) > 3
+    # One progress call per round, with the map's size and probes so far.
+    assert [r[0] for r in rounds] == list(range(1, len(rounds) + 1))
+    assert rounds[0][1] == 2 and rounds[-1][1:] == (len(bound_map.frequencies), bound_map.probes)
+    # One split a round would take a round per frequency after the first two.
+    assert (len(rounds) < len(bound_map.frequencies) - 1) == batched
+
+
+def real_bound_inputs():
+    # The drone at 1 to 4 Hz on a 10 ms step: 25 to 100 samples per period,
+    # so probes are short and the refinement packs frequencies closer than
+    # one sample per period.
+    return drone_spec(sample_interval=0.01), RequiredInput(
+        f_min=1.0, f_max=4.0, a_max=6.0, delta_a=0.05, base_periods=2, sample_interval=0.01
+    )
+
+
+def test_bound_workers_and_the_period_memo_keep_the_map():
+    plant, inputs = real_bound_inputs()
+    serial = optimistic_amplitude_bound(plant, inputs)
+    pooled = optimistic_amplitude_bound(plant, inputs, workers=2)
+    assert pooled == serial
+    # The sine probe as a custom probe: every frequency searched in this
+    # process, no memo, the same map.
+    unmemoised = optimistic_amplitude_bound(plant, inputs, probe=campaign._sine_probe(plant, inputs))
+    assert (unmemoised.frequencies, unmemoised.bounds, unmemoised.unresolved) == (
+        serial.frequencies, serial.bounds, serial.unresolved,
+    )
+    periods = {}
+    for f, b in zip(serial.frequencies, serial.bounds):
+        periods.setdefault(snap_time_gain(f, inputs.sample_interval), set()).add(b)
+    assert len(periods) < len(serial.frequencies)  # periods repeat here
+    assert all(len(b) == 1 for b in periods.values())  # one bound per period
+    # One search per distinct period, of as many probes as it takes alone.
+    assert serial.probes == sum(
+        campaign._counted_search(plant, inputs, None, tg)[1] for tg in periods
+    )
+    assert serial.probes < unmemoised.probes
+
+
+def test_bound_rejects_nonpositive_workers():
+    with pytest.raises(ValueError):
+        optimistic_amplitude_bound(None, DEFAULT_INPUTS, probe=lambda f, a: 0.01, workers=0)
 
 
 def test_bound_map_interpolation_clamps_to_range():
@@ -385,15 +524,51 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
     tests = generate_test_set(
         bound_map, (ShapeKind.SQUARE, ShapeKind.SINE), inputs, seed=11
     ).tests
-    monkeypatch.setattr(campaign, "_CHUNK_LANE_STEPS", 6000)
+    # The byte budget of 6,000 lane-steps at this plant's bytes per lane-step.
+    monkeypatch.setattr(campaign, "_CHUNK_BYTES", 6000 * lane_step_bytes(plant))
     monkeypatch.setattr(campaign, "_MIN_LANES", 4)
-    widths = sorted(len(chunk) for chunk in campaign._chunks(tests))
+    widths = sorted(len(chunk) for chunk in campaign._chunks(plant, tests))
     assert widths[0] < 4 <= widths[-1] and len(widths) > 3  # both paths, several chunks
     expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
     for workers in (1, 2, 3):
         results = execute_campaign(plant, tests, inputs, workers=workers)
         assert results == expected
         assert repr(results) == repr(expected)  # the sign of zero, too
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [drone_spec(), dc_servo_spec(extra_blocks=(quadratic_friction(0.002),)),
+     drone_spec(extra_blocks=(dead_zone(0.05), coulomb_friction(0.1)))],
+    ids=["drone", "servo-friction", "drone-dead-zone-friction"],
+)
+def test_chunks_fit_the_byte_budget(plant):
+    inputs = RequiredInput(f_min=0.05, f_max=2.0, a_max=1.0, delta_a=0.1, base_periods=3)
+    bound_map = AmplitudeBoundMap(frequencies=(0.05, 2.0), bounds=(1.0, 0.5))
+    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=2).tests
+    chunks = campaign._chunks(plant, tests)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(len(tests)))
+    lengths = [t.case.periods * t.case.samples_per_period for t in tests]
+    budget = campaign._CHUNK_BYTES // lane_step_bytes(plant)
+    for chunk in chunks:
+        longest = max(lengths[i] for i in chunk)
+        assert lengths[chunk[0]] == longest
+        assert len(chunk) == 1 or len(chunk) * longest <= budget
+    # Each chunk is as wide as the budget allows, but the last.
+    for chunk in chunks[:-1]:
+        assert (len(chunk) + 1) * lengths[chunk[0]] > budget
+
+
+def test_long_drone_tests_run_as_lanes():
+    # 30,000-step drone tests (three periods at 0.1 Hz) hold 10 bytes per
+    # lane-step, so a chunk of them is wide enough to run as lanes.
+    inputs = RequiredInput(f_min=0.1, f_max=0.11, a_max=1.0, delta_a=0.01, base_periods=3)
+    bound_map = AmplitudeBoundMap(frequencies=(0.1, 0.11), bounds=(1.0, 1.0))
+    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=0).tests
+    assert tests[0].case.periods * tests[0].case.samples_per_period == 30_000
+    chunks = campaign._chunks(drone_spec(), tests[:100])
+    assert len(chunks[0]) >= campaign._MIN_LANES
+    assert len(chunks[0]) * 30_000 * lane_step_bytes(drone_spec()) <= campaign._CHUNK_BYTES
 
 
 def test_execute_rejects_nonpositive_workers():

@@ -363,17 +363,45 @@ def test_run_stage_reports_progress_only_when_it_lasts(tmp_path, capsys, monkeyp
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(quiet)]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    # With no interval every collected chunk prints a line.
+    # With no interval every bound round and every collected chunk prints
+    # a line, the bound stage's first (see the test below).
     monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0.0)
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(loud)]) == 0
     loud_captured = capsys.readouterr()
     assert loud_captured.out == captured.out
-    lines = loud_captured.err.splitlines()
+    err = loud_captured.err.splitlines()
+    n_bound = sum(1 for ln in err if ln.startswith("bound: "))
+    assert n_bound > 0 and all(re.fullmatch(BOUND_LINE, ln) for ln in err[:n_bound])
+    lines = err[n_bound:]
     assert lines and all(re.fullmatch(r"run: \d+/18 tests, [\d.]+ tests/s", ln) for ln in lines)
     done = [int(ln.split()[1].split("/")[0]) for ln in lines]
     assert done == sorted(done) and done[-1] == 18
     for name in ARTIFACTS:
         assert digest(quiet / name) == digest(loud / name), name
+
+
+BOUND_LINE = r"bound: round (\d+), (\d+) frequencies, (\d+) probes, [\d.]+ s"
+
+
+def test_bound_stage_reports_each_round_when_it_lasts(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(quiet)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    monkeypatch.setattr(cli, "PROGRESS_INTERVAL_S", 0.0)
+    assert cli.main(["bound", "--config", str(cfg), "--out", str(loud)]) == 0
+    loud_captured = capsys.readouterr()
+    assert loud_captured.out == captured.out  # stdout is unchanged
+    rows = [re.fullmatch(BOUND_LINE, ln) for ln in loud_captured.err.splitlines()]
+    assert len(rows) > 1 and all(rows)
+    rounds, freqs, probes = zip(*((int(g) for g in m.groups()) for m in rows))
+    assert list(rounds) == list(range(1, len(rows) + 1))
+    assert freqs[0] == 2 and list(freqs) == sorted(set(freqs))
+    assert list(probes) == sorted(probes)
+    bound_map = persist.load_bounds(loud / cli.BOUNDS_FILE)
+    assert (freqs[-1], probes[-1]) == (len(bound_map.frequencies), bound_map.probes)
+    assert digest(quiet / cli.BOUNDS_FILE) == digest(loud / cli.BOUNDS_FILE)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from loopstress.plants import (
     dc_servo_spec,
     dead_zone,
     drone_spec,
+    lane_step_bytes,
     quadratic_friction,
     quantizer,
     run_lanes,
@@ -632,7 +634,7 @@ def test_lanes_truncate_a_diverging_lane_like_run_plant():
 
 
 def test_lanes_longer_than_a_block_of_reference_rows_match_run_plant():
-    # The lockstep loop assembles reference rows 4096 steps at a time; these
+    # The lockstep loop assembles reference rows 1024 steps at a time; these
     # lengths cross that block inside and at the ends of lane-count segments.
     spec = dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002)))
     rng = np.random.default_rng(5)
@@ -715,3 +717,78 @@ lane_references = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_lanes_match_run_plant_on_random_loops(spec, references):
     assert_lanes_match_run_plant(spec, references)
+
+
+@given(
+    spec=lane_specs(),
+    periods=st.lists(
+        st.tuples(
+            st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40).map(np.array),
+            st.integers(1, 5),  # repeats
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_repeated_periods_run_like_their_full_references(spec, periods):
+    full = run_lanes(spec, [np.tile(p, k) for p, k in periods])
+    repeated = run_lanes(spec, [p for p, _ in periods], [k for _, k in periods])
+    for a, b in zip(full, repeated):
+        assert a.output.tobytes() == b.output.tobytes()
+        assert a.output.shape == b.output.shape and a.diverged == b.diverged
+        assert all(same_float(x, y) for x, y in zip(a[1:4], b[1:4]))
+
+
+def test_repeated_periods_cross_reference_row_blocks_like_run_plant():
+    # 3,000-sample periods repeat across the 1,024-step blocks of rows.
+    spec = drone_spec(extra_blocks=(coulomb_friction(0.05),))
+    rng = np.random.default_rng(8)
+    periods = [rng.normal(0.0, 2.0, n) for n in (3000, 2999, 5000, 7)]
+    repeats = [3, 2, 1, 1500]
+    for lane, period, k in zip(run_lanes(spec, periods, repeats), periods, repeats):
+        run = run_plant(spec, np.tile(period, k))
+        assert lane.output.tobytes() == run.trace.output.tobytes()
+        assert same_float(lane.deviation_mean, run.log.mean_deviation)
+
+
+def test_lanes_reject_bad_repeat_counts():
+    for repeats in ([1], [2, 0]):
+        with pytest.raises(ValueError):
+            run_lanes(drone_spec(), [np.ones(5), np.ones(4)], repeats)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (drone_spec(), 10),
+        (dc_servo_spec(), 10),
+        (drone_spec(extra_blocks=(quadratic_friction(0.002),)), 18),
+        (dc_servo_spec(extra_blocks=(coulomb_friction(0.1),)), 18),
+        (drone_spec(extra_blocks=(dead_zone(0.05),)), 18),
+        (dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002))), 26),
+    ],
+)
+def test_lane_step_bytes_count_the_rows_a_block_set_needs(spec, expected):
+    assert lane_step_bytes(spec) == expected
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [drone_spec(), dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002)))],
+    ids=["no-velocity-rows", "every-row"],
+)
+def test_lanes_hold_lane_step_bytes_per_lane_step(spec):
+    lanes, steps = 20, 6000
+    periods = [np.sin(np.arange(100) / 100 * 2 * np.pi) * a for a in np.linspace(0.1, 3, lanes)]
+    tracemalloc.start()
+    try:
+        run_lanes(spec, periods, [steps // 100] * lanes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = lane_step_bytes(spec) * lanes * steps
+    # Besides the rows: two blocks of reference rows (one is read while the
+    # next is assembled) and temporaries, well under one more float per
+    # lane-step.
+    assert rows < peak < rows + 4 * lanes * steps

@@ -1,6 +1,7 @@
 """The experiment scripts run to completion on small inputs."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -24,11 +25,27 @@ SRC = str(Path(loopstress.__file__).resolve().parent.parent)
     ],
 )
 def test_script_exits_cleanly(script, args):
+    done = run_script(script, args)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_bench_sim_reports_the_bytes_that_set_the_chunk_width():
+    done = run_script("bench_sim.py", ["--steps", "20", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
-    assert done.stdout
+    rows = {(r["model"], r["blocks"]): r["bytes_per_lane_step"] for r in json.loads(done.stdout)["rows"]}
+    # Outputs and flags; velocities with friction; deviations with a dead
+    # zone or backlash.
+    for model in ("drone_alt", "dc_servo"):
+        assert [rows[model, b] for b in ("plain", "dead_zone", "backlash", "coulomb", "quadratic", "all")] == [
+            10, 18, 18, 18, 18, 26,
+        ]
