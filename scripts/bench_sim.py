@@ -79,32 +79,28 @@ def check_lanes(spec, references) -> None:
             raise AssertionError(f"a lane differs from run_plant for {spec}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--steps", type=int, default=2000, help="samples per reference")
-    parser.add_argument("--repeats", type=int, default=3, help="timed runs; the best counts")
-    args = parser.parse_args(argv)
-
+def measure(steps: int, repeats: int) -> dict:
+    """The report: every model and block set at ``steps`` samples per reference."""
     # A 1 Hz sine at the 1 ms controller period, at amplitudes that reach
     # the saturations on the larger lanes.
-    t = np.arange(args.steps) * 0.001
+    t = np.arange(steps) * 0.001
     references = [a * np.sin(2.0 * np.pi * t) for a in np.linspace(0.1, 8.0, max(WIDTHS))]
 
     rows = []
     for model, make in MODELS.items():
         for name, blocks in BLOCK_SETS.items():
             spec = make(extra_blocks=blocks)
-            scalar = best_time(lambda: run_plant(spec, references[-1]), args.repeats)
+            scalar = best_time(lambda: run_plant(spec, references[-1]), repeats)
             lanes = {}
             for width in WIDTHS:
                 refs = references[:: max(WIDTHS) // width][:width]
                 check_lanes(spec, refs)
-                step = best_time(lambda: run_lanes(spec, refs), args.repeats) / args.steps
+                step = best_time(lambda: run_lanes(spec, refs), repeats) / steps
                 lanes[str(width)] = {
                     "us_per_step": step * 1e6,
                     "us_per_lane_step": step / width * 1e6,
                 }
-            scalar_us = scalar / args.steps * 1e6
+            scalar_us = scalar / steps * 1e6
             first, last = lanes[str(WIDTHS[0])]["us_per_step"], lanes[str(WIDTHS[-1])]["us_per_step"]
             slope = (last - first) / (WIDTHS[-1] - WIDTHS[0])
             fixed = first - slope * WIDTHS[0]
@@ -116,7 +112,15 @@ def main(argv=None) -> int:
                 "lanes": lanes,
                 "crossover_lanes": fixed / (scalar_us - slope) if scalar_us > slope else None,
             })
-    print(json.dumps({"steps": args.steps, "widths": list(WIDTHS), "rows": rows}, indent=2))
+    return {"steps": steps, "widths": list(WIDTHS), "rows": rows}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--steps", type=int, default=2000, help="samples per reference")
+    parser.add_argument("--repeats", type=int, default=3, help="timed runs; the best counts")
+    args = parser.parse_args(argv)
+    print(json.dumps(measure(args.steps, args.repeats), indent=2))
     return 0
 
 

@@ -9,6 +9,14 @@ amplitude-bound search plus randomised generation, and results are checked
 against metamorphic relations that link test harshness to the scores.
 """
 
+import os
+
+# loopstress calls no BLAS routine, yet ``import numpy`` starts an OpenBLAS
+# thread pool whose idle threads spin on every core.  One thread is enough.
+# This must run before any submodule imports numpy; a value the user has
+# set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     BandwidthEstimate,
     BandwidthStatus,

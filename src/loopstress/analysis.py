@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -394,8 +395,7 @@ class BandwidthStatus(str, enum.Enum):
     BELOW_RANGE = "undefined-below-range"
 
 
-@dataclass(frozen=True)
-class BandwidthEstimate:
+class BandwidthEstimate(NamedTuple):
     """Frequency where the pooled degree of filtering first crosses 0.5."""
 
     value: float | None

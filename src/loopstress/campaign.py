@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,8 +327,10 @@ def derive_frequency_resolution(bound_map: AmplitudeBoundMap) -> float:
     return float((fs[-1] - fs[0]) / (len(fs) - 1))
 
 
-@dataclass(frozen=True)
-class GeneratedTest:
+# Records that only hold values are named tuples, which are several times
+# cheaper than a frozen dataclass both to define at import and to build;
+# records that validate their fields stay dataclasses.
+class GeneratedTest(NamedTuple):
     """A test case plus how it was derived."""
 
     case: TestCase
@@ -336,8 +339,7 @@ class GeneratedTest:
     snap_error: float
 
 
-@dataclass(frozen=True)
-class TestSet:
+class TestSet(NamedTuple):
     # Not a pytest test class, despite the name.
     __test__ = False
 
@@ -403,8 +405,7 @@ def generate_test_set(
     return TestSet(tests=tuple(tests), seed=seed, frequency_step=df, shapes=shapes)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One relevant reference component and, for linear runs, its filtering."""
 
     frequency: float
@@ -412,8 +413,7 @@ class Component:
     dof: float | None
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     # Not a pytest test class, despite the name.
     __test__ = False
 
@@ -569,7 +569,8 @@ def execute_campaign(
         # Imported here: the pool module adds noticeably to every start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Under fork every worker starts up front, so none beyond the chunks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             collect(pool.map(run_chunk, chunk_tests))
     return tuple(results)
 

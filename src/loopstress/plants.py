@@ -37,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -266,8 +267,7 @@ def dc_servo_spec(
     )
 
 
-@dataclass(frozen=True)
-class InstrumentationLog:
+class InstrumentationLog(NamedTuple):
     """Per-step flags and deviations recorded alongside the trace.
 
     ``nonlinearity_deviation`` sums, over the injected blocks (dead zone,
@@ -297,8 +297,7 @@ class InstrumentationLog:
         return float(np.mean(self.nonlinearity_deviation))
 
 
-@dataclass(frozen=True)
-class PlantRun:
+class PlantRun(NamedTuple):
     """Outcome of one closed-loop simulation."""
 
     trace: Trace

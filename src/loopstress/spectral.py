@@ -21,6 +21,7 @@ alignment).  Three metrics summarise a closed-loop run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Single-sided amplitude spectrum: ``amplitudes[k]`` at ``frequencies[k]``."""
 
     frequencies: np.ndarray

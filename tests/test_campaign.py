@@ -571,6 +571,37 @@ def test_long_drone_tests_run_as_lanes():
     assert len(chunks[0]) * 30_000 * lane_step_bytes(drone_spec()) <= campaign._CHUNK_BYTES
 
 
+@pytest.mark.parametrize("workers, expected", [(2, 2), (3, 3), (4, 3), (8, 3)])
+def test_run_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, expected):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    tests, inputs = small_test_set()
+    # 16,000 lane-steps cut the ten tests into chunks of 4, 4 and 2.
+    monkeypatch.setattr(campaign, "_CHUNK_BYTES", 16_000 * lane_step_bytes(drone_spec()))
+    assert len(campaign._chunks(drone_spec(), tests.tests)) == 3
+    results = execute_campaign(drone_spec(), tests, inputs, workers=workers)
+    assert sizes == [expected]
+    assert results == execute_campaign(drone_spec(), tests, inputs, workers=1)
+
+
 def test_execute_rejects_nonpositive_workers():
     tests, inputs = small_test_set()
     with pytest.raises(ValueError):

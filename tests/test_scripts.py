@@ -49,3 +49,19 @@ def test_bench_sim_reports_the_bytes_that_set_the_chunk_width():
         assert [rows[model, b] for b in ("plain", "dead_zone", "backlash", "coulomb", "quadratic", "all")] == [
             10, 18, 18, 18, 18, 26,
         ]
+
+
+def test_bench_writes_startup_and_plants_rows(tmp_path):
+    out = tmp_path / "bench.json"
+    done = run_script("bench.py", ["--out", str(out), "--processes", "1", "--steps", "20", "--repeats", "1"])
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    rows = {r["command"]: r for r in report["startup"]["rows"]}
+    assert list(rows) == ["pass", "import numpy", "import loopstress"]
+    for row in rows.values():
+        assert 0 < row["wall_ms_q1"] <= row["wall_ms_median"] <= row["wall_ms_q3"]
+        assert row["cpu_ms_mean"] > 0
+    if rows["pass"]["threads"] != -1:
+        # The interpreters start without OPENBLAS_NUM_THREADS; the package pins it.
+        assert rows["pass"]["threads"] == rows["import loopstress"]["threads"] == 1
+    assert len(report["plants"]["rows"]) == 12
