@@ -13,6 +13,9 @@ Three families of checks turn raw test results into findings:
 * **Bandwidth estimation**: the frequency at which the pooled degree of
   filtering first crosses 0.5.
 * **Design-scope classification** of each test by its dnl.
+
+:func:`analyze` runs all three on a campaign's results and returns the
+``mr_report.json`` payload with the two plot tables.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "SCATTER_HEADER",
     "DOF_HEADER",
     "export_plot_data",
+    "analyze",
 ]
 
 
@@ -393,6 +397,7 @@ class BandwidthStatus(str, enum.Enum):
     OK = "ok"
     ABOVE_RANGE = "undefined-above-range"
     BELOW_RANGE = "undefined-below-range"
+    INSUFFICIENT = "insufficient-data"
 
 
 class BandwidthEstimate(NamedTuple):
@@ -409,7 +414,8 @@ class BandwidthEstimate(NamedTuple):
 
 def estimate_bandwidth(results, dnl_threshold: float) -> BandwidthEstimate:
     """Pool the (frequency, dof) points of all linear results and locate the
-    first crossing of dof = 0.5 by linear interpolation."""
+    first crossing of dof = 0.5 by linear interpolation.  Fewer than two
+    points give status ``INSUFFICIENT`` with no value and ``n_points`` 0."""
     points = []
     for r in results:
         if r.diverged or not r.dnl < dnl_threshold:
@@ -418,7 +424,7 @@ def estimate_bandwidth(results, dnl_threshold: float) -> BandwidthEstimate:
             if comp.dof is not None:
                 points.append((comp.frequency, comp.dof))
     if len(points) < 2:
-        raise ValueError("bandwidth estimation needs at least two linear components")
+        return BandwidthEstimate(None, BandwidthStatus.INSUFFICIENT, 0)
     points.sort()
     n = len(points)
     cross = next((k for k, (_, d) in enumerate(points) if d >= 0.5), None)
@@ -524,6 +530,8 @@ SCATTER_HEADER = (
 
 DOF_HEADER = ("shape", "frequency", "dof")
 
+_SCOPE_COLUMN = SCATTER_HEADER.index("scope")
+
 
 def export_plot_data(
     results,
@@ -558,3 +566,50 @@ def export_plot_data(
                 if comp.dof is not None:
                     dof_rows.append((shape.value, comp.frequency, comp.dof))
     return scatter, dof_rows
+
+
+def analyze(results, cfg, sink=None) -> tuple[dict, list[tuple], list[tuple]]:
+    """The analyze stage: ``(report, scatter, dof_rows)`` for ``results``.
+
+    ``report`` is the ``mr_report.json`` payload: the MR1 and MR2 summaries,
+    every MR3 violation, each shape's bandwidth estimate (in ``cfg.shapes``
+    order) and the tests per scope class.  The tables are
+    :func:`export_plot_data`'s.  ``cfg`` is read by attribute (a
+    ``CampaignConfig``).  ``sink``, if given, receives every violation's
+    record: MR1, then MR2, chunk by chunk, then MR3.
+    """
+    results = list(results)
+    th = cfg.inputs.dnl_threshold
+    bandwidths = {
+        shape: estimate_bandwidth([r for r in results if r.case.shape is shape], th)
+        for shape in cfg.shapes
+    }
+    mr3, undefined = check_mr3(bandwidths, cfg.mr3_epsilon)
+    mr1 = check_mr1(results, sink)
+    mr2, skipped = check_mr2(
+        results, th, cfg.mr2_bin_tolerance, cfg.mr2_equality_tolerance, sink
+    )
+    if sink is not None:
+        sink(mr3)
+    scatter, dof_rows = export_plot_data(results, th, cfg.boundary_factor)
+    scope_counts = {s.value: 0 for s in ScopeClass}
+    for row in scatter:
+        scope_counts[row[_SCOPE_COLUMN]] += 1
+    report = {
+        "kind": "mr_report",
+        "dnl_threshold": th,
+        "mr1": mr1.as_report(),
+        "mr2": {**mr2.as_report(), "skipped_components": skipped},
+        "mr3": {
+            "violations": mr3,
+            "undefined_shapes": list(undefined),
+            "epsilon": cfg.mr3_epsilon,
+        },
+        "bandwidth": {
+            shape.value: {"value": est.value, "status": est.status.value,
+                          "n_points": est.n_points}
+            for shape, est in bandwidths.items()
+        },
+        "scope_counts": scope_counts,
+    }
+    return report, scatter, dof_rows

@@ -130,20 +130,35 @@ class AmplitudeBoundMap:
         )
 
 
+def _case(inputs: RequiredInput, shape, frequency: float, amplitude: float,
+          periods: int | None = None) -> TestCase:
+    """``shape`` at ``frequency``, snapped to whole samples per period, and
+    ``amplitude``, over ``periods`` (default ``inputs.base_periods``)."""
+    return TestCase(
+        shape=shape,
+        amp_gain=amplitude,
+        time_gain=snap_time_gain(frequency, inputs.sample_interval),
+        periods=inputs.base_periods if periods is None else periods,
+        sample_interval=inputs.sample_interval,
+    )
+
+
+def _check_sampling(plant: PlantSpec, inputs: RequiredInput) -> None:
+    if plant.sample_interval != inputs.sample_interval:
+        raise ValueError(
+            "plant and input sample intervals differ "
+            f"({plant.sample_interval} vs {inputs.sample_interval})"
+        )
+
+
 def _sine_probe(plant: PlantSpec, inputs: RequiredInput):
     """Real probe: dnl of a sinusoidal test at (frequency, amplitude)."""
     if plant is None:
         raise ValueError("need either a plant or a probe")
+    _check_sampling(plant, inputs)
 
     def probe(frequency: float, amplitude: float) -> float:
-        tg = snap_time_gain(frequency, inputs.sample_interval)
-        case = TestCase(
-            shape=ShapeKind.SINE,
-            amp_gain=amplitude,
-            time_gain=tg,
-            periods=inputs.base_periods,
-            sample_interval=inputs.sample_interval,
-        )
+        case = _case(inputs, ShapeKind.SINE, frequency, amplitude)
         run = run_plant(plant, render_reference(case))
         if run.diverged:
             return math.inf
@@ -384,24 +399,9 @@ def generate_test_set(
             bound = bound_map.interpolate(f)
             n_amps = max(1, math.ceil(bound / inputs.delta_a))
             draws = rng.beta(alpha, beta, size=n_amps)
-            tg = snap_time_gain(f, inputs.sample_interval)
-            snap_error = abs(tg - f)
             for x in draws:
-                amp = float(max(x, 1e-12) * bound)
-                tests.append(
-                    GeneratedTest(
-                        case=TestCase(
-                            shape=shape,
-                            amp_gain=amp,
-                            time_gain=tg,
-                            periods=inputs.base_periods,
-                            sample_interval=inputs.sample_interval,
-                        ),
-                        target_frequency=f,
-                        bound=bound,
-                        snap_error=snap_error,
-                    )
-                )
+                case = _case(inputs, shape, f, float(max(x, 1e-12) * bound))
+                tests.append(GeneratedTest(case, f, bound, abs(case.time_gain - f)))
     return TestSet(tests=tuple(tests), seed=seed, frequency_step=df, shapes=shapes)
 
 
@@ -590,15 +590,8 @@ def calibration_curve(
     """
     if max_periods < 1:
         raise ValueError("max_periods must be at least 1")
-    shape = ShapeKind(shape)
-    tg = snap_time_gain(inputs.f_max, inputs.sample_interval)
-    case = TestCase(
-        shape=shape,
-        amp_gain=inputs.a_max,
-        time_gain=tg,
-        periods=max_periods,
-        sample_interval=inputs.sample_interval,
-    )
+    _check_sampling(plant, inputs)
+    case = _case(inputs, ShapeKind(shape), inputs.f_max, inputs.a_max, max_periods)
     reference = render_reference(case)
     run = run_plant(plant, reference)
     spp = case.samples_per_period

@@ -10,27 +10,14 @@ artifacts inspected between steps::
     loopstress analyze   --config cfg.json --out out/
     loopstress campaign  --config cfg.json --out out/   # bound..analyze in one go
 
-``bound`` refines its frequency map in rounds, searches each snapped
-period once, and with ``--workers N`` spreads a round's searches over N
-processes.  The run stage sorts the tests by length and simulates tests of
-similar length together, as the lanes of one lockstep loop, in chunks of at
-most 10.4 MB (lanes times the longest test's steps times the plant's bytes
-per lane-step); chunks of fewer than 25 tests run test by test.
-``--workers N`` spreads the chunks over N processes, longest first.
-``calibrate`` runs its one simulation in this process and ignores
-``--workers``.  Results are the same bits for any worker count.  A bound or
-run stage that lasts more than 5 s (``PROGRESS_INTERVAL_S``) prints its
-progress to stderr, at most that often: the bound stage its rounds,
-frequencies, probes and elapsed time, the run stage the tests done, of the
-total, and the rate.
-
-``analyze`` writes ``mr_report.json`` with a fixed-size summary of the MR1
-and MR2 violations (counts per shape, the tests in most violations, the
-saturating share, MR2 counts per octave of frequency with a 0 Hz bin, and
-the records of largest margin) and every MR3 violation.  With
-``--full-violations`` (also on ``campaign``) every violation record is
-streamed, chunk by chunk, to ``mr_violations.jsonl``; without it a stale
-one is removed.
+``--workers N`` spreads the bound and run stages over N processes; results
+are the same bits for any worker count.  A bound or run stage that lasts
+more than 5 s (``PROGRESS_INTERVAL_S``) prints its progress to stderr, at
+most that often.  ``analyze`` writes ``mr_report.json`` (built by
+:func:`loopstress.analysis.analyze`) and the two plot tables; with
+``--full-violations`` (also on ``campaign``) it streams every violation
+record to ``mr_violations.jsonl``, and without it removes a stale one.  The
+README describes the stages and the report.
 
 Exit codes: 0 success, 2 success with warnings (e.g. the calibration stress
 test never crossed the threshold, a bound gap could not be resolved, or the
@@ -105,8 +92,6 @@ def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("workers must be at least 1")
         cfg = dataclasses.replace(cfg, workers=args.workers)
     return cfg
 
@@ -219,26 +204,6 @@ def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
 def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None,
                 full_violations: bool = False) -> int:
     results = persist.load_results(results_path or out / RESULTS_FILE)
-    th = cfg.inputs.dnl_threshold
-
-    bandwidth_report = {}
-    bandwidths = {}
-    for shape in cfg.shapes:
-        of_shape = [r for r in results if r.case.shape is shape]
-        try:
-            est = analysis.estimate_bandwidth(of_shape, th)
-        except ValueError:
-            bandwidth_report[shape.value] = {
-                "value": None, "status": "insufficient-data", "n_points": 0,
-            }
-            bandwidths[shape] = None
-            continue
-        bandwidth_report[shape.value] = {
-            "value": est.value, "status": est.status.value, "n_points": est.n_points,
-        }
-        bandwidths[shape] = est
-    mr3, undefined = analysis.check_mr3(bandwidths, cfg.mr3_epsilon)
-
     full_path = out / MR_VIOLATIONS_FILE
     if full_violations:
         writer = persist.violation_writer(full_path)
@@ -246,41 +211,14 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None,
         full_path.unlink(missing_ok=True)  # it would not match the new report
         writer = contextlib.nullcontext()
     with writer as sink:
-        mr1 = analysis.check_mr1(results, sink)
-        mr2, skipped = analysis.check_mr2(
-            results, th, cfg.mr2_bin_tolerance, cfg.mr2_equality_tolerance, sink
-        )
-        if sink is not None:
-            sink(mr3)
-
-    scatter, dof_rows = analysis.export_plot_data(results, th, cfg.boundary_factor)
+        report, scatter, dof_rows = analysis.analyze(results, cfg, sink)
     persist.save_csv(out / SCATTER_FILE, analysis.SCATTER_HEADER, scatter)
     persist.save_csv(out / DOF_FILE, analysis.DOF_HEADER, dof_rows)
-
-    scope_counts = {s.value: 0 for s in analysis.ScopeClass}
-    scope_column = analysis.SCATTER_HEADER.index("scope")
-    for row in scatter:
-        scope_counts[row[scope_column]] += 1
-
-    persist.save_json_report(
-        out / MR_REPORT_FILE,
-        {
-            "kind": "mr_report",
-            "dnl_threshold": th,
-            "mr1": mr1.as_report(),
-            "mr2": {**mr2.as_report(), "skipped_components": skipped},
-            "mr3": {
-                "violations": mr3,
-                "undefined_shapes": list(undefined),
-                "epsilon": cfg.mr3_epsilon,
-            },
-            "bandwidth": bandwidth_report,
-            "scope_counts": scope_counts,
-        },
-    )
+    persist.save_json_report(out / MR_REPORT_FILE, report)
     print(
-        f"analysis: {len(mr1)} MR1, {len(mr2)} MR2, {len(mr3)} MR3 violation(s); "
-        f"scope {scope_counts}"
+        f"analysis: {report['mr1']['count']} MR1, {report['mr2']['count']} MR2, "
+        f"{len(report['mr3']['violations'])} MR3 violation(s); "
+        f"scope {report['scope_counts']}"
     )
     return EXIT_OK
 

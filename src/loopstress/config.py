@@ -59,6 +59,14 @@ class CampaignConfig:
             raise ConfigError("workers must be at least 1")
         if self.max_periods < 1:
             raise ConfigError("max_periods must be at least 1")
+        if not all(p > 0.0 for p in self.beta_params):
+            raise ConfigError("beta distribution parameters must be positive")
+        if self.mr2_bin_tolerance is not None and self.mr2_bin_tolerance < 0.0:
+            raise ConfigError("mr2_bin_tolerance must not be negative")
+        if self.mr3_epsilon is not None and not self.mr3_epsilon > 0.0:
+            raise ConfigError("mr3_epsilon must be positive")
+        if not 0.0 < self.boundary_factor < 1.0:
+            raise ConfigError("boundary_factor must lie strictly between 0 and 1")
         if self.plant.sample_interval != self.inputs.sample_interval:
             raise ConfigError(
                 "plant and campaign sample intervals differ "

@@ -67,7 +67,9 @@ def _write_records(path, kind: str, header_extra: dict, records) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_records(path, kind: str) -> tuple[dict, list[dict]]:
+def _read_records(path, kind: str, record: str) -> tuple[dict, list[dict]]:
+    """Header and body rows of a stream artifact of ``kind`` whose body rows
+    are all of ``record`` kind."""
     text = Path(path).read_text(encoding="utf-8")
     rows = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -89,6 +91,9 @@ def _read_records(path, kind: str) -> tuple[dict, list[dict]]:
         )
     if header.get("kind") != kind:
         raise SchemaError(f"{path}: artifact kind {header.get('kind')!r}, expected {kind!r}")
+    for row in body:
+        if row.get("record") != record:
+            raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
     return header, body
 
 
@@ -106,13 +111,9 @@ def save_bounds(path, bound_map: AmplitudeBoundMap) -> None:
 
 
 def load_bounds(path) -> AmplitudeBoundMap:
-    header, body = _read_records(path, "bounds")
-    pairs = []
-    for row in body:
-        if row.get("record") != "bound":
-            raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
-        pairs.append((float(row["frequency"]), float(row["bound"])))
+    header, body = _read_records(path, "bounds", "bound")
     try:
+        pairs = [(float(row["frequency"]), float(row["bound"])) for row in body]
         return AmplitudeBoundMap(
             frequencies=tuple(f for f, _ in pairs),
             bounds=tuple(b for _, b in pairs),
@@ -166,11 +167,9 @@ def save_test_set(path, test_set: TestSet) -> None:
 
 
 def load_test_set(path) -> TestSet:
-    header, body = _read_records(path, "tests")
+    header, body = _read_records(path, "tests", "test")
     tests = []
     for row in body:
-        if row.get("record") != "test":
-            raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
         try:
             tests.append(_test_from_dict(row))
         except (KeyError, ValueError) as exc:
@@ -207,11 +206,9 @@ def save_results(path, results) -> None:
 
 
 def load_results(path) -> tuple[TestResult, ...]:
-    _, body = _read_records(path, "results")
+    _, body = _read_records(path, "results", "result")
     results = []
     for row in body:
-        if row.get("record") != "result":
-            raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
         try:
             components = tuple(
                 Component(

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -609,10 +610,12 @@ def test_bandwidth_undefined_below_range():
 
 
 def test_bandwidth_needs_two_linear_components():
-    with pytest.raises(ValueError):
-        estimate_bandwidth([make_result(dnl=0.01, components=[(0.4, 1.0, 0.3)])], 0.15)
-    with pytest.raises(ValueError):
-        estimate_bandwidth([], 0.15)
+    one_point = [make_result(dnl=0.01, components=[(0.4, 1.0, 0.3)])]
+    for results in (one_point, []):
+        est = estimate_bandwidth(results, 0.15)
+        assert est.status is BandwidthStatus.INSUFFICIENT
+        assert est.value is None and est.n_points == 0
+        assert not est.defined
 
 
 def test_bandwidth_pools_only_linear_results():
@@ -772,6 +775,79 @@ def test_export_scatter_preserves_result_order():
     results = [make_result(dnl=0.01 * k, frequency=0.5 + 0.5 * k) for k in range(4)]
     scatter, _ = export_plot_data(results, dnl_threshold=0.15)
     assert [row[3] for row in scatter] == pytest.approx([0.0, 0.01, 0.02, 0.03])
+
+
+# ---------------------------------------------------------------------------
+# the analyze stage
+# ---------------------------------------------------------------------------
+
+
+def stage_config(**overrides):
+    """What ``analyze`` reads of a campaign config, by attribute."""
+    knobs = dict(
+        inputs=SimpleNamespace(dnl_threshold=0.15),
+        shapes=(ShapeKind.SQUARE, ShapeKind.TRIANGLE, ShapeKind.SINE, ShapeKind.SAWTOOTH),
+        mr2_bin_tolerance=None,
+        mr2_equality_tolerance=1e-6,
+        mr3_epsilon=0.1,
+        boundary_factor=0.5,
+    )
+    return SimpleNamespace(**{**knobs, **overrides})
+
+
+def stage_results():
+    """MR1 and MR2 violations among squares (bandwidth below range), two
+    shapes whose bandwidths cross 0.5 at 2 and 1.5 Hz, and no sawtooth."""
+    return [
+        *violation_family(2, n_speeds=6),
+        make_result(ShapeKind.TRIANGLE, dnl=0.01, components=[(1.0, 1.0, 0.2), (3.0, 0.3, 0.8)]),
+        make_result(ShapeKind.SINE, dnl=0.1, components=[(1.0, 1.0, 0.4), (2.0, 0.3, 0.6)]),
+        make_result(ShapeKind.SINE, dnl=math.inf, diverged=True),
+    ]
+
+
+def test_analyze_assembles_the_report_from_the_checkers():
+    results, cfg = stage_results(), stage_config()
+    records = []
+    report, scatter, dof_rows = analysis.analyze(results, cfg, sink=records.extend)
+    mr1 = check_mr1(results)
+    mr2, skipped = check_mr2(results, 0.15)
+    assert report["mr1"] == mr1.as_report() and mr1.count > 0
+    assert report["mr2"] == {**mr2.as_report(), "skipped_components": skipped}
+    assert mr2.count > 0
+    mr3 = report["mr3"]
+    assert [v.subjects for v in mr3["violations"]] == [("sine", "triangle")]
+    assert mr3["undefined_shapes"] == ["sawtooth", "square"] and mr3["epsilon"] == 0.1
+    assert list(report["bandwidth"]) == ["square", "triangle", "sine", "sawtooth"]
+    assert report["bandwidth"]["sine"] == {"value": 1.5, "status": "ok", "n_points": 2}
+    assert report["bandwidth"]["sawtooth"] == {
+        "value": None, "status": "insufficient-data", "n_points": 0,
+    }
+    assert report["scope_counts"] == {"within": 13, "boundary_stress": 1, "outside": 1}
+    assert (report["kind"], report["dnl_threshold"]) == ("mr_report", 0.15)
+    assert (scatter, dof_rows) == export_plot_data(results, 0.15)
+    # The sink gets every record, MR1 first, then MR2, then MR3.
+    relations = [v.relation for v in records]
+    assert relations == sorted(relations)
+    assert Counter(relations) == {"MR1": mr1.count, "MR2": mr2.count, "MR3": 1}
+
+
+def test_analyze_calls_the_checkers_by_their_module_names(monkeypatch):
+    # Wrapping a checker on the module, as a tracer does, sees every call.
+    calls = []
+    for name in ("estimate_bandwidth", "check_mr3", "check_mr1", "check_mr2",
+                 "export_plot_data", "classify_scope"):
+        fn = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name,
+            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k),
+        )
+    results = stage_results()
+    analysis.analyze(results, stage_config())
+    assert calls == [
+        *["estimate_bandwidth"] * 4, "check_mr3", "check_mr1", "check_mr2",
+        "export_plot_data", *["classify_scope"] * len(results),
+    ]
 
 
 def test_mr_violation_is_a_plain_record():

@@ -300,6 +300,18 @@ def test_bound_rejects_nonpositive_workers():
         optimistic_amplitude_bound(None, DEFAULT_INPUTS, probe=lambda f, a: 0.01, workers=0)
 
 
+# A plant sampled at 0.002 s would run the inputs' 0.001 s references at
+# twice their time scale.
+COARSE_DRONE = drone_spec(sample_interval=0.002)
+
+
+def test_bound_search_rejects_mismatched_sampling():
+    with pytest.raises(ValueError, match="sample intervals differ"):
+        binary_search_upperbound(COARSE_DRONE, 1.0, DEFAULT_INPUTS)
+    with pytest.raises(ValueError, match="sample intervals differ"):
+        optimistic_amplitude_bound(COARSE_DRONE, DEFAULT_INPUTS)
+
+
 def test_bound_map_interpolation_clamps_to_range():
     bound_map = AmplitudeBoundMap(frequencies=(0.5, 1.0, 2.0), bounds=(4.0, 2.0, 1.0))
     assert bound_map.interpolate(0.75) == pytest.approx(3.0)
@@ -633,6 +645,11 @@ def test_calibration_curve_for_drone_crosses_threshold():
     assert len(curve) == 6
     assert curve[0] < 0.15  # one period hides the windup wander
     assert max(curve[:4]) >= 0.15  # a few repetitions expose it
+
+
+def test_calibration_curve_rejects_mismatched_sampling():
+    with pytest.raises(ValueError, match="sample intervals differ"):
+        calibration_curve(COARSE_DRONE, DEFAULT_INPUTS, max_periods=2)
 
 
 @pytest.mark.parametrize("cls", [TestCase, TestSet, TestResult])

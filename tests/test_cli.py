@@ -255,6 +255,14 @@ def test_full_violations_write_the_pinned_records_beside_the_same_report(tmp_pat
     assert not (out / cli.MR_VIOLATIONS_FILE).exists()
 
 
+def test_analyze_prints_the_pinned_counts(tmp_path, capsys):
+    analyze(tmp_path, golden_results())
+    assert capsys.readouterr().out == (
+        "analysis: 2 MR1, 5 MR2, 0 MR3 violation(s); "
+        "scope {'within': 4, 'boundary_stress': 1, 'outside': 2}\n"
+    )
+
+
 def scale_results():
     """240 synthetic results, drawn with a fixed seed: thousands of MR1 and
     MR2 violations, one MR3 violation, diverged tests, and None, 0.0 and
@@ -355,6 +363,12 @@ def test_analyze_without_linear_results_reports_zero_counts(tmp_path, diverged):
     mr1 = report["mr1"]
     assert (mr1["count"], mr1["saturated"], mr1["top_tests"], mr1["violations"]) == (0, 0, [], [])
     assert sum(report["scope_counts"].values()) == len(results)
+    # Too few linear points is a bandwidth status, and MR3 lists the shape.
+    insufficient = {"value": None, "status": "insufficient-data", "n_points": 0}
+    assert report["bandwidth"] == {"square": insufficient, "triangle": insufficient}
+    assert report["mr3"] == {
+        "violations": [], "undefined_shapes": ["square", "triangle"], "epsilon": None,
+    }
 
 
 def test_run_stage_reports_progress_only_when_it_lasts(tmp_path, capsys, monkeypatch):
@@ -457,6 +471,20 @@ def test_unknown_config_key_is_invalid_input(tmp_path):
 def test_wrongly_typed_config_value_is_invalid_input(tmp_path, override):
     cfg = write_config(tmp_path, **override)
     rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INVALID_INPUT
+
+
+def test_config_a_later_stage_would_reject_fails_before_the_bound_stage(tmp_path):
+    cfg = write_config(tmp_path, boundary_factor=1.5)
+    out = tmp_path / "o"
+    rc = cli.main(["campaign", "--config", str(cfg), "--out", str(out)])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert not (out / cli.BOUNDS_FILE).exists()
+
+
+def test_zero_workers_is_invalid_input(tmp_path):
+    cfg = write_config(tmp_path)
+    rc = cli.main(["bound", "--config", str(cfg), "--workers", "0", "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INVALID_INPUT
 
 

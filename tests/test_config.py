@@ -124,6 +124,16 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw["plant"]["blocks"][0].update(kind=["dead_zone"]),
         lambda raw: raw.update(a_max=float("inf")),
         lambda raw: raw.update(f_min=float("nan")),
+        # Values a later stage would reject, or misread, after the load.
+        lambda raw: raw.update(boundary_factor=0.0),
+        lambda raw: raw.update(boundary_factor=1.0),
+        lambda raw: raw.update(boundary_factor=1.5),
+        lambda raw: raw.update(beta_alpha=0.0),
+        lambda raw: raw.update(beta_alpha=-1.0),
+        lambda raw: raw.update(beta_beta=-1.0),
+        lambda raw: raw.update(mr2_bin_tolerance=-0.1),
+        lambda raw: raw.update(mr3_epsilon=0.0),
+        lambda raw: raw.update(mr3_epsilon=-0.2),
     ],
 )
 def test_bad_configs_raise_config_error(mutate):
@@ -131,6 +141,14 @@ def test_bad_configs_raise_config_error(mutate):
     mutate(raw)
     with pytest.raises(ConfigError):
         config_from_dict(raw)
+
+
+def test_zero_bin_tolerance_and_tiny_knobs_are_accepted():
+    cfg = config_from_dict(
+        dict(minimal_raw(), mr2_bin_tolerance=0.0, mr3_epsilon=1e-9,
+             boundary_factor=0.01, beta_alpha=0.1, beta_beta=0.1)
+    )
+    assert (cfg.mr2_bin_tolerance, cfg.mr3_epsilon) == (0.0, 1e-9)
 
 
 def test_invalid_required_input_surfaces_as_value_error():
@@ -234,10 +252,10 @@ def test_non_bool_for_dnl_includes_mean_is_rejected(value):
 
 
 def test_integers_are_accepted_for_numbers():
-    raw = dict(minimal_raw(), f_max=2, a_max=3, mr3_epsilon=0)
+    raw = dict(minimal_raw(), f_max=2, a_max=3, mr3_epsilon=1)
     cfg = config_from_dict(raw)
-    assert (cfg.inputs.f_max, cfg.inputs.a_max, cfg.mr3_epsilon) == (2.0, 3.0, 0.0)
-    assert isinstance(cfg.inputs.a_max, float)
+    assert (cfg.inputs.f_max, cfg.inputs.a_max, cfg.mr3_epsilon) == (2.0, 3.0, 1.0)
+    assert isinstance(cfg.inputs.a_max, float) and isinstance(cfg.mr3_epsilon, float)
 
 
 @pytest.mark.parametrize(

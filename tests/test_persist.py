@@ -148,11 +148,26 @@ def test_load_rejects_wrong_artifact_kind(tmp_path, small_tests):
         persist.load_results(path)
 
 
-def test_load_rejects_unexpected_body_record(tmp_path):
+@pytest.mark.parametrize(
+    "kind, load",
+    [("bounds", persist.load_bounds), ("tests", persist.load_test_set),
+     ("results", persist.load_results)],
+    ids=["bounds", "tests", "results"],
+)
+def test_load_rejects_unexpected_body_record(tmp_path, kind, load):
+    path = tmp_path / "x.jsonl"
+    header = json.dumps({"record": "header", "schema_version": 1, "kind": kind})
+    path.write_text(header + "\n" + json.dumps({"record": "wat"}) + "\n")
+    with pytest.raises(persist.SchemaError, match="unexpected record 'wat'"):
+        load(path)
+
+
+def test_load_bounds_rejects_a_record_without_its_frequency(tmp_path):
     path = tmp_path / "x.jsonl"
     header = json.dumps({"record": "header", "schema_version": 1, "kind": "bounds"})
-    path.write_text(header + "\n" + json.dumps({"record": "wat"}) + "\n")
-    with pytest.raises(persist.SchemaError):
+    rows = [{"record": "bound", "bound": 1.0}, {"record": "bound", "frequency": 2.0, "bound": 1.0}]
+    path.write_text("\n".join([header, *map(json.dumps, rows)]) + "\n")
+    with pytest.raises(persist.SchemaError, match="frequency"):
         persist.load_bounds(path)
 
 
