@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--processes", type=int, default=20, help="fresh interpreters per command")
-    parser.add_argument("--steps", type=int, default=2000, help="samples per plants reference")
+    parser.add_argument("--steps", type=int, default=20000, help="samples of the plants reference")
     parser.add_argument("--repeats", type=int, default=3, help="timed plants runs; the best counts")
     args = parser.parse_args(argv)
     if args.processes < 1:

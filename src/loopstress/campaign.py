@@ -17,21 +17,22 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    bound -- skewed toward the bound, where the interesting behaviour is.
 4. *Execute* (:func:`execute_campaign`): run every test, score dnl, the
    per-component degree of filtering (for linear tests), saturation
-   fractions and the injected-non-linearity deviation.  Tests of similar
-   length run as the lanes of one lockstep loop, in chunks sized in bytes.
+   fractions and the injected-non-linearity deviation.  Each test is one
+   :func:`loopstress.plants.run_plant` call; chunks of tests, cut by
+   steps, are the units of work of the process pool.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .plants import LaneRun, PlantSpec, lane_step_bytes, run_lanes, run_plant
+from .plants import PlantRun, PlantSpec, load_kernel, run_plant
 from .signals import ShapeKind, TestCase, render_reference, snap_time_gain
 # ``fa_map`` and ``dof_profile`` are imported for callers that look them up
 # here (perfbench/tracer.py wraps them by name); the run stage scores from
@@ -253,6 +254,8 @@ def optimistic_amplitude_bound(
         raise ValueError("need either a plant or a probe")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if probe is None:
+        load_kernel()  # before the pool forks, so its workers inherit it
     bounds: dict[float, float] = {}
     closed: set[tuple[float, float]] = set()
     # What a search depends on: with the sine probe, the snapped period.
@@ -430,28 +433,19 @@ class TestResult(NamedTuple):
         return self.test.case
 
 
-# Largest chunk of the run stage, in bytes: its lanes times its longest
-# test's steps times ``plants.lane_step_bytes`` (10 for the drone, 18 for
-# the servo with friction, 8 more with a dead zone or backlash).  One period
-# of each reference is held besides, and each test's full reference only
-# while it is scored.  10.4 MB keeps a pool worker on the servo campaign
-# below the main process's peak in the analyze stage (about 42 MB), and is
-# what the former budget of 400,000 lane-steps at 26 bytes held at most.
-_CHUNK_BYTES = 10_400_000
-# Chunks narrower than this run test by test through ``run_plant``: one
-# lockstep step costs about as much as 20 to 30 scalar steps, nearly
-# whatever the lane count (``scripts/bench_sim.py`` measures both).
-_MIN_LANES = 25
+# Steps per run chunk, the pool's unit of work: about 0.1 s of simulation
+# and scoring, so the pool balances its workers and a chunk's results cost
+# little to send back.
+_CHUNK_STEPS = 250_000
 
 
 def _result(
-    plant: PlantSpec,
     test: GeneratedTest,
     reference: np.ndarray,
-    run: LaneRun,
+    run: PlantRun,
     inputs: RequiredInput,
 ) -> TestResult:
-    """Score one run from one spectrum per signal.
+    """Score one run over the full ``reference`` from one spectrum per signal.
 
     The numbers are those of ``fa_map`` on the reference and, on the run's
     trace, ``degree_of_nonlinearity`` and (for a linear run)
@@ -463,7 +457,7 @@ def _result(
         dnl = math.inf
         dof = {}
     else:
-        out_spec = spectral.dft_amplitude(run.output, plant.sample_interval)
+        out_spec = spectral.dft_amplitude(run.trace.output, run.trace.sample_interval)
         dnl = spectral.dnl_of_spectra(
             ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
         )
@@ -476,52 +470,33 @@ def _result(
         test=test,
         dnl=dnl,
         components=components,
-        actuator_saturation_fraction=run.actuator_saturation_fraction,
-        sensor_saturation_fraction=run.sensor_saturation_fraction,
-        deviation_mean=run.deviation_mean,
+        actuator_saturation_fraction=run.log.actuator_saturation_fraction,
+        sensor_saturation_fraction=run.log.sensor_saturation_fraction,
+        deviation_mean=run.log.mean_deviation,
         diverged=run.diverged,
     )
 
 
 def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
-    """Results of ``tests``, simulated as the lanes of one lockstep loop or,
-    fewer than ``_MIN_LANES``, one by one.
-
-    A lane's reference is one rendered period, repeated by ``run_lanes``:
-    ``render_reference`` derives each sample's phase from its index modulo
-    the period, so every period equals the first.  Each test's full
-    reference is rendered only to score it.
-    """
-    if len(tests) >= _MIN_LANES:
-        periods = [render_reference(replace(t.case, periods=1)) for t in tests]
-        runs = run_lanes(plant, periods, [t.case.periods for t in tests])
-        return [
-            _result(plant, test, render_reference(test.case), run, inputs)
-            for test, run in zip(tests, runs)
-        ]
+    """Results of ``tests``, each rendered once, simulated and scored."""
     results = []
     for test in tests:
         reference = render_reference(test.case)
-        run = LaneRun.of(run_plant(plant, reference))
-        results.append(_result(plant, test, reference, run, inputs))
+        results.append(_result(test, reference, run_plant(plant, reference), inputs))
     return results
 
 
-def _chunks(plant: PlantSpec, tests) -> list[list[int]]:
-    """Indices of ``tests`` cut into run chunks, longest tests first.
-
-    Tests are sorted by sample count, and each chunk takes as many as fit
-    in ``_CHUNK_BYTES`` at ``plant``'s bytes per lane-step and the length
-    of its first, longest test.
-    """
-    lane_steps = _CHUNK_BYTES // lane_step_bytes(plant)
+def _chunks(tests) -> list[list[int]]:
+    """Indices of ``tests`` cut into run chunks of about ``_CHUNK_STEPS``
+    steps, longest tests first, so no long test is left for the pool's end."""
     lengths = [t.case.periods * t.case.samples_per_period for t in tests]
-    order = sorted(range(len(tests)), key=lambda i: -lengths[i])
-    chunks, pos = [], 0
-    while pos < len(order):
-        width = max(1, lane_steps // lengths[order[pos]])
-        chunks.append(order[pos:pos + width])
-        pos += width
+    chunks, steps = [], _CHUNK_STEPS
+    for i in sorted(range(len(tests)), key=lambda i: -lengths[i]):
+        if steps >= _CHUNK_STEPS:
+            chunks.append([])
+            steps = 0
+        chunks[-1].append(i)
+        steps += lengths[i]
     return chunks
 
 
@@ -534,22 +509,22 @@ def execute_campaign(
 ) -> tuple[TestResult, ...]:
     """Run every generated test; results keep the test order.
 
-    Tests of similar length are simulated together as the lanes of one
-    lockstep loop (:func:`loopstress.plants.run_lanes`), in chunks of at
-    most ``_CHUNK_BYTES``; each chunk renders its own references.  Chunks
-    narrower than ``_MIN_LANES`` run test by test.
-    With ``workers > 1`` the chunks go to a process pool, longest first.
-    Each test is an independent deterministic simulation, and both paths
-    give the same bits, so the outcome is identical for any ``workers``
-    count; workers only trade wall time.  ``progress(done, total)``, if
-    given, is called with the number of tests collected after each chunk.
+    Each test is rendered, simulated through :func:`run_plant` and scored.
+    Tests are cut into chunks of about ``_CHUNK_STEPS`` steps, and with
+    ``workers > 1`` the chunks go to a process pool, longest tests first.
+    Each test is an independent deterministic simulation, so the outcome is
+    identical for any ``workers`` count; workers only trade wall time.
+    ``progress(done, total)``, if given, is called with the number of tests
+    collected after each chunk.
     """
     if isinstance(tests, TestSet):
         tests = tests.tests
     tests = tuple(tests)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    chunks = _chunks(plant, tests)
+    _check_sampling(plant, inputs)
+    load_kernel()  # before the pool forks, so its workers inherit it
+    chunks = _chunks(tests)
     run_chunk = functools.partial(_run_chunk, plant, inputs)
     chunk_tests = [[tests[i] for i in chunk] for chunk in chunks]
     results: list = [None] * len(tests)

@@ -22,18 +22,20 @@ is instrumented: saturation flags plus the absolute deviation each injected
 block introduced relative to an ideal linear counterpart, so test outcomes
 can be attributed to specific non-linearities afterwards.
 
-Two steppers run the loop: ``_simulate`` one reference at a time and
-``_step_lanes`` many in lockstep, with the same float operations.  Both only
-step: they keep the outputs and velocities, and of the instrumentation only
-what depends on the command inside a step.  One post-pass,
+One stepper runs the loop: ``stepper.c``, compiled at first use with
+``gcc`` into the package's ``__pycache__`` (see :func:`load_kernel`).
+``_simulate`` is the same loop in Python, with the same float operations
+in the same order: the reference implementation, and the fallback, 20 to
+45 times slower, where no compiler is found or the build fails.  Both only
+step: they keep the outputs and velocities, and of the instrumentation
+only what depends on the command inside a step.  One post-pass,
 ``_instrument``, derives the sensor flags and the deviation log from those.
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -59,9 +61,7 @@ __all__ = [
     "InstrumentationLog",
     "PlantRun",
     "run_plant",
-    "LaneRun",
-    "lane_step_bytes",
-    "run_lanes",
+    "load_kernel",
 ]
 
 # kind -> required parameter names
@@ -326,14 +326,19 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     step including any friction blocks.  The run is deterministic.  If the
     output magnitude exceeds ``1e6`` times the largest reference value (or
     turns non-finite) the simulation stops and the run is flagged diverged,
-    with the trace truncated to the completed steps.
+    with the trace truncated to the completed steps.  The first step is
+    never checked, so a state that overflows in it leaves a non-finite
+    output, which raises ``ValueError`` as a non-finite reference does.
     """
     ref, limit = _checked_reference(reference)
     c = _loop(spec)
-    out, vel, act, a_sat, shaping_dev, diverged = _simulate(c, ref.tolist(), limit)
-    out = np.asarray(out, dtype=float)
-    s_sat, dev = _instrument(c, out, np.asarray(vel), np.asarray(shaping_dev))
+    kernel = load_kernel()
+    if kernel is None:
+        out, vel, act, a_sat, shaping_dev, diverged = _simulate(c, ref.tolist(), limit)
+    else:
+        out, vel, act, a_sat, shaping_dev, diverged = _compiled(kernel, c, ref, limit)
     trace = Trace(reference=ref[:len(out)], output=out, sample_interval=spec.sample_interval)
+    s_sat, dev = _instrument(c, trace.output, np.asarray(vel), np.asarray(shaping_dev))
     log = InstrumentationLog(
         actuator_saturated=np.asarray(a_sat, dtype=bool),
         sensor_saturated=s_sat,
@@ -341,6 +346,117 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
         actuation=np.asarray(act, dtype=float),
     )
     return PlantRun(trace=trace, log=log, diverged=diverged)
+
+
+# The command that builds ``stepper.c``: that file says why these flags and
+# no others.
+_COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_kernel = None  # the loaded stepper; False once it could not be built
+
+
+def load_kernel():
+    """The compiled stepper, built and loaded at its first use in this
+    process; None if that failed, after one line on stderr, and then
+    :func:`run_plant` runs ``_simulate``, with the same results.
+
+    The shared object is cached in the package's ``__pycache__`` under the
+    sha256 of the C source, the compiler command and the machine, so a
+    checkout builds it once.  A build writes to a temporary name and renames
+    the file into place, so processes that build at once never load a
+    half-written file.  Where ``__pycache__`` is not writable, each process
+    builds in a private temporary directory.  Call this before forking
+    workers, so that they inherit the loaded library.
+    """
+    global _kernel
+    if _kernel is None:
+        import subprocess
+
+        try:
+            _kernel = _build_and_load()
+        except (OSError, subprocess.SubprocessError) as exc:
+            print(f"loopstress: no compiled stepper ({exc}); simulating in Python, "
+                  "20 to 45 times slower", file=sys.stderr)
+            _kernel = False
+    return _kernel or None
+
+
+def _build_and_load():
+    """``simulate`` of the cached shared object, which is built if missing."""
+    import hashlib
+    import platform
+    import tempfile
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "stepper.c")
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(b"\0".join(
+            [fh.read(), " ".join(_COMPILE).encode(), platform.machine().encode()]
+        )).hexdigest()[:16]
+    cache = os.path.join(here, "__pycache__")
+    shared = os.path.join(cache, f"stepper-{key}.so")
+    if not os.path.exists(shared):
+        try:
+            os.makedirs(cache, exist_ok=True)
+        except OSError:
+            pass
+        if not os.access(cache, os.W_OK):
+            with tempfile.TemporaryDirectory() as private:
+                shared = os.path.join(private, "stepper.so")
+                _compile(source, shared)
+                return _load(shared)  # a loaded library outlives its file
+        _compile(source, shared)
+    return _load(shared)
+
+
+def _compile(source: str, target: str) -> None:
+    import subprocess
+
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        subprocess.run([*_COMPILE, "-o", partial, source, "-lm"], check=True, capture_output=True)
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _load(path: str):
+    import ctypes
+
+    from numpy.ctypeslib import ndpointer
+
+    doubles = ndpointer(np.float64, flags="C_CONTIGUOUS")
+    simulate = ctypes.CDLL(path).simulate
+    simulate.argtypes = [
+        doubles, ctypes.c_int, doubles, ctypes.c_long, ctypes.c_double, doubles, doubles,
+        doubles, ndpointer(np.bool_, flags="C_CONTIGUOUS"), doubles,
+        ndpointer(np.intc, flags="C_CONTIGUOUS"),
+    ]
+    simulate.restype = ctypes.c_long
+    return simulate
+
+
+# The scalars of :func:`_loop` in the order of the compiled stepper's ``p``,
+# and the ones of blocks that may be absent, bit ``i`` of its ``blocks``
+# telling whether the ``i``-th is present.
+_KERNEL_PARAMS = (
+    "dt", "gain", "damping", "inertia", "kp", "ki", "kd", "alpha", "pwm_step", "sens_lo",
+    "sens_hi", "sens_step", "dz_hw", "bl_half", "act_lo", "act_hi", "coulomb", "quad",
+)
+_KERNEL_BLOCKS = ("sens_lo", "sens_step", "dz_hw", "bl_half", "act_lo", "coulomb", "quad")
+
+
+def _compiled(kernel, c: SimpleNamespace, ref: np.ndarray, limit: float):
+    """What :func:`_simulate` returns, from the compiled ``kernel``, as arrays."""
+    values = [getattr(c, name) for name in _KERNEL_PARAMS]
+    p = np.array([0.0 if v is None else v for v in values])
+    blocks = sum(1 << i for i, name in enumerate(_KERNEL_BLOCKS) if getattr(c, name) is not None)
+    n = len(ref)
+    out, vel, act, dev = np.empty((4, n))
+    a_sat = np.empty(n, dtype=bool)
+    diverged = np.zeros(1, dtype=np.intc)
+    m = kernel(p, blocks, np.ascontiguousarray(ref), n, limit, out, vel, act, a_sat, dev, diverged)
+    return out[:m], vel[:m], act[:m], a_sat[:m], dev[:m], bool(diverged[0])
 
 
 def _loop(spec: PlantSpec) -> SimpleNamespace:
@@ -380,7 +496,9 @@ def _loop(spec: PlantSpec) -> SimpleNamespace:
 
 
 def _simulate(c: SimpleNamespace, ref: list, limit: float):
-    """Run the shared loop with the scalars ``c`` of :func:`_loop`.
+    """Run the shared loop with the scalars ``c`` of :func:`_loop`: the
+    reference implementation of ``stepper.c``, which must give the same
+    bits, and the fallback where that cannot be built.
 
     Returns per-step lists of the output and velocity at the step's start,
     the actuation, the actuator flags and the dead zone's and backlash's
@@ -411,7 +529,7 @@ def _simulate(c: SimpleNamespace, ref: list, limit: float):
             elif meas < sens_lo:
                 meas = sens_lo
         if sens_step is not None:
-            meas = math.floor(meas / sens_step + 0.5) * sens_step
+            meas = _floor(meas / sens_step + 0.5) * sens_step
 
         e = r - meas
         d_raw = 0.0 if prev_meas is None else (meas - prev_meas) / dt
@@ -439,7 +557,7 @@ def _simulate(c: SimpleNamespace, ref: list, limit: float):
             elif u < act_lo:
                 u, aflag = act_lo, True
         if pwm_step > 0.0:  # duty-cycle averaged PWM: quantised drive voltage
-            u = math.floor(u / pwm_step + 0.5) * pwm_step
+            u = _floor(u / pwm_step + 0.5) * pwm_step
         a_sat.append(aflag)
         act.append(u)
         integ += ki * e * dt
@@ -457,6 +575,12 @@ def _simulate(c: SimpleNamespace, ref: list, limit: float):
                 diverged = True
                 break
     return out, vel, act, a_sat, dev_log, diverged
+
+
+def _floor(y: float):
+    """``math.floor`` as C's ``floor`` in the compiled stepper: infinities
+    and NaN pass through instead of raising."""
+    return math.floor(y) if math.isfinite(y) else y
 
 
 def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray | None,
@@ -480,259 +604,3 @@ def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray | None,
         fdev = fdev + np.abs(fq - (-c.quad_lin * v))
     dev = np.zeros(len(out)) if shaping_dev is None else shaping_dev
     return sensor, dev + fdev
-
-
-class LaneRun(collections.namedtuple(
-    "LaneRun",
-    "output deviation_mean actuator_saturation_fraction sensor_saturation_fraction diverged",
-)):
-    """What the run stage reads of one closed-loop simulation.
-
-    Each field equals its counterpart in the :class:`PlantRun` that
-    :func:`run_plant` returns for the same reference, bit for bit:
-    ``trace.output``, ``log.mean_deviation``, the two saturation fractions
-    and ``diverged``.  (A named tuple: a dataclass costs about as much to
-    create at import as the rest of this module.)
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, run: PlantRun) -> LaneRun:
-        """The fields of ``run`` that a lane run holds."""
-        return cls(
-            output=run.trace.output,
-            deviation_mean=run.log.mean_deviation,
-            actuator_saturation_fraction=run.log.actuator_saturation_fraction,
-            sensor_saturation_fraction=run.log.sensor_saturation_fraction,
-            diverged=run.diverged,
-        )
-
-
-def lane_step_bytes(spec: PlantSpec) -> int:
-    """Bytes that :func:`run_lanes` holds per lane and step for ``spec``.
-
-    Every lane keeps its outputs (8 bytes) and its actuator flags above and
-    below (2); the velocities (8) only when a friction block needs them, and
-    the dead zone's and backlash's deviation (8) only when one is attached.
-    """
-    keep_v, keep_dev = _kept_rows(_loop(spec))
-    return 10 + 8 * keep_v + 8 * keep_dev
-
-
-def _kept_rows(c: SimpleNamespace) -> tuple[bool, bool]:
-    """Whether :func:`run_lanes` keeps every step's velocities (friction
-    reads them) and the dead zone's and backlash's deviation."""
-    return (c.coulomb is not None or c.quad is not None,
-            c.dz_hw is not None or c.bl_half is not None)
-
-
-def run_lanes(spec: PlantSpec, references, repeats=None) -> tuple[LaneRun, ...]:
-    """Simulate ``spec`` over every reference at once; results keep their order.
-
-    Lane ``j``'s reference is ``references[j]`` repeated ``repeats[j]``
-    times (once when ``repeats`` is None), so a periodic reference can be
-    given as one period.  The references may differ in length.  They become
-    the lanes of one lockstep loop that performs :func:`run_plant`'s float
-    operations in its order, with every state variable held as an array over
-    the lanes, so a step costs a few dozen numpy calls whatever the lane
-    count.  Lanes are sorted by length, longest first, so the lanes still
-    running always form a prefix.  Memory grows with lanes times steps, by
-    :func:`lane_step_bytes` per lane-step, on top of the references as
-    given.  Each ``output`` is a view of one array that holds every lane's
-    outputs.
-    """
-    checked = [_checked_reference(r) for r in references]
-    if not checked:
-        return ()
-    if repeats is None:
-        repeats = [1] * len(checked)
-    if len(repeats) != len(checked) or min(repeats) < 1:
-        raise ValueError("need one repeat count of at least 1 per reference")
-    order = sorted(range(len(checked)), key=lambda j: -len(checked[j][0]) * repeats[j])
-    lengths = [len(checked[j][0]) * repeats[j] for j in order]
-    steps, n_lanes = lengths[0], len(order)
-    c = _loop(spec)
-
-    refs = [checked[j][0] for j in order]
-    keep_v, blocks_dev = _kept_rows(c)
-    # Row i holds every lane's output (velocity) at the start of step i.
-    # Without friction, which alone reads the velocities afterwards, two
-    # rows serve the loop in turn.
-    out_rows = np.zeros((steps + 1, n_lanes))
-    v_rows = np.zeros((steps + 1 if keep_v else 2, n_lanes))
-    # Deviation of the dead zone and backlash; friction's is derived below.
-    dev_rows = np.zeros((steps, n_lanes if blocks_dev else 0))
-    # Saturation above and below are exclusive, so their counts add up.
-    a_hi_rows, a_lo_rows = np.zeros((2, steps, n_lanes), dtype=bool)
-
-    with np.errstate(all="ignore"):
-        _step_lanes(c, lengths, refs, out_rows, v_rows, keep_v, dev_rows, a_hi_rows, a_lo_rows)
-
-    runs: list = [None] * n_lanes
-    for lane, j in enumerate(order):
-        # The lane diverged at step i >= 1 if the output after it breaks
-        # ``|x| <= limit`` (or is not finite when the limit is infinite).  A
-        # non-finite velocity makes that output non-finite, so the output
-        # alone decides.  Lanes ran on past their divergence.
-        limit = checked[j][1] if math.isfinite(checked[j][1]) else sys.float_info.max
-        with np.errstate(invalid="ignore"):
-            broken = ~(np.abs(out_rows[2:lengths[lane] + 1, lane]) <= limit)
-        first = int(broken.argmax())
-        diverged = bool(broken[first])
-        m = first + 2 if diverged else lengths[lane]
-        output = out_rows[:m, lane]
-        if not np.all(np.isfinite(output)):
-            raise ValueError("trace contains non-finite samples")  # as run_plant's Trace
-        s_sat, dev = _instrument(
-            c, output, v_rows[:m, lane] if keep_v else None,
-            dev_rows[:m, lane] if blocks_dev else None,
-        )
-        a_sat = np.count_nonzero(a_hi_rows[:m, lane]) + np.count_nonzero(a_lo_rows[:m, lane])
-        runs[j] = LaneRun(
-            output=output,
-            deviation_mean=float(np.mean(dev)),
-            actuator_saturation_fraction=int(a_sat) / m,
-            sensor_saturation_fraction=float(np.mean(s_sat)),
-            diverged=diverged,
-        )
-    return tuple(runs)
-
-
-def _reference_rows(refs, start: int, stop: int, k: int, block: int = 1024):
-    """Rows ``start`` to ``stop`` of the first ``k`` references side by side,
-    each repeated as far as needed, assembled a block of rows at a time, so
-    that no steps-by-lanes copy of the references is ever held."""
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        index = np.arange(lo, hi)
-        rows = np.empty((hi - lo, k))
-        for lane in range(k):
-            rows[:, lane] = refs[lane].take(index, mode="wrap")
-        yield from rows
-
-
-def _row_pairs(rows, start: int, stop: int, k: int, kept: bool):
-    """``(row i, row i + 1)`` of the first ``k`` lanes for the steps ``i``
-    from ``start``: of ``rows`` if it ``kept`` every step, else of its two
-    rows in turn, row ``i % 2`` holding step ``i``."""
-    if kept:
-        return zip(rows[start:stop, :k], rows[start + 1:stop + 1, :k])
-    even, odd = rows[0, :k], rows[1, :k]
-    turns = ((even, odd), (odd, even))
-    return itertools.cycle(turns if start % 2 == 0 else turns[::-1])
-
-
-def _step_lanes(c: SimpleNamespace, lengths, refs, out_rows, v_rows, keep_v, dev_rows,
-                a_hi_rows, a_lo_rows) -> None:
-    """The lockstep loop of :func:`run_lanes`; fills the ``*_rows`` arrays
-    (``v_rows`` holds every step only if ``keep_v``, else two in turn).
-
-    Each expression below is ``_simulate``'s, with ``np.copyto(...,
-    where=...)`` for its branches; keep the two in step.  Every constant is
-    an array over the lanes: numpy converts a Python float on each call,
-    which costs as much as the operation.  The sensor flags and the friction
-    deviation depend only on the stored outputs and velocities, so
-    :func:`_instrument` derives them after the loop, as for ``_simulate``.
-    """
-    n_lanes = len(lengths)
-    absent = 0.0  # placeholder for the parameters of blocks that are absent
-    table = np.array([
-        c.dt, c.gain, c.damping, c.inertia, c.kp, c.ki, c.kd, c.alpha, c.pwm_step,
-        *(absent if p is None else p for p in (
-            c.sens_lo, c.sens_hi, c.sens_step, c.dz_hw, c.bl_half, c.act_lo, c.act_hi,
-        )),
-        absent if c.dz_hw is None else -c.dz_hw,
-        # ``fric = 0.0; fric += fc`` for fc = -coulomb (moving up) or coulomb
-        *((absent,) * 2 if c.coulomb is None else (0.0 + -c.coulomb, 0.0 + c.coulomb)),
-        absent if c.quad is None else -c.quad,
-        0.0, 0.5,
-    ])
-    table = np.repeat(table[:, None], n_lanes, axis=1)
-    sens_sat, quantize = c.sens_lo is not None, c.sens_step is not None
-    dead_zone, backlash, act_sat = c.dz_hw is not None, c.bl_half is not None, c.act_lo is not None
-    pwm, coulomb, quad = c.pwm_step > 0.0, c.coulomb is not None, c.quad is not None
-    # With bounds of no zero, min/max equal the branches bit for bit; at a
-    # zero bound they may pick the other signed zero.
-    sens_minmax = sens_sat and c.sens_lo != 0.0 and c.sens_hi != 0.0
-    act_minmax = act_sat and c.act_lo != 0.0 and c.act_hi != 0.0
-
-    integ, dfilt, bl_state = np.zeros((3, n_lanes))
-    prev_meas = None
-    # Steps [start, stop) share the active lane count k.
-    segments, start = [], 0
-    for k in range(n_lanes, 0, -1):
-        stop = lengths[k - 1]
-        if stop > start:
-            segments.append((k, start, stop))
-            start = stop
-
-    copyto, add = np.copyto, np.add
-    for k, start, stop in segments:
-        (dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step, sens_lo, sens_hi,
-         sens_step, dz_hw, bl_half, act_lo, act_hi, neg_dz_hw, fric_up, fric_down,
-         neg_quad, zero, half) = table[:, :k].copy()
-        integ, dfilt, bl_state = integ[:k], dfilt[:k], bl_state[:k]
-        if prev_meas is not None:
-            prev_meas = prev_meas[:k]
-        rows = zip(
-            _reference_rows(refs, start, stop, k), _row_pairs(out_rows, start, stop, k, True),
-            _row_pairs(v_rows, start, stop, k, keep_v), dev_rows[start:stop, :k],
-            a_hi_rows[start:stop, :k], a_lo_rows[start:stop, :k],
-        )
-        for r, (x, x_next), (v, v_next), dev_row, a_hi, a_lo in rows:
-            meas = x
-            if sens_minmax:
-                meas = np.minimum(np.maximum(x, sens_lo), sens_hi)
-            elif sens_sat:
-                meas = x.copy()
-                copyto(meas, sens_hi, where=x > sens_hi)
-                copyto(meas, sens_lo, where=x < sens_lo)
-            if quantize:
-                meas = np.floor(meas / sens_step + half) * sens_step
-
-            e = r - meas
-            d_raw = zero if prev_meas is None else (meas - prev_meas) / dt
-            prev_meas = meas
-            dfilt = dfilt + alpha * (d_raw - dfilt)
-            u = kp * e + integ - kd * dfilt
-
-            dev = zero
-            if dead_zone:
-                shaped = zero.copy()
-                copyto(shaped, u - dz_hw, where=u > dz_hw)
-                copyto(shaped, u + dz_hw, where=u < neg_dz_hw)
-                dev = dev + np.abs(shaped - u)
-                u = shaped
-            if backlash:
-                held = bl_state.copy()
-                copyto(held, u - bl_half, where=u > bl_state + bl_half)
-                copyto(held, u + bl_half, where=u < bl_state - bl_half)
-                bl_state = held
-                dev = dev + np.abs(bl_state - u)
-                u = bl_state
-            if dead_zone or backlash:
-                dev_row[...] = dev
-            if act_sat:
-                np.greater(u, act_hi, out=a_hi)
-                np.less(u, act_lo, out=a_lo)
-                if act_minmax:
-                    u = np.minimum(np.maximum(u, act_lo), act_hi)
-                else:
-                    u = u.copy()
-                    copyto(u, act_hi, where=a_hi)
-                    copyto(u, act_lo, where=a_lo)
-            if pwm:
-                u = np.floor(u / pwm_step + half) * pwm_step
-            integ = integ + ki * e * dt
-
-            fric = zero
-            if coulomb:
-                fric = zero.copy()
-                copyto(fric, fric_down, where=v != zero)
-                copyto(fric, fric_up, where=v > zero)
-            if quad:
-                fric = fric + neg_quad * v * np.abs(v)
-
-            add(v, (gain * u + fric - damping * v) / inertia * dt, out=v_next)
-            add(x, v_next * dt, out=x_next)

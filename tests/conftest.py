@@ -1,16 +1,29 @@
 """Shared helpers for the test suite.
 
 Provides a brute-force spectrum oracle (direct O(N^2) evaluation of the
-DFT sum, independent of any FFT library) and a factory for synthetic
+DFT sum, independent of any FFT library), a factory for synthetic
 ``TestResult`` records so analysis-level behaviour can be tested without
-running simulations.
+running simulations, and the ``stepper`` fixture, which runs a test once on
+each of the plant simulator's two steppers.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from loopstress import plants
 from loopstress.campaign import Component, GeneratedTest, TestResult
 from loopstress.signals import ShapeKind, TestCase, snap_time_gain
+
+
+@pytest.fixture(params=["compiled", "python"])
+def stepper(request, monkeypatch):
+    """Runs a test on the compiled stepper, then on ``plants._simulate``."""
+    if request.param == "compiled":
+        assert plants.load_kernel() is not None
+    else:
+        monkeypatch.setattr(plants, "load_kernel", lambda: None)
+    return request.param
 
 
 def brute_force_spectrum(samples, sample_interval):

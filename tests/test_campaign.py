@@ -23,11 +23,8 @@ from loopstress.campaign import (
     pick_num_periods,
 )
 from loopstress.plants import (
-    coulomb_friction,
     dc_servo_spec,
-    dead_zone,
     drone_spec,
-    lane_step_bytes,
     quadratic_friction,
     run_plant,
 )
@@ -519,13 +516,10 @@ def reference_run_one(plant, test, inputs):
         drone_spec(),
         dc_servo_spec(extra_blocks=(quadratic_friction(0.002),)),
         drone_spec(kp=-30.0, thrust_limit=0.0),  # every test diverges
-        # Steps twice as long as the references' samples: dof keys come
-        # from the output's spectrum, as in dof_profile, and miss but 0 Hz.
-        drone_spec(sample_interval=0.002),
     ],
-    ids=["drone", "servo-friction", "diverging", "coarser-plant"],
+    ids=["drone", "servo-friction", "diverging"],
 )
-def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
+def test_chunks_score_like_run_plant(monkeypatch, stepper, plant):
     inputs = RequiredInput(
         f_min=0.5, f_max=2.0, a_max=1.0, delta_a=0.25, base_periods=1,
         dnl_includes_mean=False,
@@ -536,11 +530,8 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
     tests = generate_test_set(
         bound_map, (ShapeKind.SQUARE, ShapeKind.SINE), inputs, seed=11
     ).tests
-    # The byte budget of 6,000 lane-steps at this plant's bytes per lane-step.
-    monkeypatch.setattr(campaign, "_CHUNK_BYTES", 6000 * lane_step_bytes(plant))
-    monkeypatch.setattr(campaign, "_MIN_LANES", 4)
-    widths = sorted(len(chunk) for chunk in campaign._chunks(plant, tests))
-    assert widths[0] < 4 <= widths[-1] and len(widths) > 3  # both paths, several chunks
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 6000)
+    assert len(campaign._chunks(tests)) > 3
     expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
     for workers in (1, 2, 3):
         results = execute_campaign(plant, tests, inputs, workers=workers)
@@ -548,39 +539,28 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
         assert repr(results) == repr(expected)  # the sign of zero, too
 
 
-@pytest.mark.parametrize(
-    "plant",
-    [drone_spec(), dc_servo_spec(extra_blocks=(quadratic_friction(0.002),)),
-     drone_spec(extra_blocks=(dead_zone(0.05), coulomb_friction(0.1)))],
-    ids=["drone", "servo-friction", "drone-dead-zone-friction"],
-)
-def test_chunks_fit_the_byte_budget(plant):
+def test_execute_rejects_mismatched_sampling():
+    # The references would run at twice their time scale.
+    tests, inputs = small_test_set()
+    with pytest.raises(ValueError, match="sample intervals differ"):
+        execute_campaign(COARSE_DRONE, tests, inputs)
+
+
+def test_chunks_cut_the_longest_tests_first_by_steps(monkeypatch):
     inputs = RequiredInput(f_min=0.05, f_max=2.0, a_max=1.0, delta_a=0.1, base_periods=3)
     bound_map = AmplitudeBoundMap(frequencies=(0.05, 2.0), bounds=(1.0, 0.5))
     tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=2).tests
-    chunks = campaign._chunks(plant, tests)
-    assert sorted(i for chunk in chunks for i in chunk) == list(range(len(tests)))
-    lengths = [t.case.periods * t.case.samples_per_period for t in tests]
-    budget = campaign._CHUNK_BYTES // lane_step_bytes(plant)
-    for chunk in chunks:
-        longest = max(lengths[i] for i in chunk)
-        assert lengths[chunk[0]] == longest
-        assert len(chunk) == 1 or len(chunk) * longest <= budget
-    # Each chunk is as wide as the budget allows, but the last.
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 100_000)
+    chunks = campaign._chunks(tests)
+    order = [i for chunk in chunks for i in chunk]
+    assert sorted(order) == list(range(len(tests)))
+    length = [t.case.periods * t.case.samples_per_period for t in tests]
+    assert [length[i] for i in order] == sorted(length, reverse=True)
+    # Every chunk but the last reaches the budget, and only its last test
+    # takes it there.
     for chunk in chunks[:-1]:
-        assert (len(chunk) + 1) * lengths[chunk[0]] > budget
-
-
-def test_long_drone_tests_run_as_lanes():
-    # 30,000-step drone tests (three periods at 0.1 Hz) hold 10 bytes per
-    # lane-step, so a chunk of them is wide enough to run as lanes.
-    inputs = RequiredInput(f_min=0.1, f_max=0.11, a_max=1.0, delta_a=0.01, base_periods=3)
-    bound_map = AmplitudeBoundMap(frequencies=(0.1, 0.11), bounds=(1.0, 1.0))
-    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=0).tests
-    assert tests[0].case.periods * tests[0].case.samples_per_period == 30_000
-    chunks = campaign._chunks(drone_spec(), tests[:100])
-    assert len(chunks[0]) >= campaign._MIN_LANES
-    assert len(chunks[0]) * 30_000 * lane_step_bytes(drone_spec()) <= campaign._CHUNK_BYTES
+        total = sum(length[i] for i in chunk)
+        assert total - length[chunk[-1]] < 100_000 <= total
 
 
 @pytest.mark.parametrize("workers, expected", [(2, 2), (3, 3), (4, 3), (8, 3)])
@@ -606,9 +586,9 @@ def test_run_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, expec
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     tests, inputs = small_test_set()
-    # 16,000 lane-steps cut the ten tests into chunks of 4, 4 and 2.
-    monkeypatch.setattr(campaign, "_CHUNK_BYTES", 16_000 * lane_step_bytes(drone_spec()))
-    assert len(campaign._chunks(drone_spec(), tests.tests)) == 3
+    # 10,000 steps cut the ten tests into chunks of 3, 3 and 4.
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 10_000)
+    assert len(campaign._chunks(tests.tests)) == 3
     results = execute_campaign(drone_spec(), tests, inputs, workers=workers)
     assert sizes == [expected]
     assert results == execute_campaign(drone_spec(), tests, inputs, workers=1)

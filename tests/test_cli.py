@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from loopstress import analysis, cli, persist
+from loopstress import analysis, cli, persist, plants
 from loopstress.signals import ShapeKind
 
 from conftest import make_result, violation_family
@@ -143,6 +143,31 @@ def test_worker_count_does_not_change_artifacts(tmp_path):
     )
     for name in ARTIFACTS:
         assert digest(serial / name) == digest(parallel / name), name
+
+
+SERVO_FRICTION = {
+    "model": "dc_servo",
+    "blocks": [
+        {"kind": "actuator_saturation", "lo": -10.0, "hi": 10.0},
+        {"kind": "sensor_saturation", "lo": -4.0, "hi": 4.0},
+        {"kind": "quantizer", "step": 0.0015339807878856412},
+        {"kind": "backlash", "play": 0.05},
+        {"kind": "quadratic_friction", "coef": 0.002},
+    ],
+}
+
+
+@pytest.mark.parametrize("plant", ["drone", "servo-friction"])
+def test_the_python_stepper_writes_the_compiled_steppers_artifacts(tmp_path, monkeypatch, plant):
+    overrides = {"plant": SERVO_FRICTION, "a_max": 6.0, "delta_a": 1.5} if plant != "drone" else {}
+    cfg = write_config(tmp_path, **overrides)
+    compiled, python = tmp_path / "compiled", tmp_path / "python"
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(compiled)]) in (0, 2)
+    monkeypatch.setattr(plants, "load_kernel", lambda: None)
+    argv = ["campaign", "--config", str(cfg), "--out", str(python), "--workers", "2"]
+    assert cli.main(argv) in (0, 2)
+    for name in ARTIFACTS:
+        assert digest(compiled / name) == digest(python / name), name
 
 
 def test_seed_override_changes_the_test_set(tmp_path):

@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from loopstress import plants
 from loopstress.plants import (
     BLOCK_KINDS,
     NonlinearBlock,
@@ -20,10 +22,8 @@ from loopstress.plants import (
     dc_servo_spec,
     dead_zone,
     drone_spec,
-    lane_step_bytes,
     quadratic_friction,
     quantizer,
-    run_lanes,
     run_plant,
     sensor_saturation,
 )
@@ -565,8 +565,7 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_simulation_output_is_bit_exact(name):
+def golden_digest(name):
     spec, (shape, amp, time_gain, periods) = GOLDEN_CASES[name]
     run = simulate(spec, shape=shape, amp=amp, time_gain=time_gain, periods=periods)
     h = hashlib.sha256()
@@ -579,35 +578,69 @@ def test_simulation_output_is_bit_exact(name):
     ):
         h.update(arr.tobytes())
     h.update(bytes([run.diverged]))
-    assert h.hexdigest()[:16] == GOLDEN_DIGESTS[name]
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_simulation_output_is_bit_exact(name):
+    assert plants.load_kernel() is not None  # the compiled stepper runs these
+    assert golden_digest(name) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_python_stepper_output_is_bit_exact(monkeypatch, name):
+    monkeypatch.setattr(plants, "load_kernel", lambda: None)
+    assert golden_digest(name) == GOLDEN_DIGESTS[name]
+
+
+def test_a_failed_build_falls_back_to_the_golden_digests(monkeypatch, capfd):
+    # A compiler that is not there, under a command no cached object was
+    # built with.
+    monkeypatch.setattr(plants, "_kernel", None)
+    monkeypatch.setattr(plants, "_COMPILE", ("loopstress-no-such-compiler", *plants._COMPILE[1:]))
+    assert all(golden_digest(name) == GOLDEN_DIGESTS[name] for name in GOLDEN_CASES)
+    assert plants._kernel is False
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "simulating in Python" in err
+
+
+def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
+    cache = Path(plants.__file__).with_name("__pycache__")
+    before = set(cache.glob("*.so"))
+    monkeypatch.setattr(plants, "_kernel", None)
+    # A command no cached object was built with, so the stepper is built.
+    monkeypatch.setattr(plants, "_COMPILE", (*plants._COMPILE, "-DLOOPSTRESS_PRIVATE_BUILD"))
+    monkeypatch.setattr(plants.os, "access", lambda path, mode: False)
+    assert plants.load_kernel() is not None
+    assert golden_digest("servo_pwm-all-sine") == GOLDEN_DIGESTS["servo_pwm-all-sine"]
+    assert set(cache.glob("*.so")) == before
 
 
 # ---------------------------------------------------------------------------
-# lockstep lanes: every lane equals run_plant bit for bit
+# the compiled stepper against _simulate, bit for bit
 # ---------------------------------------------------------------------------
 
 
-def same_float(a: float, b: float) -> bool:
-    """Equal bits up to the NaN payload (the sign of zero counts)."""
-    return (math.isnan(a) and math.isnan(b)) or (
-        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+def outcome(spec, reference):
+    """Every array of ``run_plant``'s run as bytes, signed zeros included,
+    and the divergence flag; or the message of the ValueError it raised."""
+    try:
+        run = run_plant(spec, reference)
+    except ValueError as exc:
+        return str(exc)
+    arrays = (
+        run.trace.reference, run.trace.output, run.log.actuation, run.log.actuator_saturated,
+        run.log.sensor_saturated, run.log.nonlinearity_deviation,
     )
+    return [(a.dtype.str, a.tobytes()) for a in arrays] + [run.diverged]
 
 
-def assert_lanes_match_run_plant(spec, references):
-    lanes = run_lanes(spec, references)
-    assert len(lanes) == len(references)
-    for ref, lane in zip(references, lanes):
-        run = run_plant(spec, ref)
-        assert lane.output.dtype == run.trace.output.dtype
-        assert lane.output.shape == run.trace.output.shape  # the truncation length
-        assert lane.output.tobytes() == run.trace.output.tobytes()
-        assert lane.diverged == run.diverged
-        assert type(lane.deviation_mean) is type(run.log.mean_deviation) is float
-        assert type(lane.actuator_saturation_fraction) is type(lane.sensor_saturation_fraction) is float
-        assert same_float(lane.deviation_mean, run.log.mean_deviation)
-        assert same_float(lane.actuator_saturation_fraction, run.log.actuator_saturation_fraction)
-        assert same_float(lane.sensor_saturation_fraction, run.log.sensor_saturation_fraction)
+def assert_kernel_matches_simulate(spec, references):
+    assert plants.load_kernel() is not None
+    for reference in references:
+        compiled = outcome(spec, reference)
+        with mock.patch.object(plants, "load_kernel", lambda: None):
+            assert outcome(spec, reference) == compiled
 
 
 def golden_reference(shape, amp, time_gain, periods):
@@ -618,38 +651,26 @@ def golden_reference(shape, amp, time_gain, periods):
 
 @pytest.mark.parametrize("extra", sorted(GOLDEN_EXTRAS))
 @pytest.mark.parametrize("plant", sorted(GOLDEN_PLANTS))
-def test_lanes_match_run_plant_on_the_golden_specs(plant, extra):
+def test_kernel_matches_simulate_on_the_golden_specs(plant, extra):
     spec = GOLDEN_PLANTS[plant](GOLDEN_EXTRAS[extra])
-    # Four references of 2000, 1500, 2000 and 1000 samples in one lane set.
-    assert_lanes_match_run_plant(spec, [golden_reference(*p) for p in GOLDEN_POINTS.values()])
+    assert_kernel_matches_simulate(spec, [golden_reference(*p) for p in GOLDEN_POINTS.values()])
 
 
-def test_lanes_truncate_a_diverging_lane_like_run_plant():
+def test_kernel_truncates_a_diverging_run_like_simulate():
     spec, point = GOLDEN_CASES["diverging"]
     references = [golden_reference(*point), golden_reference(ShapeKind.SQUARE, 2.0, 0.5, 3)]
-    assert_lanes_match_run_plant(spec, references)
-    lanes = run_lanes(spec, references)
-    assert all(lane.diverged for lane in lanes)
-    assert [lane.output.size for lane in lanes] == [1124, 2096]
+    assert_kernel_matches_simulate(spec, references)
+    runs = [run_plant(spec, reference) for reference in references]
+    assert all(run.diverged for run in runs)
+    assert [run.trace.output.size for run in runs] == [1124, 2096]
 
 
-def test_lanes_longer_than_a_block_of_reference_rows_match_run_plant():
-    # The lockstep loop assembles reference rows 1024 steps at a time; these
-    # lengths cross that block inside and at the ends of lane-count segments.
-    spec = dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002)))
-    rng = np.random.default_rng(5)
-    references = [rng.normal(0.0, 2.0, n) for n in (9000, 100, 8193, 4097, 4096)]
-    assert_lanes_match_run_plant(spec, references)
-
-
-def test_lanes_of_no_references_are_empty():
-    assert run_lanes(drone_spec(), []) == ()
-
-
-@pytest.mark.parametrize("reference", [np.array([1.0]), np.array([0.0, math.nan])])
-def test_lanes_reject_what_run_plant_rejects(reference):
-    with pytest.raises(ValueError):
-        run_lanes(drone_spec(), [np.ones(5), reference])
+def test_a_state_that_overflows_in_the_first_step_is_a_value_error(stepper):
+    # Step 0 is never checked for divergence, so the output after it is
+    # infinite; the quantiser then reads infinity.
+    spec = dc_servo_spec(voltage_limit=0.0, sensor_range=0.0)
+    with pytest.raises(ValueError, match="trace contains non-finite samples"):
+        run_plant(spec, np.full(5, 1e307))
 
 
 def bounds_pair(limit):
@@ -661,7 +682,7 @@ def bounds_pair(limit):
 
 
 @st.composite
-def lane_specs(draw):
+def loop_specs(draw):
     model = draw(st.sampled_from(["drone_alt", "dc_servo"]))
     gains = st.floats(-3000.0, 60.0)  # negative gains make unstable loops
     if model == "drone_alt":
@@ -699,7 +720,7 @@ def lane_specs(draw):
     )
 
 
-lane_references = st.lists(
+loop_references = st.lists(
     st.tuples(
         st.sampled_from(list(ShapeKind)),
         st.one_of(st.just(0.0), st.floats(0.01, 5.0)),
@@ -713,82 +734,8 @@ lane_references = st.lists(
 )
 
 
-@given(spec=lane_specs(), references=lane_references)
+@given(spec=loop_specs(), references=loop_references)
+@example(spec=dc_servo_spec(voltage_limit=0.0, sensor_range=0.0), references=[np.full(5, 1e307)])
 @settings(max_examples=150, deadline=None)
-def test_lanes_match_run_plant_on_random_loops(spec, references):
-    assert_lanes_match_run_plant(spec, references)
-
-
-@given(
-    spec=lane_specs(),
-    periods=st.lists(
-        st.tuples(
-            st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40).map(np.array),
-            st.integers(1, 5),  # repeats
-        ),
-        min_size=1,
-        max_size=30,
-    ),
-)
-@settings(max_examples=100, deadline=None)
-def test_repeated_periods_run_like_their_full_references(spec, periods):
-    full = run_lanes(spec, [np.tile(p, k) for p, k in periods])
-    repeated = run_lanes(spec, [p for p, _ in periods], [k for _, k in periods])
-    for a, b in zip(full, repeated):
-        assert a.output.tobytes() == b.output.tobytes()
-        assert a.output.shape == b.output.shape and a.diverged == b.diverged
-        assert all(same_float(x, y) for x, y in zip(a[1:4], b[1:4]))
-
-
-def test_repeated_periods_cross_reference_row_blocks_like_run_plant():
-    # 3,000-sample periods repeat across the 1,024-step blocks of rows.
-    spec = drone_spec(extra_blocks=(coulomb_friction(0.05),))
-    rng = np.random.default_rng(8)
-    periods = [rng.normal(0.0, 2.0, n) for n in (3000, 2999, 5000, 7)]
-    repeats = [3, 2, 1, 1500]
-    for lane, period, k in zip(run_lanes(spec, periods, repeats), periods, repeats):
-        run = run_plant(spec, np.tile(period, k))
-        assert lane.output.tobytes() == run.trace.output.tobytes()
-        assert same_float(lane.deviation_mean, run.log.mean_deviation)
-
-
-def test_lanes_reject_bad_repeat_counts():
-    for repeats in ([1], [2, 0]):
-        with pytest.raises(ValueError):
-            run_lanes(drone_spec(), [np.ones(5), np.ones(4)], repeats)
-
-
-@pytest.mark.parametrize(
-    "spec, expected",
-    [
-        (drone_spec(), 10),
-        (dc_servo_spec(), 10),
-        (drone_spec(extra_blocks=(quadratic_friction(0.002),)), 18),
-        (dc_servo_spec(extra_blocks=(coulomb_friction(0.1),)), 18),
-        (drone_spec(extra_blocks=(dead_zone(0.05),)), 18),
-        (dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002))), 26),
-    ],
-)
-def test_lane_step_bytes_count_the_rows_a_block_set_needs(spec, expected):
-    assert lane_step_bytes(spec) == expected
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [drone_spec(), dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002)))],
-    ids=["no-velocity-rows", "every-row"],
-)
-def test_lanes_hold_lane_step_bytes_per_lane_step(spec):
-    lanes, steps = 20, 6000
-    periods = [np.sin(np.arange(100) / 100 * 2 * np.pi) * a for a in np.linspace(0.1, 3, lanes)]
-    tracemalloc.start()
-    try:
-        run_lanes(spec, periods, [steps // 100] * lanes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows = lane_step_bytes(spec) * lanes * steps
-    # Besides the rows: two blocks of reference rows (one is read while the
-    # next is assembled) and temporaries, well under one more float per
-    # lane-step.
-    assert rows < peak < rows + 4 * lanes * steps
+def test_kernel_matches_simulate_on_random_loops(spec, references):
+    assert_kernel_matches_simulate(spec, references)

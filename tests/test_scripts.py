@@ -19,7 +19,7 @@ SRC = str(Path(loopstress.__file__).resolve().parent.parent)
 @pytest.mark.parametrize(
     "script, args",
     [
-        # Checks every lane against run_plant bit for bit before timing.
+        # Checks the compiled stepper against _simulate bit for bit before timing.
         ("bench_sim.py", ["--steps", "50", "--repeats", "1"]),
         ("reproduce_square_regimes.py", ["--periods", "2"]),
     ],
@@ -39,16 +39,16 @@ def run_script(script, args):
     )
 
 
-def test_bench_sim_reports_the_bytes_that_set_the_chunk_width():
+def test_bench_sim_times_both_steppers_per_model_and_block_set():
     done = run_script("bench_sim.py", ["--steps", "20", "--repeats", "1"])
     assert done.returncode == 0, done.stderr
-    rows = {(r["model"], r["blocks"]): r["bytes_per_lane_step"] for r in json.loads(done.stdout)["rows"]}
-    # Outputs and flags; velocities with friction; deviations with a dead
-    # zone or backlash.
-    for model in ("drone_alt", "dc_servo"):
-        assert [rows[model, b] for b in ("plain", "dead_zone", "backlash", "coulomb", "quadratic", "all")] == [
-            10, 18, 18, 18, 18, 26,
-        ]
+    rows = json.loads(done.stdout)["rows"]
+    assert [(r["model"], r["blocks"]) for r in rows[:6]] == [
+        ("drone_alt", b) for b in ("plain", "dead_zone", "backlash", "coulomb", "quadratic", "all")
+    ]
+    assert len(rows) == 12
+    for row in rows:
+        assert row["kernel_us_per_step"] > 0 and row["simulate_us_per_step"] > 0
 
 
 def test_bench_writes_startup_and_plants_rows(tmp_path):

@@ -43,3 +43,17 @@ def test_import_pins_openblas_to_one_thread():
 def test_a_thread_count_set_by_the_user_wins():
     value, _ = fresh_import(OPENBLAS_NUM_THREADS="2")
     assert value == "2"
+
+
+def test_import_builds_and_loads_no_compiled_stepper():
+    cache = Path(loopstress.__file__).with_name("__pycache__")
+    before = set(cache.glob("*.so"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = "import sys, loopstress; print('subprocess' in sys.modules, loopstress.plants._kernel)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "None"]
+    assert set(cache.glob("*.so")) == before
