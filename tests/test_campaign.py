@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from loopstress import campaign
+from loopstress import campaign, plants
 from loopstress.campaign import (
     AmplitudeBoundMap,
     Component,
@@ -519,7 +519,9 @@ def reference_run_one(plant, test, inputs):
     ],
     ids=["drone", "servo-friction", "diverging"],
 )
-def test_chunks_score_like_run_plant(monkeypatch, stepper, plant):
+def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
+    # Once the lockstep lanes and the scalar loop; now chunks on the compiled
+    # stepper and on plants._simulate, each scored like run_plant on _simulate.
     inputs = RequiredInput(
         f_min=0.5, f_max=2.0, a_max=1.0, delta_a=0.25, base_periods=1,
         dnl_includes_mean=False,
@@ -532,11 +534,16 @@ def test_chunks_score_like_run_plant(monkeypatch, stepper, plant):
     ).tests
     monkeypatch.setattr(campaign, "_CHUNK_STEPS", 6000)
     assert len(campaign._chunks(tests)) > 3
-    expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
-    for workers in (1, 2, 3):
-        results = execute_campaign(plant, tests, inputs, workers=workers)
-        assert results == expected
-        assert repr(results) == repr(expected)  # the sign of zero, too
+    with monkeypatch.context() as m:
+        m.setattr(plants, "load_kernel", lambda: None)
+        expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
+    assert plants.load_kernel() is not None
+    for kernel in (plants.load_kernel, lambda: None):
+        monkeypatch.setattr(plants, "load_kernel", kernel)
+        for workers in (1, 2, 3):
+            results = execute_campaign(plant, tests, inputs, workers=workers)
+            assert results == expected
+            assert repr(results) == repr(expected)  # the sign of zero, too
 
 
 def test_execute_rejects_mismatched_sampling():

@@ -619,6 +619,10 @@ def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
 # ---------------------------------------------------------------------------
 # the compiled stepper against _simulate, bit for bit
 # ---------------------------------------------------------------------------
+# These tests once checked the lockstep lanes against run_plant and keep
+# their names: a "lane" is now one reference's run on the compiled stepper,
+# and the run it must equal is _simulate's, the stepper run_plant falls back
+# to.
 
 
 def outcome(spec, reference):
@@ -651,18 +655,34 @@ def golden_reference(shape, amp, time_gain, periods):
 
 @pytest.mark.parametrize("extra", sorted(GOLDEN_EXTRAS))
 @pytest.mark.parametrize("plant", sorted(GOLDEN_PLANTS))
-def test_kernel_matches_simulate_on_the_golden_specs(plant, extra):
+def test_lanes_match_run_plant_on_the_golden_specs(plant, extra):
     spec = GOLDEN_PLANTS[plant](GOLDEN_EXTRAS[extra])
     assert_kernel_matches_simulate(spec, [golden_reference(*p) for p in GOLDEN_POINTS.values()])
 
 
-def test_kernel_truncates_a_diverging_run_like_simulate():
+def test_lanes_truncate_a_diverging_lane_like_run_plant():
     spec, point = GOLDEN_CASES["diverging"]
     references = [golden_reference(*point), golden_reference(ShapeKind.SQUARE, 2.0, 0.5, 3)]
     assert_kernel_matches_simulate(spec, references)
     runs = [run_plant(spec, reference) for reference in references]
     assert all(run.diverged for run in runs)
     assert [run.trace.output.size for run in runs] == [1124, 2096]
+
+
+def test_lanes_longer_than_a_block_of_reference_rows_match_run_plant():
+    # Long references, with lengths at and around powers of two.
+    spec = dc_servo_spec(extra_blocks=(backlash(0.05), quadratic_friction(0.002)))
+    rng = np.random.default_rng(5)
+    references = [rng.normal(0.0, 2.0, n) for n in (9000, 100, 8193, 4097, 4096)]
+    assert_kernel_matches_simulate(spec, references)
+
+
+@pytest.mark.parametrize("reference", [np.array([1.0]), np.array([0.0, math.nan])])
+def test_lanes_reject_what_run_plant_rejects(reference):
+    # Too short a reference, or a non-finite sample, on either stepper.
+    for kernel in (plants.load_kernel, lambda: None):
+        with mock.patch.object(plants, "load_kernel", kernel), pytest.raises(ValueError):
+            run_plant(drone_spec(), reference)
 
 
 def test_a_state_that_overflows_in_the_first_step_is_a_value_error(stepper):
@@ -737,5 +757,32 @@ loop_references = st.lists(
 @given(spec=loop_specs(), references=loop_references)
 @example(spec=dc_servo_spec(voltage_limit=0.0, sensor_range=0.0), references=[np.full(5, 1e307)])
 @settings(max_examples=150, deadline=None)
-def test_kernel_matches_simulate_on_random_loops(spec, references):
+def test_lanes_match_run_plant_on_random_loops(spec, references):
     assert_kernel_matches_simulate(spec, references)
+
+
+@given(
+    spec=loop_specs(),
+    periods=st.lists(
+        st.tuples(
+            st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40).map(np.array),
+            st.integers(1, 5),  # repeats
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_repeated_periods_run_like_their_full_references(spec, periods):
+    # The run stage renders every period of a test; a periodic reference runs
+    # the same on both steppers.
+    assert_kernel_matches_simulate(spec, [np.tile(p, k) for p, k in periods])
+
+
+def test_repeated_periods_cross_reference_row_blocks_like_run_plant():
+    # Periods of thousands of samples, and a short one repeated 1,500 times.
+    spec = drone_spec(extra_blocks=(coulomb_friction(0.05),))
+    rng = np.random.default_rng(8)
+    periods = [rng.normal(0.0, 2.0, n) for n in (3000, 2999, 5000, 7)]
+    repeats = [3, 2, 1, 1500]
+    assert_kernel_matches_simulate(spec, [np.tile(p, k) for p, k in zip(periods, repeats)])
