@@ -83,6 +83,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.processes < 1:
         parser.error("--processes must be at least 1")
+    if args.steps < 2:
+        parser.error("--steps must be at least 2")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     rows = startup(args.processes)
     # Imported only now: this process's own numpy start-up would compete

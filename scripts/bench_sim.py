@@ -101,6 +101,10 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=20000, help="samples of the reference")
     parser.add_argument("--repeats", type=int, default=3, help="timed runs; the best counts")
     args = parser.parse_args(argv)
+    if args.steps < 2:
+        parser.error("--steps must be at least 2")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     print(json.dumps(measure(args.steps, args.repeats), indent=2))
     return 0
 

@@ -22,7 +22,10 @@ README describes the stages and the report.
 Exit codes: 0 success, 2 success with warnings (e.g. the calibration stress
 test never crossed the threshold, a bound gap could not be resolved, or the
 bound search hit ``max_frequencies`` and saved its partial map), 3 invalid
-input (config or artifact schema), 4 internal failure.
+input, 4 internal failure.  Any malformed config or input artifact (a value
+of the wrong JSON type, a missing field, a line that is not a JSON object),
+an unreadable file or an output directory that cannot be made exits 3 with
+one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -239,22 +242,11 @@ def cmd_campaign(cfg: CampaignConfig, out: Path, full_violations: bool = False) 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-
+    args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        cfg = _apply_overrides(load_config(args.config), args)
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-
-    try:
         if args.command == "calibrate":
             return cmd_calibrate(cfg, out)
         if args.command == "bound":

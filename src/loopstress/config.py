@@ -117,6 +117,13 @@ def _numbers(where: str, values) -> dict:
     return dict(values)
 
 
+def _shape(key: str, value) -> ShapeKind:
+    # ShapeKind is a str enum: its members equal their values, and nothing else.
+    if value not in tuple(ShapeKind):
+        raise ConfigError(f"unknown {key} {value!r}")
+    return ShapeKind(value)
+
+
 def _parse_block(raw: dict) -> NonlinearBlock:
     if not isinstance(raw, dict):
         raise ConfigError(f"plant blocks must be objects, got {raw!r}")
@@ -124,11 +131,7 @@ def _parse_block(raw: dict) -> NonlinearBlock:
     kind = _take(raw, "kind", required=True)
     if not isinstance(kind, str):
         raise ConfigError(f"block kind must be a string, got {kind!r}")
-    params = _numbers(f"block {kind}", raw)
-    try:
-        return NonlinearBlock(kind=kind, params=params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NonlinearBlock(kind=kind, params=_numbers(f"block {kind}", raw))
 
 
 def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
@@ -139,29 +142,37 @@ def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
     physical = _numbers("plant physical", _take(raw, "physical", {}))
     controller = _numbers("plant controller", _take(raw, "controller", {}))
     blocks_raw = _take(raw, "blocks", [])
-    plant_dt = _take(raw, "sample_interval", sample_interval)
+    plant_dt = _number(raw, "sample_interval", sample_interval)
     if raw:
         raise ConfigError(f"unknown plant keys: {sorted(raw)}")
-    if plant_dt != sample_interval:
-        raise ConfigError(
-            "plant sample_interval must match the campaign sample_interval"
-        )
     if not isinstance(blocks_raw, list):
         raise ConfigError("plant blocks must be a list")
-    try:
-        return PlantSpec(
-            model=model,
-            physical=physical,
-            controller=controller,
-            blocks=tuple(_parse_block(b) for b in blocks_raw),
-            sample_interval=sample_interval,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PlantSpec(
+        model=model,
+        physical=physical,
+        controller=controller,
+        blocks=tuple(_parse_block(b) for b in blocks_raw),
+        sample_interval=plant_dt,
+    )
 
 
 def config_from_dict(raw: dict) -> CampaignConfig:
-    raw = dict(raw)
+    """The campaign ``raw`` describes; any bad value raises ``ConfigError``.
+
+    The checks of ``RequiredInput``, ``PlantSpec`` and the other records
+    raise ``ValueError``, and a value of the wrong JSON type may meet a
+    ``TypeError`` first (an ``OverflowError``, if it is an integer too large
+    for a float): each becomes a ``ConfigError`` with its message.
+    """
+    try:
+        return _build_config(dict(raw))
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_config(raw: dict) -> CampaignConfig:
     version = _integer(raw, "schema_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
@@ -169,20 +180,17 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     includes_mean = _take(raw, "dnl_includes_mean", True)
     if not isinstance(includes_mean, bool):
         raise ConfigError(f"dnl_includes_mean must be true or false, got {includes_mean!r}")
-    try:
-        inputs = RequiredInput(
-            f_min=_number(raw, "f_min", required=True),
-            f_max=_number(raw, "f_max", required=True),
-            a_max=_number(raw, "a_max", required=True),
-            delta_a=_number(raw, "delta_a", required=True),
-            dnl_threshold=_number(raw, "dnl_threshold", 0.15),
-            rho=_number(raw, "rho", 0.1),
-            base_periods=_integer(raw, "base_periods", 5),
-            sample_interval=_number(raw, "sample_interval", 0.001),
-            dnl_includes_mean=includes_mean,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    inputs = RequiredInput(
+        f_min=_number(raw, "f_min", required=True),
+        f_max=_number(raw, "f_max", required=True),
+        a_max=_number(raw, "a_max", required=True),
+        delta_a=_number(raw, "delta_a", required=True),
+        dnl_threshold=_number(raw, "dnl_threshold", 0.15),
+        rho=_number(raw, "rho", 0.1),
+        base_periods=_integer(raw, "base_periods", 5),
+        sample_interval=_number(raw, "sample_interval", 0.001),
+        dnl_includes_mean=includes_mean,
+    )
 
     plant_raw = _take(raw, "plant", required=True)
     if not isinstance(plant_raw, dict):
@@ -190,24 +198,17 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     plant = _parse_plant(plant_raw, inputs.sample_interval)
 
     shapes_raw = _take(raw, "shapes", [s.value for s in DEFAULT_SHAPES])
-    try:
-        shapes = tuple(ShapeKind(s) for s in shapes_raw)
-    except ValueError as exc:
-        raise ConfigError(f"unknown shape in {shapes_raw!r}") from exc
-
-    try:
-        calibration_shape = ShapeKind(_take(raw, "calibration_shape", "sine"))
-    except ValueError as exc:
-        raise ConfigError("unknown calibration_shape") from exc
+    if not isinstance(shapes_raw, list):
+        raise ConfigError(f"shapes must be a list, got {shapes_raw!r}")
 
     cfg_kwargs = dict(
         plant=plant,
         inputs=inputs,
-        shapes=shapes,
+        shapes=tuple(_shape("shape", s) for s in shapes_raw),
         seed=_integer(raw, "seed", 0),
         workers=_integer(raw, "workers", 1),
         max_periods=_integer(raw, "max_periods", 10),
-        calibration_shape=calibration_shape,
+        calibration_shape=_shape("calibration_shape", _take(raw, "calibration_shape", "sine")),
         beta_params=(_number(raw, "beta_alpha", 2.0), _number(raw, "beta_beta", 1.0)),
         mr2_bin_tolerance=_number(raw, "mr2_bin_tolerance"),
         mr2_equality_tolerance=_number(raw, "mr2_equality_tolerance", 1e-6),
@@ -217,10 +218,7 @@ def config_from_dict(raw: dict) -> CampaignConfig:
     )
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    try:
-        return CampaignConfig(**cfg_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return CampaignConfig(**cfg_kwargs)
 
 
 def load_config(path) -> CampaignConfig:

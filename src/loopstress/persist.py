@@ -67,18 +67,27 @@ def _write_records(path, kind: str, header_extra: dict, records) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_records(path, kind: str, record: str) -> tuple[dict, list[dict]]:
-    """Header and body rows of a stream artifact of ``kind`` whose body rows
-    are all of ``record`` kind."""
-    text = Path(path).read_text(encoding="utf-8")
+def _load(path, kind: str, record: str, build):
+    """``build(header, body)`` on the stream artifact of ``kind`` at ``path``,
+    whose body rows must all be ``record`` rows.
+
+    A missing field raises ``KeyError`` inside ``build``, and a field of the
+    wrong JSON type or out of range ``TypeError`` or ``ValueError`` (or
+    ``OverflowError``: an infinite count, an integer beyond float range);
+    each becomes a ``SchemaError``.
+    """
     rows = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    # The file's text is let go before ``build`` runs.
+    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{ln}: not valid JSON: {exc}") from exc
+        if not isinstance(row, dict):
+            raise SchemaError(f"{path}:{ln}: record is not a JSON object")
+        rows.append(row)
     if not rows:
         raise SchemaError(f"{path}: empty artifact")
     header, body = rows[0], rows[1:]
@@ -94,7 +103,10 @@ def _read_records(path, kind: str, record: str) -> tuple[dict, list[dict]]:
     for row in body:
         if row.get("record") != record:
             raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
-    return header, body
+    try:
+        return build(header, body)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise SchemaError(f"{path}: bad {kind} artifact: {exc!r}") from exc
 
 
 # -- bounds ---------------------------------------------------------------
@@ -111,8 +123,7 @@ def save_bounds(path, bound_map: AmplitudeBoundMap) -> None:
 
 
 def load_bounds(path) -> AmplitudeBoundMap:
-    header, body = _read_records(path, "bounds", "bound")
-    try:
+    def build(header, body):
         pairs = [(float(row["frequency"]), float(row["bound"])) for row in body]
         return AmplitudeBoundMap(
             frequencies=tuple(f for f, _ in pairs),
@@ -120,8 +131,8 @@ def load_bounds(path) -> AmplitudeBoundMap:
             unresolved=tuple((float(a), float(b)) for a, b in header.get("unresolved", [])),
             probes=int(header.get("probes", 0)),
         )
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+
+    return _load(path, "bounds", "bound", build)
 
 
 # -- test sets ------------------------------------------------------------
@@ -167,23 +178,12 @@ def save_test_set(path, test_set: TestSet) -> None:
 
 
 def load_test_set(path) -> TestSet:
-    header, body = _read_records(path, "tests", "test")
-    tests = []
-    for row in body:
-        try:
-            tests.append(_test_from_dict(row))
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"{path}: bad test record: {exc}") from exc
-    try:
-        shapes = tuple(ShapeKind(s) for s in header["shapes"])
-        return TestSet(
-            tests=tuple(tests),
-            seed=int(header["seed"]),
-            frequency_step=float(header["frequency_step"]),
-            shapes=shapes,
-        )
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad header: {exc}") from exc
+    return _load(path, "tests", "test", lambda header, body: TestSet(
+        tests=tuple(_test_from_dict(row) for row in body),
+        seed=int(header["seed"]),
+        frequency_step=float(header["frequency_step"]),
+        shapes=tuple(ShapeKind(s) for s in header["shapes"]),
+    ))
 
 
 # -- results --------------------------------------------------------------
@@ -205,33 +205,28 @@ def save_results(path, results) -> None:
     _write_records(path, "results", {}, rows())
 
 
+def _result_from_dict(row: dict) -> TestResult:
+    return TestResult(
+        test=_test_from_dict(row["test"]),
+        dnl=float(row["dnl"]),
+        components=tuple(
+            Component(
+                frequency=float(f),
+                amplitude=float(a),
+                dof=None if d is None else float(d),
+            )
+            for f, a, d in row["components"]
+        ),
+        actuator_saturation_fraction=float(row["actuator_sat_fraction"]),
+        sensor_saturation_fraction=float(row["sensor_sat_fraction"]),
+        deviation_mean=float(row["deviation_mean"]),
+        diverged=bool(row["diverged"]),
+    )
+
+
 def load_results(path) -> tuple[TestResult, ...]:
-    _, body = _read_records(path, "results", "result")
-    results = []
-    for row in body:
-        try:
-            components = tuple(
-                Component(
-                    frequency=float(f),
-                    amplitude=float(a),
-                    dof=None if d is None else float(d),
-                )
-                for f, a, d in row["components"]
-            )
-            results.append(
-                TestResult(
-                    test=_test_from_dict(row["test"]),
-                    dnl=float(row["dnl"]),
-                    components=components,
-                    actuator_saturation_fraction=float(row["actuator_sat_fraction"]),
-                    sensor_saturation_fraction=float(row["sensor_sat_fraction"]),
-                    deviation_mean=float(row["deviation_mean"]),
-                    diverged=bool(row["diverged"]),
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SchemaError(f"{path}: bad result record: {exc}") from exc
-    return tuple(results)
+    return _load(path, "results", "result",
+                 lambda _, body: tuple(_result_from_dict(row) for row in body))
 
 
 # -- reports and tables ---------------------------------------------------
@@ -285,6 +280,8 @@ def load_json_report(path) -> dict:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: report is not a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unexpected schema_version")
     return payload

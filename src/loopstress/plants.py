@@ -583,12 +583,11 @@ def _floor(y: float):
     return math.floor(y) if math.isfinite(y) else y
 
 
-def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray | None,
-                shaping_dev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray,
+                shaping_dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sensor flags and the deviation log of one run, from its outputs
-    and velocities at the start of each step (None without friction, which
-    alone reads them) and the dead zone's and backlash's part of the
-    deviation (None: neither block is attached).
+    and velocities at the start of each step and the dead zone's and
+    backlash's part of the deviation.
 
     The friction deviation is summed apart and added once, so the logged
     value keeps its rounding when several blocks are active.
@@ -602,5 +601,4 @@ def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray | None,
     if c.quad is not None:
         fq = -c.quad * v * np.abs(v)
         fdev = fdev + np.abs(fq - (-c.quad_lin * v))
-    dev = np.zeros(len(out)) if shaping_dev is None else shaping_dev
-    return sensor, dev + fdev
+    return sensor, shaping_dev + fdev

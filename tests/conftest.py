@@ -3,17 +3,28 @@
 Provides a brute-force spectrum oracle (direct O(N^2) evaluation of the
 DFT sum, independent of any FFT library), a factory for synthetic
 ``TestResult`` records so analysis-level behaviour can be tested without
-running simulations, and the ``stepper`` fixture, which runs a test once on
-each of the plant simulator's two steppers.
+running simulations, the ``stepper`` fixture, which runs a test once on
+each of the plant simulator's two steppers, and ``JSON_VALUES``, the
+values a hand-edited config or artifact field may hold.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from loopstress import plants
 from loopstress.campaign import Component, GeneratedTest, TestResult
 from loopstress.signals import ShapeKind, TestCase, snap_time_gain
+
+
+# Any value Python's json reads, NaN and the infinities included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 @pytest.fixture(params=["compiled", "python"])

@@ -547,6 +547,67 @@ def test_stage_rejects_artifact_of_wrong_kind(tmp_path):
     assert rc == cli.EXIT_INVALID_INPUT
 
 
+def only_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "override, says",
+    [
+        ({"shapes": 5}, "shapes must be a list"),
+        ({"shapes": None}, "shapes must be a list"),
+        ({"shapes": {"sine": 1}}, "shapes must be a list"),
+        ({"plant": {"model": "drone_alt", "sample_interval": True}},
+         "sample_interval must be a finite number"),
+    ],
+    ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool"],
+)
+def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
+    cfg = write_config(tmp_path, **override)
+    rc = cli.main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert says in only_error_line(capsys)
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """A config and the bounds and tests artifacts it gives."""
+    out = tmp_path_factory.mktemp("staged")
+    cfg = write_config(out)
+    for stage in ("bound", "generate"):
+        assert cli.main([stage, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    return cfg, out
+
+
+@pytest.mark.parametrize(
+    "artifact, index, edit",
+    [
+        (cli.TESTS_FILE, 1, lambda r: {**r, "amp_gain": None}),
+        (cli.BOUNDS_FILE, 0, lambda r: {**r, "unresolved": [1.0]}),
+        (cli.BOUNDS_FILE, 1, lambda r: {**r, "bound": None}),
+        (cli.TESTS_FILE, 1, lambda r: [1, 2]),
+        (cli.TESTS_FILE, 0, lambda r: []),
+    ],
+    ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
+         "tests-list-row", "tests-list-header"],
+)
+def test_malformed_artifact_exits_3_with_one_error_line(
+    staged, tmp_path, capsys, artifact, index, edit
+):
+    cfg, out = staged
+    records = [json.loads(line) for line in (out / artifact).read_text().splitlines()]
+    records[index] = edit(records[index])
+    edited = tmp_path / artifact
+    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+    stage, flag = ("generate", "--bounds") if artifact == cli.BOUNDS_FILE else ("run", "--tests")
+    capsys.readouterr()
+    rc = cli.main([stage, "--config", str(cfg), flag, str(edited), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert str(edited) in only_error_line(capsys)
+
+
 def test_unknown_subcommand_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])

@@ -1,10 +1,13 @@
 """Campaign configuration parsing and validation."""
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopstress.config import (
     CONFIG_VERSION,
@@ -17,6 +20,8 @@ from loopstress.config import (
 from loopstress.campaign import RequiredInput
 from loopstress.plants import drone_spec
 from loopstress.signals import ShapeKind
+
+from conftest import JSON_VALUES
 
 
 def minimal_raw():
@@ -53,13 +58,15 @@ def test_schema_version_is_optional():
     assert config_from_dict(raw).inputs.f_min == pytest.approx(0.5)
 
 
-def test_full_config_round_trip_of_every_field():
-    raw = dict(
+def full_raw():
+    """A config that sets every key."""
+    return dict(
         minimal_raw(),
         plant={
             "model": "dc_servo",
             "physical": {"inertia": 0.02},
             "controller": {"k_pos": 4.0},
+            "sample_interval": 0.001,
             "blocks": [
                 {"kind": "actuator_saturation", "lo": -10.0, "hi": 10.0},
                 {"kind": "dead_zone", "half_width": 0.05},
@@ -83,7 +90,10 @@ def test_full_config_round_trip_of_every_field():
         boundary_factor=0.4,
         max_frequencies=64,
     )
-    cfg = config_from_dict(raw)
+
+
+def test_full_config_round_trip_of_every_field():
+    cfg = config_from_dict(full_raw())
     assert cfg.plant.model == "dc_servo"
     assert cfg.plant.physical["inertia"] == pytest.approx(0.02)
     assert cfg.plant.controller["k_pos"] == pytest.approx(4.0)
@@ -200,6 +210,7 @@ def test_load_config_missing_file_raises_config_error(tmp_path):
         lambda raw: raw.update(mr3_epsilon=True),
         lambda raw: raw["plant"].update(physical={"mass": True}),
         lambda raw: raw["plant"]["blocks"][0].update(hi=True),
+        lambda raw: raw["plant"].update(sample_interval=True),
     ],
 )
 def test_bool_for_a_number_is_rejected(mutate):
@@ -256,6 +267,46 @@ def test_integers_are_accepted_for_numbers():
     cfg = config_from_dict(raw)
     assert (cfg.inputs.f_max, cfg.inputs.a_max, cfg.mr3_epsilon) == (2.0, 3.0, 1.0)
     assert isinstance(cfg.inputs.a_max, float) and isinstance(cfg.mr3_epsilon, float)
+
+
+@pytest.mark.parametrize("value", [5, None, {"sine": 1}, "sine"])
+def test_shapes_must_be_a_json_list(value):
+    with pytest.raises(ConfigError, match="shapes must be a list"):
+        config_from_dict(dict(minimal_raw(), shapes=value))
+
+
+@pytest.mark.parametrize("key, value", [("shapes", ["circle"]), ("calibration_shape", "circle")])
+def test_an_unknown_shape_is_named_as_one(key, value):
+    with pytest.raises(ConfigError, match="unknown (shape|calibration_shape) 'circle'"):
+        config_from_dict(dict(minimal_raw(), **{key: value}))
+
+
+def _config_fields():
+    """(path to a JSON object, key) for every key ``full_raw`` sets."""
+    raw = full_raw()
+    blocks = raw["plant"]["blocks"]
+    return (
+        [((), key) for key in raw]
+        + [(("plant",), key) for key in raw["plant"]]
+        + [(("plant", "blocks", i), key) for i, block in enumerate(blocks) for key in block]
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(field=st.sampled_from(_config_fields()), value=JSON_VALUES)
+@example(field=((), "shapes"), value=5)
+@example(field=((), "shapes"), value=None)
+@example(field=((), "f_min"), value=10**400)
+@example(field=(("plant",), "physical"), value={"inertia": 10**400})
+def test_any_json_value_in_any_config_key_gives_a_config_or_a_config_error(field, value):
+    raw = full_raw()
+    where, key = field
+    target = raw
+    for step in where:
+        target = target[step]
+    target[key] = value
+    with contextlib.suppress(ConfigError):
+        assert isinstance(config_from_dict(raw), CampaignConfig)
 
 
 @pytest.mark.parametrize(

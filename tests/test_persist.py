@@ -1,6 +1,7 @@
 """Artifact serialization: round trips, byte stability, schema guards."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -18,6 +19,8 @@ from loopstress.campaign import (
 )
 from loopstress.plants import drone_spec
 from loopstress.signals import ShapeKind
+
+from conftest import JSON_VALUES
 
 
 @pytest.fixture()
@@ -168,6 +171,62 @@ def test_load_bounds_rejects_a_record_without_its_frequency(tmp_path):
     rows = [{"record": "bound", "bound": 1.0}, {"record": "bound", "frequency": 2.0, "bound": 1.0}]
     path.write_text("\n".join([header, *map(json.dumps, rows)]) + "\n")
     with pytest.raises(persist.SchemaError, match="frequency"):
+        persist.load_bounds(path)
+
+
+@pytest.fixture(scope="module")
+def artifact_records(tmp_path_factory):
+    """A scratch file, and for each loader the type it returns and the
+    records of a real artifact it loads."""
+    inputs = RequiredInput(f_min=0.5, f_max=1.0, a_max=1.5, delta_a=0.5, base_periods=2)
+    bound_map = AmplitudeBoundMap(
+        frequencies=(0.5, 1.0), bounds=(1.5, 1.0), unresolved=((0.5, 1.0),), probes=9
+    )
+    tests = generate_test_set(bound_map, (ShapeKind.SQUARE, ShapeKind.TRIANGLE), inputs, seed=3)
+    results = execute_campaign(drone_spec(), tests.tests[:2], inputs)
+    path = tmp_path_factory.mktemp("artifacts") / "artifact.jsonl"
+    artifacts = []
+    for save, load, value in (
+        (persist.save_bounds, persist.load_bounds, bound_map),
+        (persist.save_test_set, persist.load_test_set, tests),
+        (persist.save_results, persist.load_results, results),
+    ):
+        save(path, value)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        artifacts.append((load, type(value), records))
+    return path, artifacts
+
+
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_any_json_value_in_any_artifact_field_loads_or_raises_schema_error(
+    artifact_records, data
+):
+    path, artifacts = artifact_records
+    load, kind, records = data.draw(st.sampled_from(artifacts))
+    records = json.loads(json.dumps(records))  # a copy to edit
+    record = data.draw(st.sampled_from(records))
+    record[data.draw(st.sampled_from(sorted(record)))] = data.draw(JSON_VALUES)
+    write_records(path, records)
+    with contextlib.suppress(persist.SchemaError):
+        assert isinstance(load(path), kind)
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [(0, "probes", math.inf), (1, "frequency", 10**400)],
+    ids=["infinite-probes", "frequency-beyond-float"],
+)
+def test_numbers_beyond_float_range_raise_schema_error(artifact_records, index, key, value):
+    path, artifacts = artifact_records
+    records = [dict(r) for r in artifacts[0][2]]
+    records[index][key] = value
+    write_records(path, records)
+    with pytest.raises(persist.SchemaError, match="OverflowError"):
         persist.load_bounds(path)
 
 
@@ -348,6 +407,14 @@ def test_json_report_rejects_future_version(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(persist.SchemaError):
+        persist.load_json_report(path)
+
+
+@pytest.mark.parametrize("payload", [[], [1, 2], "report", None])
+def test_json_report_rejects_a_non_object(tmp_path, payload):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(persist.SchemaError, match="not a JSON object"):
         persist.load_json_report(path)
 
 

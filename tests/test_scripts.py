@@ -51,6 +51,23 @@ def test_bench_sim_times_both_steppers_per_model_and_block_set():
         assert row["kernel_us_per_step"] > 0 and row["simulate_us_per_step"] > 0
 
 
+@pytest.mark.parametrize("script", ["bench_sim.py", "bench.py"])
+@pytest.mark.parametrize(
+    "args, says",
+    [(["--steps", "1"], "--steps must be at least 2"),
+     (["--repeats", "0"], "--repeats must be at least 1")],
+    ids=["one-step", "no-repeats"],
+)
+def test_bench_scripts_reject_too_few_steps_or_repeats(tmp_path, script, args, says):
+    out = tmp_path / "bench.json"
+    if script == "bench.py":
+        args = ["--out", str(out), "--processes", "1", *args]
+    done = run_script(script, args)
+    assert done.returncode == 2
+    assert says in done.stderr
+    assert not done.stdout and not out.exists()
+
+
 def test_bench_writes_startup_and_plants_rows(tmp_path):
     out = tmp_path / "bench.json"
     done = run_script("bench.py", ["--out", str(out), "--processes", "1", "--steps", "20", "--repeats", "1"])
