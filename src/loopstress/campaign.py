@@ -25,6 +25,7 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .plants import PlantRun, PlantSpec, load_kernel, run_plant
-from .signals import ShapeKind, TestCase, render_reference, snap_time_gain
+from .plants import PlantSpec, load_kernel, run_plant
+from .signals import ShapeKind, TestCase, render_reference, samples_per_period, snap_time_gain
 # ``fa_map`` and ``dof_profile`` are imported for callers that look them up
 # here (perfbench/tracer.py wraps them by name); the run stage scores from
 # spectra.
@@ -245,7 +246,9 @@ def optimistic_amplitude_bound(
     frequency's snapped period, so each period is searched once and later
     frequencies that snap to it reuse its bound; ``probes`` counts the
     simulations that ran.  A round's searches go to ``workers`` processes
-    when there are at least two; the map is the same for any ``workers``.
+    when they may take at least two run chunks' worth of steps
+    (``2 * _CHUNK_STEPS``, counting each search at its probe cap); the map
+    is the same for any ``workers``.
     A custom ``probe`` runs in this process, once per frequency.
     ``progress(round, frequencies, probes)``, if given, is called after each
     round.
@@ -264,6 +267,13 @@ def optimistic_amplitude_bound(
     else:
         key = float
     searched: dict[float, float] = {}  # key -> bound
+    # A search's steps at its probe cap (see binary_search_upperbound).
+    probe_cap = math.ceil(math.log2(inputs.a_max / inputs.delta_a)) + 2
+
+    def worst_steps(time_gain: float) -> int:
+        spp = samples_per_period(time_gain, inputs.sample_interval)
+        return probe_cap * inputs.base_periods * spp
+
     probes = rounds = 0
     pool = None
 
@@ -285,7 +295,8 @@ def optimistic_amplitude_bound(
             if k not in searched:
                 due.setdefault(k, f)
         search = functools.partial(_counted_search, plant, inputs, probe)
-        if probe is None and workers > 1 and len(due) >= 2:
+        if (probe is None and workers > 1 and len(due) >= 2
+                and sum(map(worst_steps, due)) >= 2 * _CHUNK_STEPS):
             if pool is None:
                 # Imported here: the pool module adds noticeably to every start-up.
                 # The platform's default start method, as in the run stage: a
@@ -433,63 +444,105 @@ class TestResult(NamedTuple):
         return self.test.case
 
 
-# Steps per run chunk, the pool's unit of work: about 0.1 s of simulation
-# and scoring, so the pool balances its workers and a chunk's results cost
-# little to send back.
-_CHUNK_STEPS = 250_000
+# Steps per run chunk, the pool's unit of work.  Simulating and scoring
+# 1,000,000 steps of the dc_servo campaign with friction and a quantiser, or
+# of drone_desk, took 0.18-0.21 s of CPU on a 2-vCPU VM that runs
+# perfbench's probe 1.7 times slower than its reference host: about 0.12
+# reference seconds, well above what starting a process pool costs.  A stage
+# with less than two chunks of work runs in-process.
+_CHUNK_STEPS = 1_000_000
+
+# Bytes of the samples that one ``dft_amplitude`` call of the run stage
+# scores: a block holds the references and outputs of equally long tests.
+# Batched rows cost several times less per row than one call each, and a
+# larger block saves little more while it adds to the peak memory.
+_BLOCK_BYTES = 2**19
 
 
-def _result(
-    test: GeneratedTest,
-    reference: np.ndarray,
-    run: PlantRun,
-    inputs: RequiredInput,
-) -> TestResult:
-    """Score one run over the full ``reference`` from one spectrum per signal.
+def _steps(test: GeneratedTest) -> int:
+    return test.case.periods * test.case.samples_per_period
 
-    The numbers are those of ``fa_map`` on the reference and, on the run's
-    trace, ``degree_of_nonlinearity`` and (for a linear run)
-    ``dof_profile``.
+
+def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
+    """Results of ``tests``, which are equally long and sampled alike, from
+    one spectrum block.
+
+    Each reference is rendered into a row of the block and simulated; the
+    output of each run that did not diverge goes into a row after the
+    references (a diverged run has no output spectrum).  One
+    ``dft_amplitude`` call gives every row's spectrum, the same bits as a
+    call per row, and each test is scored as ``fa_map`` on its reference
+    and, on its trace, ``degree_of_nonlinearity`` and (for a linear run)
+    ``dof_profile`` would score it.
     """
-    ref_spec = spectral.dft_amplitude(reference, test.case.sample_interval)
-    comps = spectral.components(ref_spec, inputs.rho)
-    if run.diverged:
-        dnl = math.inf
-        dof = {}
-    else:
-        out_spec = spectral.dft_amplitude(run.trace.output, run.trace.sample_interval)
-        dnl = spectral.dnl_of_spectra(
-            ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
+    n, dt = _steps(tests[0]), tests[0].case.sample_interval
+    block = np.empty((2 * len(tests), n))
+    logs = []
+    outputs = len(tests)
+    for row, test in enumerate(tests):
+        block[row] = render_reference(test.case)
+        run = run_plant(plant, block[row])
+        if not run.diverged:
+            block[outputs] = run.trace.output
+            outputs += 1
+        logs.append((run.diverged, run.log.actuator_saturation_fraction,
+                     run.log.sensor_saturation_fraction, run.log.mean_deviation))
+    freqs, amps = spectral.dft_amplitude(block[:outputs], dt)
+    # A run's trace is sampled at the plant's interval.
+    out_freqs = freqs
+    if plant.sample_interval != dt:
+        out_freqs = np.fft.rfftfreq(n, plant.sample_interval)
+    out_rows = iter(amps[len(tests):])
+    results = []
+    for test, ref_amps, (diverged, act_sat, sens_sat, deviation) in zip(tests, amps, logs):
+        ref_spec = spectral.Spectrum(freqs, ref_amps)
+        comps = spectral.components(ref_spec, inputs.rho)
+        if diverged:
+            dnl = math.inf
+            dof = {}
+        else:
+            out_spec = spectral.Spectrum(out_freqs, next(out_rows))
+            dnl = spectral.dnl_of_spectra(
+                ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
+            )
+            dof = spectral.dof_of_spectrum(comps, out_spec) if dnl < inputs.dnl_threshold else {}
+        components = tuple(
+            Component(frequency=float(f), amplitude=float(a), dof=dof.get(float(f)))
+            for f, a in zip(comps.frequencies, comps.amplitudes)
         )
-        dof = spectral.dof_of_spectrum(comps, out_spec) if dnl < inputs.dnl_threshold else {}
-    components = tuple(
-        Component(frequency=float(f), amplitude=float(a), dof=dof.get(float(f)))
-        for f, a in zip(comps.frequencies, comps.amplitudes)
-    )
-    return TestResult(
-        test=test,
-        dnl=dnl,
-        components=components,
-        actuator_saturation_fraction=run.log.actuator_saturation_fraction,
-        sensor_saturation_fraction=run.log.sensor_saturation_fraction,
-        deviation_mean=run.log.mean_deviation,
-        diverged=run.diverged,
-    )
+        results.append(TestResult(
+            test=test,
+            dnl=dnl,
+            components=components,
+            actuator_saturation_fraction=act_sat,
+            sensor_saturation_fraction=sens_sat,
+            deviation_mean=deviation,
+            diverged=diverged,
+        ))
+    return results
 
 
 def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
-    """Results of ``tests``, each rendered once, simulated and scored."""
+    """Results of ``tests``, in order: each run of consecutive tests of equal
+    length and sample interval is scored in blocks of at most
+    ``_BLOCK_BYTES`` of samples (at least one test each)."""
     results = []
-    for test in tests:
-        reference = render_reference(test.case)
-        results.append(_result(test, reference, run_plant(plant, reference), inputs))
+    for (n, _), group in itertools.groupby(
+        tests, key=lambda t: (_steps(t), t.case.sample_interval)
+    ):
+        group = list(group)
+        per_block = max(1, _BLOCK_BYTES // (2 * 8 * n))
+        for i in range(0, len(group), per_block):
+            results.extend(_run_block(plant, inputs, group[i:i + per_block]))
     return results
 
 
 def _chunks(tests) -> list[list[int]]:
-    """Indices of ``tests`` cut into run chunks of about ``_CHUNK_STEPS``
-    steps, longest tests first, so no long test is left for the pool's end."""
-    lengths = [t.case.periods * t.case.samples_per_period for t in tests]
+    """Indices of ``tests`` cut into run chunks of at least ``_CHUNK_STEPS``
+    steps (fewer only when all the tests together have fewer), longest tests
+    first, so no long test is left for the pool's end and equally long
+    tests are adjacent."""
+    lengths = [_steps(t) for t in tests]
     chunks, steps = [], _CHUNK_STEPS
     for i in sorted(range(len(tests)), key=lambda i: -lengths[i]):
         if steps >= _CHUNK_STEPS:
@@ -497,6 +550,8 @@ def _chunks(tests) -> list[list[int]]:
             steps = 0
         chunks[-1].append(i)
         steps += lengths[i]
+    if len(chunks) > 1 and steps < _CHUNK_STEPS:
+        chunks[-2].extend(chunks.pop())  # the remainder joins the last full chunk
     return chunks
 
 
@@ -509,11 +564,14 @@ def execute_campaign(
 ) -> tuple[TestResult, ...]:
     """Run every generated test; results keep the test order.
 
-    Each test is rendered, simulated through :func:`run_plant` and scored.
-    Tests are cut into chunks of about ``_CHUNK_STEPS`` steps, and with
-    ``workers > 1`` the chunks go to a process pool, longest tests first.
-    Each test is an independent deterministic simulation, so the outcome is
-    identical for any ``workers`` count; workers only trade wall time.
+    Each test is rendered, simulated through :func:`run_plant` and scored,
+    equally long tests from shared spectrum blocks.  Tests are cut into
+    chunks of at least ``_CHUNK_STEPS`` steps, and with ``workers > 1`` and
+    at least two chunks the chunks go to a process pool of at most
+    ``workers`` processes, longest tests first; less work runs in this
+    process, where it costs less than starting a pool.  Each test is an
+    independent deterministic simulation, so the outcome is identical for
+    any ``workers`` count; workers only trade wall time.
     ``progress(done, total)``, if given, is called with the number of tests
     collected after each chunk.
     """

@@ -109,6 +109,38 @@ def _load(path, kind: str, record: str, build):
         raise SchemaError(f"{path}: bad {kind} artifact: {exc!r}") from exc
 
 
+# Field readers: a value of another JSON type is a ``TypeError`` (a
+# ``SchemaError`` once ``_load`` maps it), never coerced.  ``type(...) is``
+# keeps them cheap and rejects bools, which are ints in Python.
+
+def _number(value) -> float:
+    """A JSON number as a float."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+def _integer(value) -> int:
+    """A JSON number with an integral value as an int."""
+    if type(value) is int:
+        return value
+    if type(value) is float:
+        n = int(value)  # OverflowError for an infinity, ValueError for NaN
+        if n == value:
+            return n
+        raise ValueError(f"expected an integer, got {value!r}")
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _flag(value) -> bool:
+    """A JSON boolean."""
+    if type(value) is bool:
+        return value
+    raise TypeError(f"expected true or false, got {value!r}")
+
+
 # -- bounds ---------------------------------------------------------------
 
 def save_bounds(path, bound_map: AmplitudeBoundMap) -> None:
@@ -124,12 +156,14 @@ def save_bounds(path, bound_map: AmplitudeBoundMap) -> None:
 
 def load_bounds(path) -> AmplitudeBoundMap:
     def build(header, body):
-        pairs = [(float(row["frequency"]), float(row["bound"])) for row in body]
+        pairs = [(_number(row["frequency"]), _number(row["bound"])) for row in body]
         return AmplitudeBoundMap(
             frequencies=tuple(f for f, _ in pairs),
             bounds=tuple(b for _, b in pairs),
-            unresolved=tuple((float(a), float(b)) for a, b in header.get("unresolved", [])),
-            probes=int(header.get("probes", 0)),
+            unresolved=tuple(
+                (_number(a), _number(b)) for a, b in header.get("unresolved", [])
+            ),
+            probes=_integer(header.get("probes", 0)),
         )
 
     return _load(path, "bounds", "bound", build)
@@ -155,14 +189,14 @@ def _test_from_dict(d: dict) -> GeneratedTest:
     return GeneratedTest(
         case=TestCase(
             shape=ShapeKind(d["shape"]),
-            amp_gain=float(d["amp_gain"]),
-            time_gain=float(d["time_gain"]),
-            periods=int(d["periods"]),
-            sample_interval=float(d["sample_interval"]),
+            amp_gain=_number(d["amp_gain"]),
+            time_gain=_number(d["time_gain"]),
+            periods=_integer(d["periods"]),
+            sample_interval=_number(d["sample_interval"]),
         ),
-        target_frequency=float(d["target_frequency"]),
-        bound=float(d["bound"]),
-        snap_error=float(d["snap_error"]),
+        target_frequency=_number(d["target_frequency"]),
+        bound=_number(d["bound"]),
+        snap_error=_number(d["snap_error"]),
     )
 
 
@@ -180,8 +214,8 @@ def save_test_set(path, test_set: TestSet) -> None:
 def load_test_set(path) -> TestSet:
     return _load(path, "tests", "test", lambda header, body: TestSet(
         tests=tuple(_test_from_dict(row) for row in body),
-        seed=int(header["seed"]),
-        frequency_step=float(header["frequency_step"]),
+        seed=_integer(header["seed"]),
+        frequency_step=_number(header["frequency_step"]),
         shapes=tuple(ShapeKind(s) for s in header["shapes"]),
     ))
 
@@ -208,19 +242,19 @@ def save_results(path, results) -> None:
 def _result_from_dict(row: dict) -> TestResult:
     return TestResult(
         test=_test_from_dict(row["test"]),
-        dnl=float(row["dnl"]),
+        dnl=_number(row["dnl"]),
         components=tuple(
             Component(
-                frequency=float(f),
-                amplitude=float(a),
-                dof=None if d is None else float(d),
+                frequency=_number(f),
+                amplitude=_number(a),
+                dof=None if d is None else _number(d),
             )
             for f, a, d in row["components"]
         ),
-        actuator_saturation_fraction=float(row["actuator_sat_fraction"]),
-        sensor_saturation_fraction=float(row["sensor_sat_fraction"]),
-        deviation_mean=float(row["deviation_mean"]),
-        diverged=bool(row["diverged"]),
+        actuator_saturation_fraction=_number(row["actuator_sat_fraction"]),
+        sensor_saturation_fraction=_number(row["sensor_sat_fraction"]),
+        deviation_mean=_number(row["deviation_mean"]),
+        diverged=_flag(row["diverged"]),
     )
 
 

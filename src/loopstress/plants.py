@@ -369,11 +369,9 @@ def load_kernel():
     """
     global _kernel
     if _kernel is None:
-        import subprocess
-
         try:
             _kernel = _build_and_load()
-        except (OSError, subprocess.SubprocessError) as exc:
+        except OSError as exc:
             print(f"loopstress: no compiled stepper ({exc}); simulating in Python, "
                   "20 to 45 times slower", file=sys.stderr)
             _kernel = False
@@ -381,10 +379,14 @@ def load_kernel():
 
 
 def _build_and_load():
-    """``simulate`` of the cached shared object, which is built if missing."""
+    """``simulate`` of the cached shared object, which is built if missing.
+
+    A failed build raises ``OSError``.  The modules that only a build needs
+    are imported on the build's path: a process that loads the cached
+    object does not pay for them.
+    """
     import hashlib
     import platform
-    import tempfile
 
     here = os.path.dirname(os.path.abspath(__file__))
     source = os.path.join(here, "stepper.c")
@@ -400,6 +402,8 @@ def _build_and_load():
         except OSError:
             pass
         if not os.access(cache, os.W_OK):
+            import tempfile
+
             with tempfile.TemporaryDirectory() as private:
                 shared = os.path.join(private, "stepper.so")
                 _compile(source, shared)
@@ -415,6 +419,8 @@ def _compile(source: str, target: str) -> None:
     try:
         subprocess.run([*_COMPILE, "-o", partial, source, "-lm"], check=True, capture_output=True)
         os.replace(partial, target)
+    except subprocess.SubprocessError as exc:  # the compiler failed
+        raise OSError(str(exc)) from exc
     finally:
         if os.path.exists(partial):
             os.unlink(partial)

@@ -156,10 +156,11 @@ def render_reference(case: TestCase) -> np.ndarray:
 
     The phase sequence is derived from integer sample counts, so repetitions
     are exact copies of the first period and halving the time gain reproduces
-    the same phases at every other sample.
+    the same phases at every other sample.  One period is rendered and
+    tiled, which gives the same bits as rendering sample ``n`` at phase
+    ``(n mod samples_per_period) / samples_per_period``.
     """
     spp = case.samples_per_period
-    n = np.arange(case.periods * spp)
-    phase = (n % spp) / spp
-    return case.amp_gain * eval_shape(case.shape, phase)
+    period = case.amp_gain * eval_shape(case.shape, np.arange(spp) / spp)
+    return np.tile(period, case.periods)
 

@@ -86,24 +86,28 @@ class Trace:
 
 
 def dft_amplitude(samples: np.ndarray, sample_interval: float) -> Spectrum:
-    """Single-sided amplitude spectrum of a real series.
+    """Single-sided amplitude spectrum of a real series, or of each row of a
+    2-D block of equally long series.
 
     Scaling is chosen so amplitudes read in the units of the signal: a pure
     bin-aligned sinusoid of amplitude ``a`` produces a single component of
     amplitude ``a``, and a constant series ``c`` produces ``c`` at 0 Hz.
     Interior bins are scaled ``2/N``; the 0 Hz bin and (for even ``N``) the
-    Nyquist bin are scaled ``1/N``.
+    Nyquist bin are scaled ``1/N``.  For a block, ``amplitudes[i]`` is row
+    ``i``'s spectrum, the same bits as a call on that row alone, and
+    ``frequencies`` is shared by the rows; one call over many rows costs
+    several times less per row than a call per row.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValueError("need a 1-D series with at least two samples")
+    if x.ndim not in (1, 2) or x.shape[-1] < 2 or x.size == 0:
+        raise ValueError("need a 1-D series or a block of rows with at least two samples")
     if sample_interval <= 0.0:
         raise ValueError("sample_interval must be positive")
-    n = len(x)
+    n = x.shape[-1]
     amps = np.abs(np.fft.rfft(x)) / n
-    amps[1:] *= 2.0
+    amps[..., 1:] *= 2.0
     if n % 2 == 0:
-        amps[-1] /= 2.0  # Nyquist bin has no mirror image
+        amps[..., -1] /= 2.0  # Nyquist bin has no mirror image
     freqs = np.fft.rfftfreq(n, d=sample_interval)
     return Spectrum(frequencies=freqs, amplitudes=amps)
 
@@ -158,9 +162,10 @@ def degree_of_nonlinearity(
     denominator's maximum (the numerator's bin set is unaffected).
     """
     _check_rho(rho)
+    freqs, amps = dft_amplitude(np.stack((trace.reference, trace.output)), trace.sample_interval)
     return dnl_of_spectra(
-        dft_amplitude(trace.reference, trace.sample_interval),
-        dft_amplitude(trace.output, trace.sample_interval),
+        Spectrum(freqs, amps[0]),
+        Spectrum(freqs, amps[1]),
         rho,
         include_mean_in_scale=include_mean_in_scale,
     )

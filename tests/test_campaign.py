@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopstress import campaign, plants
 from loopstress.campaign import (
@@ -24,6 +27,7 @@ from loopstress.campaign import (
 )
 from loopstress.plants import (
     dc_servo_spec,
+    dead_zone,
     drone_spec,
     quadratic_friction,
     run_plant,
@@ -269,9 +273,12 @@ def real_bound_inputs():
     )
 
 
-def test_bound_workers_and_the_period_memo_keep_the_map():
+def test_bound_workers_and_the_period_memo_keep_the_map(monkeypatch):
     plant, inputs = real_bound_inputs()
     serial = optimistic_amplitude_bound(plant, inputs)
+    # Searches of at most 450 to 1,800 steps: with 1,000-step chunks the
+    # first round's two searches (the only round with two) fork.
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 1_000)
     pooled = optimistic_amplitude_bound(plant, inputs, workers=2)
     assert pooled == serial
     # The sine probe as a custom probe: every frequency searched in this
@@ -477,9 +484,10 @@ def test_diverged_run_reports_infinite_dnl():
         assert all(c.dof is None for c in r.components)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
     tests, inputs = small_test_set()
     serial = execute_campaign(drone_spec(), tests.tests, inputs, workers=1)
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 8_000)  # four chunks, so a pool
     parallel = execute_campaign(drone_spec(), tests.tests, inputs, workers=2)
     assert serial == parallel
 
@@ -546,6 +554,46 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
             assert repr(results) == repr(expected)  # the sign of zero, too
 
 
+def test_a_block_holding_diverging_tests_scores_like_one_test_at_a_time(stepper):
+    # Positive feedback behind a dead zone: a command inside the dead zone
+    # leaves the plant at rest, a larger one runs away.  So amplitudes
+    # above 0.5 diverge and the ones below stay at zero output.
+    plant = drone_spec(kp=-30.0, ki=0.0, thrust_limit=0.0, extra_blocks=(dead_zone(15.0),))
+    inputs = RequiredInput(f_min=0.5, f_max=2.0, a_max=2.0, delta_a=0.25, base_periods=2)
+    tests = [
+        campaign.GeneratedTest(
+            campaign._case(inputs, shape, 1.0, amplitude), 1.0, 2.0, 0.0
+        )
+        for shape, amplitude in [
+            (ShapeKind.SQUARE, 0.2), (ShapeKind.SQUARE, 1.0), (ShapeKind.SINE, 0.3),
+            (ShapeKind.SQUARE, 2.0), (ShapeKind.TRIANGLE, 0.1), (ShapeKind.SINE, 1.5),
+        ]
+    ]
+    assert len(tests) * 2 * 8 * 2000 <= campaign._BLOCK_BYTES  # one block
+    expected = [reference_run_one(plant, t, inputs) for t in tests]
+    assert [r.diverged for r in expected] == [False, True, False, True, False, True]
+    results = campaign._run_chunk(plant, inputs, tests)
+    assert results == expected
+    assert repr(results) == repr(expected)
+
+
+def test_tests_sampled_unlike_the_plant_score_like_one_test_at_a_time():
+    # A test set loaded from a file may carry another sample interval than
+    # the plant's; its outputs' spectra then have the plant's bins, and only
+    # the 0 Hz component finds its dof there.  The threshold lets every test
+    # score its dof.
+    inputs = RequiredInput(
+        f_min=0.5, f_max=1.0, a_max=1.5, delta_a=0.5, base_periods=2, sample_interval=0.002,
+        dnl_threshold=1.0,
+    )
+    bound_map = AmplitudeBoundMap(frequencies=(0.5, 1.0), bounds=(1.5, 1.0))
+    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=3).tests
+    plant = drone_spec()
+    expected = [reference_run_one(plant, t, inputs) for t in tests]
+    assert all(r.components[0].dof is not None for r in expected)
+    assert campaign._run_chunk(plant, inputs, tests) == expected
+
+
 def test_execute_rejects_mismatched_sampling():
     # The references would run at twice their time scale.
     tests, inputs = small_test_set()
@@ -568,6 +616,26 @@ def test_chunks_cut_the_longest_tests_first_by_steps(monkeypatch):
     for chunk in chunks[:-1]:
         total = sum(length[i] for i in chunk)
         assert total - length[chunk[-1]] < 100_000 <= total
+
+
+@given(
+    lengths=st.lists(st.integers(min_value=2, max_value=5000), max_size=60),
+    budget=st.integers(min_value=1, max_value=20_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_chunks_never_fall_under_the_budget_unless_all_tests_do(lengths, budget):
+    tests = [SimpleNamespace(case=SimpleNamespace(periods=1, samples_per_period=n))
+             for n in lengths]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(campaign, "_CHUNK_STEPS", budget)
+        chunks = campaign._chunks(tests)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(len(tests)))
+    order = [lengths[i] for chunk in chunks for i in chunk]
+    assert order == sorted(lengths, reverse=True)
+    if sum(lengths) < budget:
+        assert len(chunks) == (1 if lengths else 0)
+    else:
+        assert all(sum(lengths[i] for i in chunk) >= budget for chunk in chunks)
 
 
 @pytest.mark.parametrize("workers, expected", [(2, 2), (3, 3), (4, 3), (8, 3)])
@@ -593,9 +661,11 @@ def test_run_pool_starts_no_more_workers_than_chunks(monkeypatch, workers, expec
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     tests, inputs = small_test_set()
-    # 10,000 steps cut the ten tests into chunks of 3, 3 and 4.
-    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 10_000)
-    assert len(campaign._chunks(tests.tests)) == 3
+    # 8,000 steps cut six tests of 4,000 steps and two of 2,000 into chunks
+    # of 2, 2 and 4: the last two join the last full chunk.
+    tests = tests.tests[:8]
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 8_000)
+    assert [len(chunk) for chunk in campaign._chunks(tests)] == [2, 2, 4]
     results = execute_campaign(drone_spec(), tests, inputs, workers=workers)
     assert sizes == [expected]
     assert results == execute_campaign(drone_spec(), tests, inputs, workers=1)

@@ -6,10 +6,11 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from loopstress import analysis, cli, persist, plants
+from loopstress import analysis, campaign, cli, persist, plants
 from loopstress.signals import ShapeKind
 
 from conftest import make_result, violation_family
@@ -130,19 +131,46 @@ def test_campaign_is_reproducible_across_runs(tmp_path):
         assert digest(a / name) == digest(b / name), name
 
 
-def test_worker_count_does_not_change_artifacts(tmp_path):
+def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
     cfg = write_config(tmp_path)
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(serial)]) == 0
+    # Chunks small enough that both stages have two chunks of work and fork.
+    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 10_000)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert (
         cli.main(
             ["campaign", "--config", str(cfg), "--out", str(parallel), "--workers", "2"]
         )
         == 0
     )
+    assert started == [2, 2]  # the bound stage's pool, then the run stage's
     for name in ARTIFACTS:
         assert digest(serial / name) == digest(parallel / name), name
+
+
+def test_a_stage_with_less_than_two_chunks_of_work_starts_no_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    # The servo campaign of the benchmark: 82 probes, then 170 tests of about
+    # 1.1 million steps in all, which is less than two chunks.
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "dc_servo_quadratic_friction.json"
+    argv = ["campaign", "--config", str(cfg), "--workers", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
 
 
 SERVO_FRICTION = {
@@ -573,10 +601,10 @@ def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override
 
 @pytest.fixture(scope="module")
 def staged(tmp_path_factory):
-    """A config and the bounds and tests artifacts it gives."""
+    """A config and the bounds, tests and results artifacts it gives."""
     out = tmp_path_factory.mktemp("staged")
     cfg = write_config(out)
-    for stage in ("bound", "generate"):
+    for stage in ("bound", "generate", "run"):
         assert cli.main([stage, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     return cfg, out
 
@@ -589,9 +617,19 @@ def staged(tmp_path_factory):
         (cli.BOUNDS_FILE, 1, lambda r: {**r, "bound": None}),
         (cli.TESTS_FILE, 1, lambda r: [1, 2]),
         (cli.TESTS_FILE, 0, lambda r: []),
+        # Values of the wrong JSON type or not integral are not coerced.
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "diverged": "false"}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "diverged": 0}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": "0.5"}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": True}),
+        (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": 9.7}),
+        (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": "9"}),
+        (cli.TESTS_FILE, 1, lambda r: {**r, "periods": 2.5}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
-         "tests-list-row", "tests-list-header"],
+         "tests-list-row", "tests-list-header", "results-diverged-string",
+         "results-diverged-number", "results-dnl-string", "results-dnl-bool",
+         "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit
@@ -601,7 +639,11 @@ def test_malformed_artifact_exits_3_with_one_error_line(
     records[index] = edit(records[index])
     edited = tmp_path / artifact
     edited.write_text("".join(json.dumps(r) + "\n" for r in records))
-    stage, flag = ("generate", "--bounds") if artifact == cli.BOUNDS_FILE else ("run", "--tests")
+    stage, flag = {
+        cli.BOUNDS_FILE: ("generate", "--bounds"),
+        cli.TESTS_FILE: ("run", "--tests"),
+        cli.RESULTS_FILE: ("analyze", "--results"),
+    }[artifact]
     capsys.readouterr()
     rc = cli.main([stage, "--config", str(cfg), flag, str(edited), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INVALID_INPUT

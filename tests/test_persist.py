@@ -230,6 +230,42 @@ def test_numbers_beyond_float_range_raise_schema_error(artifact_records, index, 
         persist.load_bounds(path)
 
 
+@pytest.mark.parametrize(
+    "artifact, index, key, value",
+    # More cases, through the CLI, in test_cli's malformed-artifact test.
+    [
+        (0, 0, "probes", True),
+        (0, 1, "bound", "1.5"),
+        (1, 0, "seed", 3.5),
+        (1, 1, "amp_gain", "1.0"),
+        (2, 1, "components", [["0.5", 1.0, None]]),
+    ],
+    ids=["probes-bool", "bound-string", "seed-fraction", "amp-gain-string",
+         "component-frequency-string"],
+)
+def test_loaders_reject_what_they_would_have_to_coerce(
+    artifact_records, artifact, index, key, value
+):
+    path, artifacts = artifact_records
+    load, _, records = artifacts[artifact]
+    records = json.loads(json.dumps(records))
+    records[index][key] = value
+    write_records(path, records)
+    with pytest.raises(persist.SchemaError):
+        load(path)
+
+
+def test_integral_numbers_load_as_integers(artifact_records):
+    path, artifacts = artifact_records
+    for (load, _, records), key in zip(artifacts, ("probes", "seed")):
+        records = json.loads(json.dumps(records))
+        records[0][key] = float(records[0][key])
+        write_records(path, records)
+        value = load(path)
+        loaded = value.probes if key == "probes" else value.seed
+        assert type(loaded) is int and loaded == records[0][key]
+
+
 # ---------------------------------------------------------------------------
 # JSON reports
 # ---------------------------------------------------------------------------

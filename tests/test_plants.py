@@ -604,6 +604,16 @@ def test_a_failed_build_falls_back_to_the_golden_digests(monkeypatch, capfd):
     assert err.count("\n") == 1 and "simulating in Python" in err
 
 
+def test_a_compiler_error_falls_back_with_one_line(monkeypatch, capfd):
+    # The compiler runs and fails: an option it does not know.
+    monkeypatch.setattr(plants, "_kernel", None)
+    monkeypatch.setattr(plants, "_COMPILE", (*plants._COMPILE, "-floopstress-no-such-option"))
+    assert plants.load_kernel() is None
+    assert golden_digest("servo_pwm-all-sine") == GOLDEN_DIGESTS["servo_pwm-all-sine"]
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "non-zero exit status" in err
+
+
 def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
     cache = Path(plants.__file__).with_name("__pycache__")
     before = set(cache.glob("*.so"))

@@ -275,6 +275,25 @@ def test_render_repetitions_are_bit_identical(shape, spp, periods):
         assert np.array_equal(blocks[k], blocks[0])
 
 
+@given(
+    shape=shapes,
+    spp=st.integers(min_value=3, max_value=2000),
+    periods=st.integers(min_value=1, max_value=12),
+    amp=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    dt=st.sampled_from((0.001, 0.01, 1e-4)),
+)
+@settings(max_examples=200, deadline=None)
+def test_render_tiles_one_period_with_the_bits_of_the_sample_count_formula(
+    shape, spp, periods, amp, dt
+):
+    case = TestCase(shape=shape, amp_gain=amp, time_gain=1.0 / (spp * dt), periods=periods,
+                    sample_interval=dt)
+    spp = case.samples_per_period
+    n = np.arange(periods * spp)
+    expected = amp * eval_shape(shape, (n % spp) / spp)
+    assert render_reference(case).tobytes() == expected.tobytes()
+
+
 @given(shape=shapes, exponent=st.integers(min_value=-3, max_value=3))
 @settings(max_examples=40, deadline=None)
 def test_render_amplitude_scaling_exact_for_power_of_two(shape, exponent):

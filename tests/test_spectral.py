@@ -121,6 +121,40 @@ def test_amplitude_spectrum_is_homogeneous(samples, c):
     np.testing.assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-12)
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 1009, 4099)
+
+
+@given(
+    n=st.one_of(
+        st.integers(min_value=1, max_value=2000).map(lambda k: 2 * k),  # even
+        st.integers(min_value=1, max_value=2000).map(lambda k: 2 * k + 1),  # odd
+        st.sampled_from(PRIMES),
+    ),
+    rows=st.integers(min_value=1, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from((1e-6, 1.0, 1e6)),
+    dt=st.sampled_from((0.001, 0.01)),
+)
+@settings(max_examples=150, deadline=None)
+def test_dft_amplitude_of_a_block_equals_its_rows_bit_for_bit(n, rows, seed, scale, dt):
+    block = scale * np.random.default_rng(seed).standard_normal((rows, n))
+    spectra = dft_amplitude(block, dt)
+    assert spectra.amplitudes.shape == (rows, n // 2 + 1)
+    for row, amps in zip(block, spectra.amplitudes):
+        alone = dft_amplitude(row, dt)
+        assert amps.tobytes() == alone.amplitudes.tobytes()
+        assert spectra.frequencies.tobytes() == alone.frequencies.tobytes()
+
+
+def test_dft_amplitude_of_strided_rows_equals_the_rows():
+    # A column slice of a wider array is not contiguous.
+    wide = np.random.default_rng(5).standard_normal((4, 1201))
+    block = wide[:, 1:]
+    spectra = dft_amplitude(block, 0.001)
+    for row, amps in zip(block, spectra.amplitudes):
+        assert amps.tobytes() == dft_amplitude(row, 0.001).amplitudes.tobytes()
+
+
 @pytest.mark.parametrize(
     "samples, dt",
     [
@@ -128,7 +162,9 @@ def test_amplitude_spectrum_is_homogeneous(samples, c):
         (np.array([1.0]), 0.001),
         (np.ones(10), 0.0),
         (np.ones(10), -0.1),
-        (np.ones((5, 2)), 0.001),
+        (np.ones((2, 5, 2)), 0.001),  # a block of rows is 2-D
+        (np.ones((5, 1)), 0.001),  # rows of one sample
+        (np.ones((0, 4)), 0.001),  # no rows
     ],
 )
 def test_dft_amplitude_rejects_degenerate_input(samples, dt):
