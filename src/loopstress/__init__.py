@@ -35,6 +35,7 @@ from .campaign import (
     Component,
     GeneratedTest,
     RequiredInput,
+    SamplingError,
     TestResult,
     TestSet,
     binary_search_upperbound,

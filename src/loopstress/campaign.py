@@ -10,8 +10,8 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 2. *Bound* the linear envelope (:func:`optimistic_amplitude_bound`):
    per frequency, a sinusoidal binary search finds the largest amplitude
    whose dnl stays under the threshold; frequencies are refined in rounds
-   where adjacent bounds disagree by more than ``delta_a``.  Each snapped
-   period is searched once, and a round's searches may run in parallel.
+   where adjacent bounds disagree by more than ``delta_a``, on the grid of
+   snapped periods, and a round's searches may run in parallel.
 3. *Generate* the test set (:func:`generate_test_set`): a uniform frequency
    grid, all requested shapes, amplitudes drawn under the interpolated
    bound -- skewed toward the bound, where the interesting behaviour is.
@@ -44,6 +44,7 @@ __all__ = [
     "RequiredInput",
     "AmplitudeBoundMap",
     "BoundRefinementError",
+    "SamplingError",
     "binary_search_upperbound",
     "optimistic_amplitude_bound",
     "derive_frequency_resolution",
@@ -105,9 +106,10 @@ class AmplitudeBoundMap:
     """Per-frequency largest amplitude that kept the loop linear.
 
     ``unresolved`` lists adjacent frequency pairs whose bound gap still
-    exceeds ``delta_a`` but that cannot be split further (the midpoint is no
-    longer distinguishable from the endpoints): the plant's linear envelope
-    has a jump there sharper than the refinement can resolve.
+    exceeds ``delta_a`` but that cannot be split further (the midpoint
+    searches like an endpoint; for the sine probe, it snaps onto an
+    endpoint's period): the plant's linear envelope has a jump there sharper
+    than one period step.
     """
 
     frequencies: tuple[float, ...]
@@ -145,11 +147,16 @@ def _case(inputs: RequiredInput, shape, frequency: float, amplitude: float,
     )
 
 
-def _check_sampling(plant: PlantSpec, inputs: RequiredInput) -> None:
-    if plant.sample_interval != inputs.sample_interval:
-        raise ValueError(
-            "plant and input sample intervals differ "
-            f"({plant.sample_interval} vs {inputs.sample_interval})"
+class SamplingError(ValueError):
+    """The inputs or a test are sampled unlike the plant, which would run
+    their references at another time scale."""
+
+
+def _check_sampling(plant: PlantSpec, sample_interval: float, what: str = "input") -> None:
+    if plant.sample_interval != sample_interval:
+        raise SamplingError(
+            f"{what} and plant sample intervals differ "
+            f"({sample_interval} vs {plant.sample_interval})"
         )
 
 
@@ -157,7 +164,7 @@ def _sine_probe(plant: PlantSpec, inputs: RequiredInput):
     """Real probe: dnl of a sinusoidal test at (frequency, amplitude)."""
     if plant is None:
         raise ValueError("need either a plant or a probe")
-    _check_sampling(plant, inputs)
+    _check_sampling(plant, inputs.sample_interval)
 
     def probe(frequency: float, amplitude: float) -> float:
         case = _case(inputs, ShapeKind.SINE, frequency, amplitude)
@@ -235,21 +242,22 @@ def optimistic_amplitude_bound(
     Starts from the range endpoints, then refines in rounds: each round
     splits every adjacent frequency pair whose bound gap exceeds
     ``delta_a`` at its geometric mean.  Pairs whose midpoint collapses onto
-    an endpoint (a sharper-than-resolvable jump) are reported as
-    ``unresolved``.  A split depends only on its own pair, so the map is the
-    one that splitting one pair at a time would give.  If a round would take
-    the map past ``max_frequencies``, only its largest-gap splits that fit
-    are searched (ties go to the lower frequency), and
+    an endpoint on the grid the search runs on are reported as
+    ``unresolved``: with the sine probe (``probe`` None) that grid is the
+    snapped period, since the probe snaps every frequency to whole samples
+    per period, and every frequency a split adds has a period of its own;
+    with a custom probe it is the float itself.  A split depends only on its
+    own pair, so the map is the one that splitting one pair at a time would
+    give.  If a round would take the map past ``max_frequencies``, only its
+    largest-gap splits that fit are searched (ties go to the lower
+    frequency), and
     :class:`BoundRefinementError` is raised carrying that partial map.
 
-    With the sine probe (``probe`` None) a search depends only on the
-    frequency's snapped period, so each period is searched once and later
-    frequencies that snap to it reuse its bound; ``probes`` counts the
-    simulations that ran.  A round's searches go to ``workers`` processes
-    when they may take at least two run chunks' worth of steps
-    (``2 * _CHUNK_STEPS``, counting each search at its probe cap); the map
-    is the same for any ``workers``.
-    A custom ``probe`` runs in this process, once per frequency.
+    ``probes`` counts the simulations that ran.  With the sine probe, a
+    round's searches go to ``workers`` processes when they may take at
+    least two run chunks' worth of steps (``2 * _CHUNK_STEPS``, counting
+    each search at its probe cap); the map is the same for any ``workers``.
+    A custom ``probe`` runs in this process.
     ``progress(round, frequencies, probes)``, if given, is called after each
     round.
     """
@@ -261,17 +269,16 @@ def optimistic_amplitude_bound(
         load_kernel()  # before the pool forks, so its workers inherit it
     bounds: dict[float, float] = {}
     closed: set[tuple[float, float]] = set()
-    # What a search depends on: with the sine probe, the snapped period.
+    # The grid a search runs on: with the sine probe, the snapped period.
     if probe is None:
         key = functools.partial(snap_time_gain, sample_interval=inputs.sample_interval)
     else:
         key = float
-    searched: dict[float, float] = {}  # key -> bound
     # A search's steps at its probe cap (see binary_search_upperbound).
     probe_cap = math.ceil(math.log2(inputs.a_max / inputs.delta_a)) + 2
 
-    def worst_steps(time_gain: float) -> int:
-        spp = samples_per_period(time_gain, inputs.sample_interval)
+    def worst_steps(frequency: float) -> int:
+        spp = samples_per_period(key(frequency), inputs.sample_interval)
         return probe_cap * inputs.base_periods * spp
 
     probes = rounds = 0
@@ -289,14 +296,9 @@ def optimistic_amplitude_bound(
     def refine(frequencies) -> None:
         """Search the bound at each of ``frequencies``: one round."""
         nonlocal probes, rounds, pool
-        keys = [key(f) for f in frequencies]
-        due: dict[float, float] = {}  # unsearched key -> its first frequency
-        for k, f in zip(keys, frequencies):
-            if k not in searched:
-                due.setdefault(k, f)
         search = functools.partial(_counted_search, plant, inputs, probe)
-        if (probe is None and workers > 1 and len(due) >= 2
-                and sum(map(worst_steps, due)) >= 2 * _CHUNK_STEPS):
+        if (probe is None and workers > 1 and len(frequencies) >= 2
+                and sum(map(worst_steps, frequencies)) >= 2 * _CHUNK_STEPS):
             if pool is None:
                 # Imported here: the pool module adds noticeably to every start-up.
                 # The platform's default start method, as in the run stage: a
@@ -305,14 +307,12 @@ def optimistic_amplitude_bound(
                 from concurrent.futures import ProcessPoolExecutor
 
                 pool = ProcessPoolExecutor(max_workers=workers)
-            found = pool.map(search, due.values())
+            found = pool.map(search, frequencies)
         else:
-            found = map(search, due.values())
-        for k, (bound, n) in zip(due, found):
-            searched[k] = bound
+            found = map(search, frequencies)
+        for f, (bound, n) in zip(frequencies, found):
+            bounds[f] = bound
             probes += n
-        for k, f in zip(keys, frequencies):
-            bounds[f] = searched[k]
         rounds += 1
         if progress is not None:
             progress(rounds, len(bounds), probes)
@@ -327,7 +327,7 @@ def optimistic_amplitude_bound(
                 if gap <= inputs.delta_a or (f_lo, f_hi) in closed:
                     continue
                 f_new = math.sqrt(f_lo * f_hi)
-                if f_lo < f_new < f_hi:
+                if key(f_lo) < key(f_new) < key(f_hi):
                     splits.append((gap, f_lo, f_new, f_hi))
                 else:
                     closed.add((f_lo, f_hi))
@@ -464,8 +464,8 @@ def _steps(test: GeneratedTest) -> int:
 
 
 def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
-    """Results of ``tests``, which are equally long and sampled alike, from
-    one spectrum block.
+    """Results of ``tests``, which are equally long and sampled like the
+    plant, from one spectrum block.
 
     Each reference is rendered into a row of the block and simulated; the
     output of each run that did not diverge goes into a row after the
@@ -475,7 +475,7 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResul
     and, on its trace, ``degree_of_nonlinearity`` and (for a linear run)
     ``dof_profile`` would score it.
     """
-    n, dt = _steps(tests[0]), tests[0].case.sample_interval
+    n = _steps(tests[0])
     block = np.empty((2 * len(tests), n))
     logs = []
     outputs = len(tests)
@@ -487,11 +487,7 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResul
             outputs += 1
         logs.append((run.diverged, run.log.actuator_saturation_fraction,
                      run.log.sensor_saturation_fraction, run.log.mean_deviation))
-    freqs, amps = spectral.dft_amplitude(block[:outputs], dt)
-    # A run's trace is sampled at the plant's interval.
-    out_freqs = freqs
-    if plant.sample_interval != dt:
-        out_freqs = np.fft.rfftfreq(n, plant.sample_interval)
+    freqs, amps = spectral.dft_amplitude(block[:outputs], plant.sample_interval)
     out_rows = iter(amps[len(tests):])
     results = []
     for test, ref_amps, (diverged, act_sat, sens_sat, deviation) in zip(tests, amps, logs):
@@ -501,7 +497,7 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResul
             dnl = math.inf
             dof = {}
         else:
-            out_spec = spectral.Spectrum(out_freqs, next(out_rows))
+            out_spec = spectral.Spectrum(freqs, next(out_rows))
             dnl = spectral.dnl_of_spectra(
                 ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
             )
@@ -524,12 +520,10 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResul
 
 def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
     """Results of ``tests``, in order: each run of consecutive tests of equal
-    length and sample interval is scored in blocks of at most
-    ``_BLOCK_BYTES`` of samples (at least one test each)."""
+    length is scored in blocks of at most ``_BLOCK_BYTES`` of samples (at
+    least one test each)."""
     results = []
-    for (n, _), group in itertools.groupby(
-        tests, key=lambda t: (_steps(t), t.case.sample_interval)
-    ):
+    for n, group in itertools.groupby(tests, key=_steps):
         group = list(group)
         per_block = max(1, _BLOCK_BYTES // (2 * 8 * n))
         for i in range(0, len(group), per_block):
@@ -565,7 +559,8 @@ def execute_campaign(
     """Run every generated test; results keep the test order.
 
     Each test is rendered, simulated through :func:`run_plant` and scored,
-    equally long tests from shared spectrum blocks.  Tests are cut into
+    equally long tests from shared spectrum blocks.  A test sampled unlike
+    the plant raises :class:`SamplingError`.  Tests are cut into
     chunks of at least ``_CHUNK_STEPS`` steps, and with ``workers > 1`` and
     at least two chunks the chunks go to a process pool of at most
     ``workers`` processes, longest tests first; less work runs in this
@@ -580,7 +575,9 @@ def execute_campaign(
     tests = tuple(tests)
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    _check_sampling(plant, inputs)
+    _check_sampling(plant, inputs.sample_interval)
+    for dt in {t.case.sample_interval for t in tests}:
+        _check_sampling(plant, dt, "test")
     load_kernel()  # before the pool forks, so its workers inherit it
     chunks = _chunks(tests)
     run_chunk = functools.partial(_run_chunk, plant, inputs)
@@ -623,7 +620,7 @@ def calibration_curve(
     """
     if max_periods < 1:
         raise ValueError("max_periods must be at least 1")
-    _check_sampling(plant, inputs)
+    _check_sampling(plant, inputs.sample_interval)
     case = _case(inputs, ShapeKind(shape), inputs.f_max, inputs.a_max, max_periods)
     reference = render_reference(case)
     run = run_plant(plant, reference)

@@ -26,8 +26,9 @@ test never crossed the threshold, a bound gap could not be resolved, or the
 bound search hit ``max_frequencies`` and saved its partial map), 3 invalid
 input, 4 internal failure.  Any malformed config or input artifact (a value
 of the wrong JSON type, a missing field, a line that is not a JSON object),
-an unreadable file or an output directory that cannot be made exits 3 with
-one ``error:`` line on stderr.
+a test set sampled unlike the config's plant, an unreadable file or an
+output directory that cannot be made exits 3 with one ``error:`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def cmd_bound(cfg: CampaignConfig, out: Path) -> int:
     if bound_map.unresolved:
         print(
             f"warning: {len(bound_map.unresolved)} adjacent pair(s) kept a bound "
-            "gap above delta_a (envelope jump sharper than refinable)",
+            "gap above delta_a (envelope jump sharper than one period step)",
             file=sys.stderr,
         )
         return EXIT_WARNINGS
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
         if args.command == "campaign":
             return cmd_campaign(cfg, out, args.full_violations)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (persist.SchemaError, ConfigError, OSError) as exc:
+    except (persist.SchemaError, ConfigError, campaign.SamplingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

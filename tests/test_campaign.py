@@ -266,14 +266,13 @@ def test_rounds_give_the_map_of_one_split_at_a_time(inputs, probe, batched):
 
 def real_bound_inputs():
     # The drone at 1 to 4 Hz on a 10 ms step: 25 to 100 samples per period,
-    # so probes are short and the refinement packs frequencies closer than
-    # one sample per period.
+    # so probes are short and one period step is a wide frequency step.
     return drone_spec(sample_interval=0.01), RequiredInput(
         f_min=1.0, f_max=4.0, a_max=6.0, delta_a=0.05, base_periods=2, sample_interval=0.01
     )
 
 
-def test_bound_workers_and_the_period_memo_keep_the_map(monkeypatch):
+def test_bound_map_lies_on_the_snapped_period_grid(monkeypatch):
     plant, inputs = real_bound_inputs()
     serial = optimistic_amplitude_bound(plant, inputs)
     # Searches of at most 450 to 1,800 steps: with 1,000-step chunks the
@@ -281,22 +280,20 @@ def test_bound_workers_and_the_period_memo_keep_the_map(monkeypatch):
     monkeypatch.setattr(campaign, "_CHUNK_STEPS", 1_000)
     pooled = optimistic_amplitude_bound(plant, inputs, workers=2)
     assert pooled == serial
-    # The sine probe as a custom probe: every frequency searched in this
-    # process, no memo, the same map.
-    unmemoised = optimistic_amplitude_bound(plant, inputs, probe=campaign._sine_probe(plant, inputs))
-    assert (unmemoised.frequencies, unmemoised.bounds, unmemoised.unresolved) == (
-        serial.frequencies, serial.bounds, serial.unresolved,
-    )
-    periods = {}
-    for f, b in zip(serial.frequencies, serial.bounds):
-        periods.setdefault(snap_time_gain(f, inputs.sample_interval), set()).add(b)
-    assert len(periods) < len(serial.frequencies)  # periods repeat here
-    assert all(len(b) == 1 for b in periods.values())  # one bound per period
-    # One search per distinct period, of as many probes as it takes alone.
+
+    def period(f):
+        return snap_time_gain(f, inputs.sample_interval)
+
+    periods = [period(f) for f in serial.frequencies]
+    assert all(a < b for a, b in zip(periods, periods[1:]))  # no period repeats
+    # A pair stays open only where its midpoint snaps onto an endpoint's period.
+    assert serial.unresolved
+    for f_lo, f_hi in serial.unresolved:
+        assert period(math.sqrt(f_lo * f_hi)) in (period(f_lo), period(f_hi))
+    # One search per frequency, of as many probes as it takes alone.
     assert serial.probes == sum(
-        campaign._counted_search(plant, inputs, None, tg)[1] for tg in periods
+        campaign._counted_search(plant, inputs, None, f)[1] for f in serial.frequencies
     )
-    assert serial.probes < unmemoised.probes
 
 
 def test_bound_rejects_nonpositive_workers():
@@ -577,21 +574,18 @@ def test_a_block_holding_diverging_tests_scores_like_one_test_at_a_time(stepper)
     assert repr(results) == repr(expected)
 
 
-def test_tests_sampled_unlike_the_plant_score_like_one_test_at_a_time():
+def test_execute_rejects_tests_sampled_unlike_the_plant():
     # A test set loaded from a file may carry another sample interval than
-    # the plant's; its outputs' spectra then have the plant's bins, and only
-    # the 0 Hz component finds its dof there.  The threshold lets every test
-    # score its dof.
-    inputs = RequiredInput(
+    # the plant's; the plant would run its references at another time scale.
+    coarse = RequiredInput(
         f_min=0.5, f_max=1.0, a_max=1.5, delta_a=0.5, base_periods=2, sample_interval=0.002,
-        dnl_threshold=1.0,
     )
     bound_map = AmplitudeBoundMap(frequencies=(0.5, 1.0), bounds=(1.5, 1.0))
-    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=3).tests
-    plant = drone_spec()
-    expected = [reference_run_one(plant, t, inputs) for t in tests]
-    assert all(r.components[0].dof is not None for r in expected)
-    assert campaign._run_chunk(plant, inputs, tests) == expected
+    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), coarse, seed=3).tests
+    _, inputs = small_test_set()
+    message = r"test and plant sample intervals differ \(0.002 vs 0.001\)"
+    with pytest.raises(campaign.SamplingError, match=message):
+        execute_campaign(drone_spec(), tests, inputs)
 
 
 def test_execute_rejects_mismatched_sampling():

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from loopstress import analysis, campaign, cli, persist, plants
-from loopstress.signals import ShapeKind
+from loopstress.config import load_config
+from loopstress.signals import ShapeKind, snap_time_gain
 
 from conftest import make_result, violation_family
 
@@ -648,6 +649,45 @@ def test_malformed_artifact_exits_3_with_one_error_line(
     rc = cli.main([stage, "--config", str(cfg), flag, str(edited), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INVALID_INPUT
     assert str(edited) in only_error_line(capsys)
+
+
+def test_run_on_tests_sampled_unlike_the_plant_exits_3_with_one_error_line(
+    staged, tmp_path, capsys
+):
+    cfg, _ = staged  # plant and tests at 0.001 s
+    coarse = tmp_path / "coarse"
+    coarse.mkdir()
+    coarse_cfg = write_config(
+        coarse, sample_interval=0.002,
+        plant={"model": "drone_alt", "sample_interval": 0.002},
+    )
+    for stage in ("bound", "generate"):
+        rc = cli.main([stage, "--config", str(coarse_cfg), "--out", str(coarse)])
+        assert rc in (cli.EXIT_OK, cli.EXIT_WARNINGS)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--config", str(cfg), "--tests", str(coarse / cli.TESTS_FILE),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert "sample intervals differ (0.002 vs 0.001)" in only_error_line(capsys)
+    assert not (out / cli.RESULTS_FILE).exists()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_bound_on_the_snapped_period_grid(tmp_path, capsys, path):
+    # Every shipped config finishes the bound stage under its frequency cap,
+    # with one search per map frequency, each at a period of its own.
+    rc = cli.main(["bound", "--config", str(path), "--out", str(tmp_path), "--workers", "2"])
+    assert rc in (cli.EXIT_OK, cli.EXIT_WARNINGS)
+    assert "bound refinement exceeded" not in capsys.readouterr().err
+    bound_map = persist.load_bounds(tmp_path / cli.BOUNDS_FILE)
+    dt = load_config(path).inputs.sample_interval
+    periods = [snap_time_gain(f, dt) for f in bound_map.frequencies]
+    assert len(set(periods)) == len(periods)
+    assert bound_map.probes >= len(bound_map.frequencies)
 
 
 def test_unknown_subcommand_exits_via_argparse(tmp_path):
