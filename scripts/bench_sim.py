@@ -5,16 +5,21 @@ For each plant model (the drone with its thrust limit, the DC servo with
 its voltage limit, encoder range and encoder quantiser) and each set of
 injected blocks, times ``run_plant`` on one reference, once on the
 compiled stepper (``plants.load_kernel``) and once on ``plants._simulate``,
-the Python fallback, and prints one JSON object whose rows hold:
+the Python fallback, and ``run_lanes`` on the compiled stepper at 1, 2, 4
+and 8 lanes, and prints one JSON object whose rows hold:
 
 * ``kernel_us_per_step`` and ``simulate_us_per_step``: microseconds per
   simulated step of ``run_plant``, the instrumentation post-pass included;
-* ``speedup``: the second over the first.
+* ``speedup``: the second over the first;
+* ``lanes_us_per_lane_step``: per lane count, microseconds per step of
+  one lane of ``run_lanes``, the post-pass included.
 
 The reference is a 1 Hz sine of amplitude 8 at the 1 ms controller period,
-which reaches the saturations.  Each row's run is checked bit for bit
-between the two steppers before it is timed.  Times are the best of
-``--repeats`` runs.  Exits 1 if the compiled stepper cannot be built.
+which reaches the saturations; lane ``k`` runs it at amplitude ``8 +
+0.01 k``.  Each row's run is checked bit for bit between the two steppers,
+and each lane of every lane count against ``run_plant`` on its rendered
+reference, before it is timed.  Times are the best of ``--repeats`` runs.
+Exits 1 if the compiled stepper cannot be built.
 
     PYTHONPATH=src python3 scripts/bench_sim.py [--steps 20000] [--repeats 3]
 """
@@ -36,9 +41,11 @@ from loopstress.plants import (
     dead_zone,
     drone_spec,
     quadratic_friction,
+    run_lanes,
     run_plant,
 )
 
+LANES = (1, 2, 4, 8)
 MODELS = {"drone_alt": drone_spec, "dc_servo": dc_servo_spec}
 BLOCK_SETS = {
     "plain": (),
@@ -64,25 +71,45 @@ def python_stepper():
     return mock.patch.object(plants, "load_kernel", lambda: None)
 
 
-def run_bytes(run) -> list:
-    log = run.log
-    arrays = (run.trace.output, log.actuation, log.actuator_saturated, log.sensor_saturated,
+def run_bytes(output, log, diverged) -> list:
+    arrays = (output, log.actuation, log.actuator_saturated, log.sensor_saturated,
               log.nonlinearity_deviation)
-    return [a.tobytes() for a in arrays] + [run.diverged]
+    return [a.tobytes() for a in arrays] + [diverged]
+
+
+def plant_bytes(run) -> list:
+    return run_bytes(run.trace.output, run.log, run.diverged)
+
+
+def lanes_us_per_lane_step(spec, period: np.ndarray, repeats: int) -> dict:
+    """Per lane count of ``LANES``, the best time per lane-step of
+    ``run_lanes``, after every lane is checked against ``run_plant``."""
+    timed = {}
+    for lanes in LANES:
+        amplitudes = [8.0 + 0.01 * k for k in range(lanes)]
+        runs = run_lanes(spec, period, amplitudes, 1)
+        for k, (a, log) in enumerate(zip(amplitudes, runs.logs)):
+            lane = run_bytes(runs.output[k, :len(log.actuation)], log, runs.diverged[k])
+            if lane != plant_bytes(run_plant(spec, a * period)):
+                raise AssertionError(f"lane {k} of {lanes} differs from run_plant for {spec}")
+        seconds = best_time(lambda: run_lanes(spec, period, amplitudes, 1), repeats)
+        timed[str(lanes)] = seconds / (lanes * len(period)) * 1e6
+    return timed
 
 
 def measure(steps: int, repeats: int) -> dict:
     """The report: every model and block set at ``steps`` samples."""
     if plants.load_kernel() is None:
         raise SystemExit(1)
-    reference = 8.0 * np.sin(2.0 * np.pi * np.arange(steps) * 0.001)
+    period = np.sin(2.0 * np.pi * np.arange(steps) * 0.001)
+    reference = 8.0 * period
     rows = []
     for model, make in MODELS.items():
         for name, blocks in BLOCK_SETS.items():
             spec = make(extra_blocks=blocks)
-            compiled = run_bytes(run_plant(spec, reference))
+            compiled = plant_bytes(run_plant(spec, reference))
             with python_stepper():
-                if run_bytes(run_plant(spec, reference)) != compiled:
+                if plant_bytes(run_plant(spec, reference)) != compiled:
                     raise AssertionError(f"the steppers differ for {spec}")
                 simulate = best_time(lambda: run_plant(spec, reference), repeats)
             kernel = best_time(lambda: run_plant(spec, reference), repeats)
@@ -92,6 +119,7 @@ def measure(steps: int, repeats: int) -> dict:
                 "kernel_us_per_step": kernel / steps * 1e6,
                 "simulate_us_per_step": simulate / steps * 1e6,
                 "speedup": simulate / kernel,
+                "lanes_us_per_lane_step": lanes_us_per_lane_step(spec, period, repeats),
             })
     return {"steps": steps, "rows": rows}
 

@@ -17,9 +17,11 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    bound -- skewed toward the bound, where the interesting behaviour is.
 4. *Execute* (:func:`execute_campaign`): run every test, score dnl, the
    per-component degree of filtering (for linear tests), saturation
-   fractions and the injected-non-linearity deviation.  Each test is one
-   :func:`loopstress.plants.run_plant` call; chunks of tests, cut by
-   steps, are the units of work of the process pool.
+   fractions and the injected-non-linearity deviation.  Tests that repeat
+   one unit reference (shape, samples per period, periods) at their own
+   amplitudes run as the lanes of one :func:`loopstress.plants.run_lanes`
+   call and are scored from that reference's one spectrum; chunks of
+   tests, cut by steps, are the units of work of the process pool.
 """
 
 from __future__ import annotations
@@ -33,12 +35,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .plants import PlantSpec, load_kernel, run_plant
-from .signals import ShapeKind, TestCase, render_reference, samples_per_period, snap_time_gain
-# ``fa_map`` and ``dof_profile`` are imported for callers that look them up
-# here (perfbench/tracer.py wraps them by name); the run stage scores from
-# spectra.
-from .spectral import Trace, degree_of_nonlinearity, dof_profile, fa_map  # noqa: F401
+from .plants import PlantSpec, load_kernel, run_lanes, run_plant
+from .signals import (
+    ShapeKind,
+    TestCase,
+    render_reference,
+    samples_per_period,
+    snap_time_gain,
+    unit_period,
+)
+# ``fa_map``, ``degree_of_nonlinearity`` and ``dof_profile`` are imported for
+# callers that look them up here (perfbench/tracer.py wraps them by name);
+# every stage scores from spectra.
+from .spectral import degree_of_nonlinearity, dof_profile, fa_map  # noqa: F401
 
 __all__ = [
     "RequiredInput",
@@ -160,19 +169,39 @@ def _check_sampling(plant: PlantSpec, sample_interval: float, what: str = "input
         )
 
 
+def _reference_spectrum(unit: spectral.Spectrum, amplitude: float) -> spectral.Spectrum:
+    """The spectrum of a reference that is ``amplitude`` times the one whose
+    spectrum is ``unit`` (see :func:`spectral.tiled_spectrum`)."""
+    return spectral.Spectrum(unit.frequencies, amplitude * unit.amplitudes)
+
+
 def _sine_probe(plant: PlantSpec, inputs: RequiredInput):
-    """Real probe: dnl of a sinusoidal test at (frequency, amplitude)."""
+    """Real probe: dnl of a sinusoidal test at (frequency, amplitude).
+
+    A search probes one frequency, so the probe keeps the spectrum of the
+    unit sine at the last period it saw, and transforms only each probe's
+    output.
+    """
     if plant is None:
         raise ValueError("need either a plant or a probe")
     _check_sampling(plant, inputs.sample_interval)
+    dt = inputs.sample_interval
+    unit = None  # (samples per period, its unit sine's spectrum)
 
     def probe(frequency: float, amplitude: float) -> float:
+        nonlocal unit
         case = _case(inputs, ShapeKind.SINE, frequency, amplitude)
         run = run_plant(plant, render_reference(case))
         if run.diverged:
             return math.inf
-        return degree_of_nonlinearity(
-            run.trace, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
+        spp = case.samples_per_period
+        if unit is None or unit[0] != spp:
+            unit = spp, spectral.tiled_spectrum(unit_period(case.shape, spp), case.periods, dt)
+        return spectral.dnl_of_spectra(
+            _reference_spectrum(unit[1], case.amp_gain),
+            spectral.dft_amplitude(run.trace.output, dt),
+            inputs.rho,
+            include_mean_in_scale=inputs.dnl_includes_mean,
         )
 
     return probe
@@ -452,10 +481,13 @@ class TestResult(NamedTuple):
 # with less than two chunks of work runs in-process.
 _CHUNK_STEPS = 1_000_000
 
-# Bytes of the samples that one ``dft_amplitude`` call of the run stage
-# scores: a block holds the references and outputs of equally long tests.
-# Batched rows cost several times less per row than one call each, and a
-# larger block saves little more while it adds to the peak memory.
+# Bytes of the outputs that one ``dft_amplitude`` call of the run stage
+# scores: a block holds the outputs of tests that share a unit reference,
+# whose spectrum is computed once per group (see ``_run_chunk``).  Batched
+# rows cost several times less per row than one call each, and a larger
+# block saves little more while it adds to the peak memory: the stepper
+# also writes each lane's velocity, actuation, flags and deviation, about
+# four times the outputs' bytes.
 _BLOCK_BYTES = 2**19
 
 
@@ -463,41 +495,38 @@ def _steps(test: GeneratedTest) -> int:
     return test.case.periods * test.case.samples_per_period
 
 
-def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
-    """Results of ``tests``, which are equally long and sampled like the
-    plant, from one spectrum block.
+def _run_block(plant: PlantSpec, inputs: RequiredInput, tests, period: np.ndarray,
+               unit: spectral.Spectrum) -> list[TestResult]:
+    """Results of ``tests``, sampled like the plant, which all repeat the
+    unit reference ``period`` (one period of their shape at amplitude 1) as
+    often; ``unit`` is the reference's spectrum
+    (:func:`spectral.tiled_spectrum`).
 
-    Each reference is rendered into a row of the block and simulated; the
-    output of each run that did not diverge goes into a row after the
-    references (a diverged run has no output spectrum).  One
-    ``dft_amplitude`` call gives every row's spectrum, the same bits as a
-    call per row, and each test is scored as ``fa_map`` on its reference
-    and, on its trace, ``degree_of_nonlinearity`` and (for a linear run)
-    ``dof_profile`` would score it.
+    One :func:`run_lanes` call simulates every test as a lane, and no
+    reference is rendered.  One ``dft_amplitude`` call gives the spectrum
+    of each output of a run that did not diverge, the same bits as a call
+    per output; a diverged run has no output spectrum, and a block of
+    diverged runs makes no call.  A test's reference spectrum is its
+    amplitude times ``unit``, and the test is scored as
+    ``spectral.components``, ``dnl_of_spectra`` and (for a linear run)
+    ``dof_of_spectrum`` score those spectra.
     """
-    n = _steps(tests[0])
-    block = np.empty((2 * len(tests), n))
-    logs = []
-    outputs = len(tests)
-    for row, test in enumerate(tests):
-        block[row] = render_reference(test.case)
-        run = run_plant(plant, block[row])
-        if not run.diverged:
-            block[outputs] = run.trace.output
-            outputs += 1
-        logs.append((run.diverged, run.log.actuator_saturation_fraction,
-                     run.log.sensor_saturation_fraction, run.log.mean_deviation))
-    freqs, amps = spectral.dft_amplitude(block[:outputs], plant.sample_interval)
-    out_rows = iter(amps[len(tests):])
+    amplitudes = [test.case.amp_gain for test in tests]
+    lanes = run_lanes(plant, period, amplitudes, tests[0].case.periods)
+    live = [not diverged for diverged in lanes.diverged]
+    out_rows = iter(())
+    if any(live):
+        rows = lanes.output if all(live) else lanes.output[live]
+        out_rows = iter(spectral.dft_amplitude(rows, plant.sample_interval).amplitudes)
     results = []
-    for test, ref_amps, (diverged, act_sat, sens_sat, deviation) in zip(tests, amps, logs):
-        ref_spec = spectral.Spectrum(freqs, ref_amps)
+    for test, amplitude, diverged, log in zip(tests, amplitudes, lanes.diverged, lanes.logs):
+        ref_spec = _reference_spectrum(unit, amplitude)
         comps = spectral.components(ref_spec, inputs.rho)
         if diverged:
             dnl = math.inf
             dof = {}
         else:
-            out_spec = spectral.Spectrum(freqs, next(out_rows))
+            out_spec = spectral.Spectrum(unit.frequencies, next(out_rows))
             dnl = spectral.dnl_of_spectra(
                 ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
             )
@@ -510,24 +539,40 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResul
             test=test,
             dnl=dnl,
             components=components,
-            actuator_saturation_fraction=act_sat,
-            sensor_saturation_fraction=sens_sat,
-            deviation_mean=deviation,
+            actuator_saturation_fraction=log.actuator_saturation_fraction,
+            sensor_saturation_fraction=log.sensor_saturation_fraction,
+            deviation_mean=log.mean_deviation,
             diverged=diverged,
         ))
     return results
 
 
 def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
-    """Results of ``tests``, in order: each run of consecutive tests of equal
-    length is scored in blocks of at most ``_BLOCK_BYTES`` of samples (at
-    least one test each)."""
+    """Results of ``tests``, in order.
+
+    Each run of consecutive tests with equal samples per period and periods
+    is a group: one ``rfft`` call over one period of each of its shapes
+    gives every unit reference's spectrum, and each run of its tests of one
+    shape is simulated and scored in blocks of at most ``_BLOCK_BYTES`` of
+    outputs (at least one test each).
+    """
     results = []
-    for n, group in itertools.groupby(tests, key=_steps):
+    for (spp, periods), group in itertools.groupby(
+        tests, key=lambda t: (t.case.samples_per_period, t.case.periods)
+    ):
         group = list(group)
-        per_block = max(1, _BLOCK_BYTES // (2 * 8 * n))
-        for i in range(0, len(group), per_block):
-            results.extend(_run_block(plant, inputs, group[i:i + per_block]))
+        shapes = list(dict.fromkeys(test.case.shape for test in group))
+        units = np.stack([unit_period(shape, spp) for shape in shapes])
+        spectra = spectral.tiled_spectrum(units, periods, plant.sample_interval)
+        per_block = max(1, _BLOCK_BYTES // (8 * spp * periods))
+        for shape, same in itertools.groupby(group, key=lambda t: t.case.shape):
+            same = list(same)
+            row = shapes.index(shape)
+            unit = spectral.Spectrum(spectra.frequencies, spectra.amplitudes[row])
+            for i in range(0, len(same), per_block):
+                results.extend(
+                    _run_block(plant, inputs, same[i:i + per_block], units[row], unit)
+                )
     return results
 
 
@@ -558,9 +603,11 @@ def execute_campaign(
 ) -> tuple[TestResult, ...]:
     """Run every generated test; results keep the test order.
 
-    Each test is rendered, simulated through :func:`run_plant` and scored,
-    equally long tests from shared spectrum blocks.  A test sampled unlike
-    the plant raises :class:`SamplingError`.  Tests are cut into
+    Tests that repeat one unit reference at their own amplitudes are
+    simulated together, as the lanes of one :func:`run_lanes` call, without
+    rendering a reference, and scored from that reference's one spectrum
+    and a shared block of output spectra (see ``_run_chunk``).  A test
+    sampled unlike the plant raises :class:`SamplingError`.  Tests are cut into
     chunks of at least ``_CHUNK_STEPS`` steps, and with ``workers > 1`` and
     at least two chunks the chunks go to a process pool of at most
     ``workers`` processes, longest tests first; less work runs in this
@@ -622,25 +669,22 @@ def calibration_curve(
         raise ValueError("max_periods must be at least 1")
     _check_sampling(plant, inputs.sample_interval)
     case = _case(inputs, ShapeKind(shape), inputs.f_max, inputs.a_max, max_periods)
-    reference = render_reference(case)
-    run = run_plant(plant, reference)
+    run = run_plant(plant, render_reference(case))
     spp = case.samples_per_period
+    period = unit_period(case.shape, spp)
+    dt = inputs.sample_interval
     curve = []
     for k in range(1, max_periods + 1):
         n = k * spp
         if len(run.trace.output) < n:
             curve.append(math.inf)
             continue
-        prefix = Trace(
-            reference=run.trace.reference[:n],
-            output=run.trace.output[:n],
-            sample_interval=inputs.sample_interval,
-        )
-        curve.append(
-            degree_of_nonlinearity(
-                prefix, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
-            )
-        )
+        curve.append(spectral.dnl_of_spectra(
+            _reference_spectrum(spectral.tiled_spectrum(period, k, dt), case.amp_gain),
+            spectral.dft_amplitude(run.trace.output[:n], dt),
+            inputs.rho,
+            include_mean_in_scale=inputs.dnl_includes_mean,
+        ))
     return tuple(curve)
 
 

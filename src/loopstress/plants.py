@@ -23,13 +23,16 @@ block introduced relative to an ideal linear counterpart, so test outcomes
 can be attributed to specific non-linearities afterwards.
 
 One stepper runs the loop: ``stepper.c``, compiled at first use with
-``gcc`` into the package's ``__pycache__`` (see :func:`load_kernel`).
-``_simulate`` is the same loop in Python, with the same float operations
-in the same order: the reference implementation, and the fallback, 20 to
-45 times slower, where no compiler is found or the build fails.  Both only
-step: they keep the outputs and velocities, and of the instrumentation
-only what depends on the command inside a step.  One post-pass,
-``_instrument``, derives the sensor flags and the deviation log from those.
+``gcc`` into the package's ``__pycache__`` (see :func:`load_kernel`).  One
+call of it steps several runs of one spec as interleaved lanes, whose
+references repeat one period at their own amplitudes (:func:`run_lanes`);
+:func:`run_plant` is the call of one lane.  ``_simulate`` is the same loop
+in Python, with the same float operations in the same order: the reference
+implementation, and the fallback, 20 to 45 times slower, run lane by lane
+where no compiler is found or the build fails.  Both only step: they keep
+the outputs and velocities, and of the instrumentation only what depends
+on the command inside a step.  One post-pass, ``_instrument``, derives the
+sensor flags and the deviation log from those.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ __all__ = [
     "dc_servo_spec",
     "InstrumentationLog",
     "PlantRun",
+    "LaneRuns",
     "run_plant",
+    "run_lanes",
     "load_kernel",
 ]
 
@@ -305,15 +310,34 @@ class PlantRun(NamedTuple):
     diverged: bool
 
 
-def _checked_reference(reference) -> tuple[np.ndarray, float]:
-    """``reference`` as a float array, with the output limit that flags divergence."""
+class LaneRuns(NamedTuple):
+    """Outcome of :func:`run_lanes`: lane ``k`` is the run of ``amplitudes[k]``.
+
+    ``output`` holds one row per lane: a lane that did not diverge fills its
+    row, and a diverged one only its first ``len(logs[k].actuation)``
+    entries, the rest of the row being undefined.
+    """
+
+    output: np.ndarray
+    diverged: tuple[bool, ...]
+    logs: tuple[InstrumentationLog, ...]
+
+
+def _checked_reference(reference, periods: int = 1) -> tuple[np.ndarray, float]:
+    """``reference`` as a float array, and the largest magnitude of the
+    series that repeats it ``periods`` times."""
     ref = np.asarray(reference, dtype=float)
-    if ref.ndim != 1 or len(ref) < 2:
+    if ref.ndim != 1 or periods < 1 or len(ref) * periods < 2:
         raise ValueError("reference must be 1-D with at least two samples")
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference contains non-finite samples")
-    peak = float(np.max(np.abs(ref)))
-    return ref, 1e6 * peak if peak > 0.0 else math.inf
+    return ref, float(np.max(np.abs(ref)))
+
+
+def _limit(peak: float) -> float:
+    """The output limit that flags divergence of a run whose reference
+    peaks at ``peak``."""
+    return 1e6 * peak if peak > 0.0 else math.inf
 
 
 def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
@@ -330,22 +354,92 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     never checked, so a state that overflows in it leaves a non-finite
     output, which raises ``ValueError`` as a non-finite reference does.
     """
-    ref, limit = _checked_reference(reference)
+    ref, peak = _checked_reference(reference)
     c = _loop(spec)
-    kernel = load_kernel()
-    if kernel is None:
-        out, vel, act, a_sat, shaping_dev, diverged = _simulate(c, ref.tolist(), limit)
-    else:
-        out, vel, act, a_sat, shaping_dev, diverged = _compiled(kernel, c, ref, limit)
-    trace = Trace(reference=ref[:len(out)], output=out, sample_interval=spec.sample_interval)
-    s_sat, dev = _instrument(c, trace.output, np.asarray(vel), np.asarray(shaping_dev))
-    log = InstrumentationLog(
-        actuator_saturated=np.asarray(a_sat, dtype=bool),
-        sensor_saturated=s_sat,
-        nonlinearity_deviation=dev,
-        actuation=np.asarray(act, dtype=float),
+    # One lane whose period is the whole reference, at amplitude 1.0: its
+    # reference is ``1.0 * ref``, the same bits.
+    out, vel, act, a_sat, shaping_dev, steps, diverged = _step(
+        c, ref, np.ones(1), np.array([_limit(peak)]), len(ref)
     )
-    return PlantRun(trace=trace, log=log, diverged=diverged)
+    m = steps[0]
+    trace = Trace(reference=ref[:m], output=out[0, :m], sample_interval=spec.sample_interval)
+    log = _log(c, trace.output, vel[0, :m], act[0, :m], a_sat[0, :m], shaping_dev[0, :m])
+    return PlantRun(trace=trace, log=log, diverged=diverged[0])
+
+
+def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> LaneRuns:
+    """The runs of ``run_plant(spec, a * np.tile(period, periods))`` for each
+    ``a`` of ``amplitudes``, with the same bits, from one call of the
+    compiled stepper that steps them as interleaved lanes.
+
+    No reference is rendered: lane ``k``'s sample ``i`` is ``amplitudes[k] *
+    period[i % len(period)]``, the one multiply that rendering makes.  A
+    reference that ``run_plant`` rejects raises the same ``ValueError``.
+    """
+    u, peak = _checked_reference(period, periods)
+    amps = np.array(amplitudes, dtype=float).reshape(-1)
+    limits = []
+    for a in amps:
+        lane_peak = abs(a) * peak  # max |a * u|: rounding is monotone
+        if not math.isfinite(lane_peak):
+            raise ValueError("reference contains non-finite samples")
+        limits.append(_limit(lane_peak))
+    c = _loop(spec)
+    out, vel, act, a_sat, shaping_dev, steps, diverged = _step(
+        c, u, amps, np.array(limits), len(u) * periods
+    )
+    logs = []
+    for k, m in enumerate(steps):
+        if not np.all(np.isfinite(out[k, :m])):
+            raise ValueError("trace contains non-finite samples")  # as Trace does
+        logs.append(_log(c, out[k, :m], vel[k, :m], act[k, :m], a_sat[k, :m], shaping_dev[k, :m]))
+    return LaneRuns(output=out, diverged=tuple(diverged), logs=tuple(logs))
+
+
+def _log(c: SimpleNamespace, out: np.ndarray, vel: np.ndarray, act: np.ndarray,
+         a_sat: np.ndarray, shaping_dev: np.ndarray) -> InstrumentationLog:
+    """The instrumentation of one run, from what the stepper kept of it."""
+    s_sat, dev = _instrument(c, out, vel, shaping_dev)
+    return InstrumentationLog(
+        actuator_saturated=a_sat, sensor_saturated=s_sat, nonlinearity_deviation=dev,
+        actuation=act,
+    )
+
+
+def _step(c: SimpleNamespace, u: np.ndarray, amps: np.ndarray, limits: np.ndarray, n: int):
+    """Step one lane per amplitude of ``amps`` for ``n`` steps, lane ``k``'s
+    reference being ``amps[k] * u[i % len(u)]`` and its divergence limit
+    ``limits[k]``.
+
+    Returns one row per lane of the output and velocity at each step's
+    start, the actuation, the actuator flags and the dead zone's and
+    backlash's deviation, then each lane's steps and divergence flag.  On
+    the compiled stepper this is one call; on ``_simulate``, one run per
+    lane of its rendered reference.
+    """
+    lanes = len(amps)
+    out, vel, act, dev = np.empty((4, lanes, n))
+    a_sat = np.empty((lanes, n), dtype=bool)
+    kernel = load_kernel()
+    if kernel is not None:
+        values = [getattr(c, name) for name in _KERNEL_PARAMS]
+        p = np.array([0.0 if v is None else v for v in values])
+        blocks = sum(1 << i for i, name in enumerate(_KERNEL_BLOCKS) if getattr(c, name) is not None)
+        steps = np.empty(lanes, dtype="l")  # C long
+        diverged = np.empty(lanes, dtype=np.intc)
+        kernel(p, blocks, np.ascontiguousarray(u), len(u), n, lanes, np.ascontiguousarray(amps),
+               limits, out, vel, act, a_sat, dev, steps, diverged)
+        return out, vel, act, a_sat, dev, steps.tolist(), [bool(d) for d in diverged]
+    steps, diverged = [], []
+    for k, (a, limit) in enumerate(zip(amps, limits)):
+        ref = np.tile(a * u, n // len(u))
+        runs = _simulate(c, ref.tolist(), float(limit))
+        m = len(runs[0])
+        for rows, values in zip((out, vel, act, a_sat, dev), runs):
+            rows[k, :m] = values
+        steps.append(m)
+        diverged.append(runs[-1])
+    return out, vel, act, a_sat, dev, steps, diverged
 
 
 # The command that builds ``stepper.c``: that file says why these flags and
@@ -434,11 +528,11 @@ def _load(path: str):
     doubles = ndpointer(np.float64, flags="C_CONTIGUOUS")
     simulate = ctypes.CDLL(path).simulate
     simulate.argtypes = [
-        doubles, ctypes.c_int, doubles, ctypes.c_long, ctypes.c_double, doubles, doubles,
-        doubles, ndpointer(np.bool_, flags="C_CONTIGUOUS"), doubles,
-        ndpointer(np.intc, flags="C_CONTIGUOUS"),
+        doubles, ctypes.c_int, doubles, ctypes.c_long, ctypes.c_long, ctypes.c_long, doubles,
+        doubles, doubles, doubles, doubles, ndpointer(np.bool_, flags="C_CONTIGUOUS"), doubles,
+        ndpointer(ctypes.c_long, flags="C_CONTIGUOUS"), ndpointer(np.intc, flags="C_CONTIGUOUS"),
     ]
-    simulate.restype = ctypes.c_long
+    simulate.restype = None
     return simulate
 
 
@@ -450,19 +544,6 @@ _KERNEL_PARAMS = (
     "sens_hi", "sens_step", "dz_hw", "bl_half", "act_lo", "act_hi", "coulomb", "quad",
 )
 _KERNEL_BLOCKS = ("sens_lo", "sens_step", "dz_hw", "bl_half", "act_lo", "coulomb", "quad")
-
-
-def _compiled(kernel, c: SimpleNamespace, ref: np.ndarray, limit: float):
-    """What :func:`_simulate` returns, from the compiled ``kernel``, as arrays."""
-    values = [getattr(c, name) for name in _KERNEL_PARAMS]
-    p = np.array([0.0 if v is None else v for v in values])
-    blocks = sum(1 << i for i, name in enumerate(_KERNEL_BLOCKS) if getattr(c, name) is not None)
-    n = len(ref)
-    out, vel, act, dev = np.empty((4, n))
-    a_sat = np.empty(n, dtype=bool)
-    diverged = np.zeros(1, dtype=np.intc)
-    m = kernel(p, blocks, np.ascontiguousarray(ref), n, limit, out, vel, act, a_sat, dev, diverged)
-    return out[:m], vel[:m], act[:m], a_sat[:m], dev[:m], bool(diverged[0])
 
 
 def _loop(spec: PlantSpec) -> SimpleNamespace:

@@ -151,6 +151,12 @@ class TestCase:
         return self.periods * self.samples_per_period * self.sample_interval
 
 
+def unit_period(shape: ShapeKind, spp: int) -> np.ndarray:
+    """One period of ``shape`` at amplitude 1, ``spp`` samples long: sample
+    ``n`` at phase ``n / spp``."""
+    return eval_shape(shape, np.arange(spp) / spp)
+
+
 def render_reference(case: TestCase) -> np.ndarray:
     """Render the reference series ``r[n] = A * shape(phase_n)``.
 
@@ -158,9 +164,9 @@ def render_reference(case: TestCase) -> np.ndarray:
     are exact copies of the first period and halving the time gain reproduces
     the same phases at every other sample.  One period is rendered and
     tiled, which gives the same bits as rendering sample ``n`` at phase
-    ``(n mod samples_per_period) / samples_per_period``.
+    ``(n mod samples_per_period) / samples_per_period``: sample ``n`` is
+    ``A * unit_period(shape, spp)[n % spp]``, one multiply.
     """
-    spp = case.samples_per_period
-    period = case.amp_gain * eval_shape(case.shape, np.arange(spp) / spp)
+    period = case.amp_gain * unit_period(case.shape, case.samples_per_period)
     return np.tile(period, case.periods)
 

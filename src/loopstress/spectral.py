@@ -30,6 +30,7 @@ __all__ = [
     "ComponentSet",
     "Trace",
     "dft_amplitude",
+    "tiled_spectrum",
     "fa_map",
     "components",
     "degree_of_nonlinearity",
@@ -110,6 +111,29 @@ def dft_amplitude(samples: np.ndarray, sample_interval: float) -> Spectrum:
         amps[..., -1] /= 2.0  # Nyquist bin has no mirror image
     freqs = np.fft.rfftfreq(n, d=sample_interval)
     return Spectrum(frequencies=freqs, amplitudes=amps)
+
+
+def tiled_spectrum(period: np.ndarray, periods: int, sample_interval: float) -> Spectrum:
+    """:func:`dft_amplitude` of ``np.tile(period, periods)``, or of each row of
+    a block of equally long periods so tiled, from one ``rfft`` of the
+    periods alone.
+
+    A series that repeats one period ``periods`` times has that period's
+    spectrum on every ``periods``-th bin, with the same amplitudes, and
+    nothing on the other bins, which are exactly 0 here.  The amplitude
+    spectrum of ``a * np.tile(period, periods)``, for ``a >= 0``, is ``a``
+    times this one: that is how a test's reference is scored.  It differs
+    from the ``rfft`` of the rendered series only by rounding, in the last
+    bits: ``a * |F(u)|`` is not ``|F(a * u)|``.
+    """
+    x = np.asarray(period, dtype=float)
+    if periods < 1:
+        raise ValueError("periods must be at least 1")
+    unit = dft_amplitude(x, sample_interval).amplitudes
+    n = periods * x.shape[-1]
+    amps = np.zeros(x.shape[:-1] + (n // 2 + 1,))
+    amps[..., ::periods] = unit
+    return Spectrum(frequencies=np.fft.rfftfreq(n, d=sample_interval), amplitudes=amps)
 
 
 def _check_rho(rho: float) -> None:

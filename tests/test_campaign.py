@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopstress import campaign, plants
+from loopstress import campaign, plants, spectral
 from loopstress.campaign import (
     AmplitudeBoundMap,
     Component,
@@ -32,8 +32,15 @@ from loopstress.plants import (
     quadratic_friction,
     run_plant,
 )
-from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain
-from loopstress.spectral import degree_of_nonlinearity, dof_profile, fa_map
+from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain, unit_period
+from loopstress.spectral import (
+    Spectrum,
+    components,
+    dft_amplitude,
+    dnl_of_spectra,
+    dof_of_spectrum,
+    tiled_spectrum,
+)
 
 DEFAULT_INPUTS = RequiredInput(f_min=0.1, f_max=2.0, a_max=6.0, delta_a=0.05)
 
@@ -490,17 +497,24 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
 
 def reference_run_one(plant, test, inputs):
-    """One test through ``run_plant``, scored by the three series metrics."""
-    reference = render_reference(test.case)
-    comps = fa_map(reference, test.case.sample_interval, inputs.rho)
-    run = run_plant(plant, reference)
+    """One test through ``run_plant`` on its rendered reference, scored on
+    its own: the reference's spectrum is the amplitude times the spectrum
+    of the shape's unit period repeated as often (``tiled_spectrum``), the
+    output's is its own ``dft_amplitude``."""
+    case = test.case
+    dt = case.sample_interval
+    unit = tiled_spectrum(unit_period(case.shape, case.samples_per_period), case.periods, dt)
+    reference = Spectrum(unit.frequencies, case.amp_gain * unit.amplitudes)
+    comps = components(reference, inputs.rho)
+    run = run_plant(plant, render_reference(case))
     if run.diverged:
         dnl, dof = math.inf, {}
     else:
-        dnl = degree_of_nonlinearity(
-            run.trace, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
+        output = dft_amplitude(run.trace.output, dt)
+        dnl = dnl_of_spectra(
+            reference, output, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
         )
-        dof = dof_profile(run.trace, inputs.rho) if dnl < inputs.dnl_threshold else {}
+        dof = dof_of_spectrum(comps, output) if dnl < inputs.dnl_threshold else {}
     return TestResult(
         test=test,
         dnl=dnl,
@@ -525,8 +539,9 @@ def reference_run_one(plant, test, inputs):
     ids=["drone", "servo-friction", "diverging"],
 )
 def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
-    # Once the lockstep lanes and the scalar loop; now chunks on the compiled
-    # stepper and on plants._simulate, each scored like run_plant on _simulate.
+    # Chunks whose blocks run as lanes of the compiled stepper, or lane by
+    # lane on plants._simulate, each scored like one test at a time through
+    # run_plant on _simulate.
     inputs = RequiredInput(
         f_min=0.5, f_max=2.0, a_max=1.0, delta_a=0.25, base_periods=1,
         dnl_includes_mean=False,
@@ -543,15 +558,50 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
         m.setattr(plants, "load_kernel", lambda: None)
         expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
     assert plants.load_kernel() is not None
+    rows = record_output_rows(monkeypatch)
     for kernel in (plants.load_kernel, lambda: None):
         monkeypatch.setattr(plants, "load_kernel", kernel)
         for workers in (1, 2, 3):
             results = execute_campaign(plant, tests, inputs, workers=workers)
             assert results == expected
             assert repr(results) == repr(expected)  # the sign of zero, too
+    # In this process (workers=1), no block of diverged runs asked for the
+    # spectra of no outputs.
+    assert rows and 0 not in rows
 
 
-def test_a_block_holding_diverging_tests_scores_like_one_test_at_a_time(stepper):
+def record_output_rows(monkeypatch) -> list:
+    """The row count of every ``dft_amplitude`` call the run stage makes
+    from now on in this process."""
+    rows = []
+    dft_amplitude = spectral.dft_amplitude
+
+    def recorded(samples, sample_interval):
+        rows.append(len(samples))
+        return dft_amplitude(samples, sample_interval)
+
+    monkeypatch.setattr(spectral, "dft_amplitude", recorded)
+    return rows
+
+
+def sine_tests(inputs, amplitudes, frequency=1.0):
+    return [
+        campaign.GeneratedTest(
+            campaign._case(inputs, ShapeKind.SINE, frequency, amplitude), frequency, 2.0, 0.0
+        )
+        for amplitude in amplitudes
+    ]
+
+
+# A gain of 1e12 behind a dead zone of 1e10: a sine test does not move until
+# its reference passes 0.01, and then it runs away within a few steps.  At
+# amplitudes from 0.02 up the reference starts above 0.01, so the run moves
+# in step 0 and diverges in step 1, the first step that may end a run;
+# between 0.01 and 0.02 it diverges the later the nearer it is to 0.01.
+EXPLOSIVE = drone_spec(kp=1e12, ki=0.0, thrust_limit=0.0, extra_blocks=(dead_zone(1e10),))
+
+
+def test_a_block_holding_diverging_tests_scores_like_one_test_at_a_time(stepper, monkeypatch):
     # Positive feedback behind a dead zone: a command inside the dead zone
     # leaves the plant at rest, a larger one runs away.  So amplitudes
     # above 0.5 diverge and the ones below stay at zero output.
@@ -566,12 +616,55 @@ def test_a_block_holding_diverging_tests_scores_like_one_test_at_a_time(stepper)
             (ShapeKind.SQUARE, 2.0), (ShapeKind.TRIANGLE, 0.1), (ShapeKind.SINE, 1.5),
         ]
     ]
-    assert len(tests) * 2 * 8 * 2000 <= campaign._BLOCK_BYTES  # one block
+    assert len(tests) * 8 * 2000 <= campaign._BLOCK_BYTES  # a block per run of one shape
     expected = [reference_run_one(plant, t, inputs) for t in tests]
     assert [r.diverged for r in expected] == [False, True, False, True, False, True]
     results = campaign._run_chunk(plant, inputs, tests)
     assert results == expected
     assert repr(results) == repr(expected)
+
+    # One block of eleven lanes, two batches of the stepper's eight, that
+    # diverge at different steps or not at all, and a lane at amplitude 0.
+    amplitudes = [0.019, 0.5, 0.005, 0.0101, 2.0, 0.015, 0.0, 0.007, 0.012, 0.3, 0.0102]
+    steps = [11, 2, 2000, 221, 2, 57, 2000, 2000, 119, 2, 208]
+    tests = sine_tests(inputs, amplitudes)
+    assert len(tests) * 8 * 2000 <= campaign._BLOCK_BYTES  # one block
+    lanes = plants.run_lanes(EXPLOSIVE, unit_period(ShapeKind.SINE, 1000), amplitudes, 2)
+    assert [len(log.actuation) for log in lanes.logs] == steps
+    for k, test in enumerate(tests):
+        run = run_plant(EXPLOSIVE, render_reference(test.case))
+        log = lanes.logs[k]
+        assert lanes.diverged[k] == run.diverged == (steps[k] < 2000)
+        assert lanes.output[k, :steps[k]].tobytes() == run.trace.output.tobytes()
+        for name in log._fields:
+            assert getattr(log, name).tobytes() == getattr(run.log, name).tobytes(), name
+    # An all-zero reference has no components, alone or in a block.
+    zero = amplitudes.index(0.0)
+    with pytest.raises(ValueError, match="all-zero series") as alone:
+        reference_run_one(EXPLOSIVE, tests[zero], inputs)
+    with pytest.raises(ValueError, match="all-zero series") as in_block:
+        campaign._run_chunk(EXPLOSIVE, inputs, tests)
+    assert str(in_block.value) == str(alone.value)
+    del tests[zero]
+    expected = [reference_run_one(EXPLOSIVE, t, inputs) for t in tests]
+    rows = record_output_rows(monkeypatch)
+    results = campaign._run_chunk(EXPLOSIVE, inputs, tests)
+    assert results == expected
+    assert repr(results) == repr(expected)
+    # The unit period of the group's one shape, then the outputs of the two
+    # runs that did not diverge.
+    assert rows == [1, 2]
+
+    # A block whose every run diverges, one of them in step 1, transforms
+    # no output.
+    tests = sine_tests(inputs, [0.0101, 0.5, 0.015])
+    expected = [reference_run_one(EXPLOSIVE, t, inputs) for t in tests]
+    assert all(r.diverged and r.dnl == math.inf for r in expected)
+    del rows[:]
+    results = campaign._run_chunk(EXPLOSIVE, inputs, tests)
+    assert results == expected
+    assert repr(results) == repr(expected)
+    assert rows == [1]  # the unit period alone
 
 
 def test_execute_rejects_tests_sampled_unlike_the_plant():

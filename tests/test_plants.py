@@ -24,6 +24,7 @@ from loopstress.plants import (
     drone_spec,
     quadratic_friction,
     quantizer,
+    run_lanes,
     run_plant,
     sensor_saturation,
 )
@@ -629,10 +630,9 @@ def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
 # ---------------------------------------------------------------------------
 # the compiled stepper against _simulate, bit for bit
 # ---------------------------------------------------------------------------
-# These tests once checked the lockstep lanes against run_plant and keep
-# their names: a "lane" is now one reference's run on the compiled stepper,
-# and the run it must equal is _simulate's, the stepper run_plant falls back
-# to.
+# A "lane" is one run on the compiled stepper, which steps several at once
+# for run_lanes and one for run_plant; the run it must equal is _simulate's
+# on the rendered reference, the stepper both fall back to.
 
 
 def outcome(spec, reference):
@@ -771,12 +771,30 @@ def test_lanes_match_run_plant_on_random_loops(spec, references):
     assert_kernel_matches_simulate(spec, references)
 
 
+def lanes_outcome(spec, period, amplitudes, periods):
+    """Per lane of ``run_lanes``, what ``outcome`` gives but the reference;
+    or the message of the ValueError it raised."""
+    try:
+        runs = run_lanes(spec, period, amplitudes, periods)
+    except ValueError as exc:
+        return str(exc)
+    lanes = []
+    for k, log in enumerate(runs.logs):
+        arrays = (
+            runs.output[k, :len(log.actuation)], log.actuation, log.actuator_saturated,
+            log.sensor_saturated, log.nonlinearity_deviation,
+        )
+        lanes.append([(a.dtype.str, a.tobytes()) for a in arrays] + [runs.diverged[k]])
+    return lanes
+
+
 @given(
     spec=loop_specs(),
     periods=st.lists(
         st.tuples(
             st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=40).map(np.array),
             st.integers(1, 5),  # repeats
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)), min_size=1, max_size=20),
         ),
         min_size=1,
         max_size=30,
@@ -784,9 +802,19 @@ def test_lanes_match_run_plant_on_random_loops(spec, references):
 )
 @settings(max_examples=100, deadline=None)
 def test_repeated_periods_run_like_their_full_references(spec, periods):
-    # The run stage renders every period of a test; a periodic reference runs
-    # the same on both steppers.
-    assert_kernel_matches_simulate(spec, [np.tile(p, k) for p, k in periods])
+    # A periodic reference runs the same on both steppers, and so do the
+    # lanes that repeat one period at their own amplitudes, each like its
+    # rendered reference.
+    assert_kernel_matches_simulate(spec, [np.tile(p, k) for p, k, _ in periods])
+    for period, repeats, amplitudes in periods:
+        expected = [outcome(spec, a * np.tile(period, repeats)) for a in amplitudes]
+        for kernel in (plants.load_kernel, lambda: None):
+            with mock.patch.object(plants, "load_kernel", kernel):
+                lanes = lanes_outcome(spec, period, amplitudes, repeats)
+            if any(isinstance(e, str) for e in expected):
+                assert lanes in [e for e in expected if isinstance(e, str)]
+            else:
+                assert lanes == [e[1:] for e in expected]
 
 
 def test_repeated_periods_cross_reference_row_blocks_like_run_plant():

@@ -1,6 +1,7 @@
 """The experiment scripts run to completion on small inputs."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,7 +20,8 @@ SRC = str(Path(loopstress.__file__).resolve().parent.parent)
 @pytest.mark.parametrize(
     "script, args",
     [
-        # Checks the compiled stepper against _simulate bit for bit before timing.
+        # Checks the compiled stepper against _simulate, and each lane against
+        # run_plant, bit for bit before timing.
         ("bench_sim.py", ["--steps", "50", "--repeats", "1"]),
         ("reproduce_square_regimes.py", ["--periods", "2"]),
     ],
@@ -49,6 +51,8 @@ def test_bench_sim_times_both_steppers_per_model_and_block_set():
     assert len(rows) == 12
     for row in rows:
         assert row["kernel_us_per_step"] > 0 and row["simulate_us_per_step"] > 0
+        assert list(row["lanes_us_per_lane_step"]) == ["1", "2", "4", "8"]
+        assert all(us > 0 for us in row["lanes_us_per_lane_step"].values())
 
 
 @pytest.mark.parametrize("script", ["bench_sim.py", "bench.py"])
@@ -82,3 +86,20 @@ def test_bench_writes_startup_and_plants_rows(tmp_path):
         # The interpreters start without OPENBLAS_NUM_THREADS; the package pins it.
         assert rows["pass"]["threads"] == rows["import loopstress"]["threads"] == 1
     assert len(report["plants"]["rows"]) == 12
+
+
+def test_the_tracer_finds_every_function_it_wraps(monkeypatch):
+    # perfbench/tracer.py wraps functions at the names their callers look
+    # them up by, so a name the package no longer calls must stay there.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leaves perfbench/ as it is
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    missing = [
+        (module.__name__, attr) for module, attr, *_ in tracer.WRAPPED
+        if not callable(getattr(module, attr, None))
+    ]
+    assert missing == []

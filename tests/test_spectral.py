@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loopstress.signals import ShapeKind, TestCase, render_reference
+from loopstress.signals import ShapeKind, TestCase, render_reference, unit_period
 from loopstress.spectral import (
     ComponentSet,
     Spectrum,
@@ -20,6 +20,7 @@ from loopstress.spectral import (
     dof_of_spectrum,
     dof_profile,
     fa_map,
+    tiled_spectrum,
 )
 
 from conftest import brute_force_spectrum
@@ -532,3 +533,97 @@ def test_metrics_from_one_spectrum_per_signal_match_the_series_metrics(
     if not isinstance(expected_dof, type):
         comps = components(ref_spec, rho)
         assert dict_bits(dof_of_spectrum(comps, out_spec)) == expected_dof
+
+
+# ---------------------------------------------------------------------------
+# tiled_spectrum: a test's reference spectrum from its unit period
+# ---------------------------------------------------------------------------
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def gamma(k):
+    """Higham's gamma_k: the relative error bound of k rounded operations."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def prime_factors(n):
+    factors, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors + ([n] if n > 1 else [])
+
+
+def direct_fft_error(n):
+    """Relative 2-norm error bound of an FFT of ``n`` points made of one
+    pass per prime factor ``p`` of ``n``: a pass computes ``p``-point DFTs,
+    sums of ``p`` products, then multiplies by a twiddle factor, which adds
+    at most ``sqrt(p) * gamma(p + 3)``."""
+    return sum(math.sqrt(p) * gamma(p + 3) for p in prime_factors(n))
+
+
+def fft_error(n):
+    """``c`` with ``||computed X - X||_2 <= c ||X||_2`` for numpy's FFT of
+    ``n`` points (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 24).  For a length with a large prime factor, pocketfft may take
+    Bluestein's path instead of the passes: three FFTs of an 11-smooth
+    length ``m >= 2n - 1`` and two chirp multiplies.  Which one it takes is
+    its own choice, so this is the larger bound of the two."""
+    m = 2 * n - 1
+    while max(prime_factors(m)) > 11:
+        m += 1
+    return max(direct_fft_error(n), 3.0 * direct_fft_error(m) + 2.0 * gamma(4))
+
+
+@pytest.mark.parametrize("shape", list(ShapeKind))
+# Odd, even, prime and 7-smooth samples per period.
+@pytest.mark.parametrize("spp", [3, 8, 9, 97, 210, 1000, 1001, 2017])
+def test_a_reference_spectrum_is_its_amplitude_times_the_unit_period_spectrum(shape, spp):
+    dt = 0.001
+    period = unit_period(shape, spp)
+    for periods in (1, 2, 3, 4):
+        unit = tiled_spectrum(period, periods, dt)
+        for amplitude in (2.7, 1e-3, 611.0):
+            case = TestCase(
+                shape=shape, amp_gain=amplitude, time_gain=1.0 / (spp * dt), periods=periods,
+                sample_interval=dt,
+            )
+            series = render_reference(case)
+            assert (amplitude * np.tile(period, periods)).tobytes() == series.tobytes()
+
+            today = dft_amplitude(series, dt)
+            assert unit.frequencies.tobytes() == today.frequencies.tobytes()
+            scaled = amplitude * unit.amplitudes
+            assert not np.any(scaled[np.arange(len(scaled)) % periods != 0])
+            # Per bin, an FFT's error is at most its 2-norm error: with
+            # ||X||_2 = sqrt(n) ||x||_2, an amplitude 2 |X_k| / n errs by at
+            # most 2 c rms(x) in each transform (the unit period's rms is the
+            # series'), plus four roundings: |.|, / n, * 2 and * amplitude.
+            rms = math.sqrt(np.mean(series**2))
+            bound = (2.0 * rms * (fft_error(len(series)) + fft_error(spp))
+                     + 4.0 * UNIT_ROUNDOFF * np.maximum(scaled, today.amplitudes))
+            assert np.all(np.abs(scaled - today.amplitudes) <= bound)
+
+            # The component sets agree on every bin that is not within the
+            # rounding bound of the threshold.  A triangle of 9 samples ties
+            # there: its third harmonic is 4/81, a tenth of its mean 40/81.
+            rho = 0.1
+            tie = np.abs(today.amplitudes - rho * today.amplitudes.max()) <= 2.0 * bound.max()
+            new = np.zeros(len(scaled), dtype=bool)
+            new[components(Spectrum(unit.frequencies, scaled), rho).bin_indices] = True
+            old = np.zeros(len(scaled), dtype=bool)
+            old[fa_map(series, dt, rho).bin_indices] = True
+            assert np.array_equal(new[~tie], old[~tie])
+            assert np.sum(tie) <= (1 if (shape, spp) == (ShapeKind.TRIANGLE, 9) else 0)
+
+
+def test_tiled_spectrum_of_a_block_equals_its_rows():
+    periods = np.stack([unit_period(shape, 12) for shape in ShapeKind])
+    block = tiled_spectrum(periods, 3, 0.01)
+    for row, period in zip(block.amplitudes, periods):
+        assert row.tobytes() == tiled_spectrum(period, 3, 0.01).amplitudes.tobytes()
+    with pytest.raises(ValueError, match="periods must be at least 1"):
+        tiled_spectrum(periods, 0, 0.01)
