@@ -22,6 +22,10 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    amplitudes run as the lanes of one :func:`loopstress.plants.run_lanes`
    call and are scored from that reference's one spectrum; chunks of
    tests, cut by steps, are the units of work of the process pool.
+
+Every stage simulates and scores along that one path: a bound probe is a
+block of one sine test (``_run_block``), and calibration runs its test as
+one lane.  No stage renders a reference.
 """
 
 from __future__ import annotations
@@ -35,18 +39,20 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .plants import PlantSpec, load_kernel, run_lanes, run_plant
+from .plants import PlantSpec, load_kernel, run_lanes
 from .signals import (
     ShapeKind,
     TestCase,
-    render_reference,
     samples_per_period,
     snap_time_gain,
     unit_period,
 )
-# ``fa_map``, ``degree_of_nonlinearity`` and ``dof_profile`` are imported for
-# callers that look them up here (perfbench/tracer.py wraps them by name);
-# every stage scores from spectra.
+# ``run_plant``, ``render_reference``, ``fa_map``, ``degree_of_nonlinearity``
+# and ``dof_profile`` are imported for callers that look them up here
+# (perfbench/tracer.py wraps them by name); every stage simulates through
+# ``run_lanes`` and scores from spectra.
+from .plants import run_plant  # noqa: F401
+from .signals import render_reference  # noqa: F401
 from .spectral import degree_of_nonlinearity, dof_profile, fa_map  # noqa: F401
 
 __all__ = [
@@ -176,33 +182,27 @@ def _reference_spectrum(unit: spectral.Spectrum, amplitude: float) -> spectral.S
 
 
 def _sine_probe(plant: PlantSpec, inputs: RequiredInput):
-    """Real probe: dnl of a sinusoidal test at (frequency, amplitude).
+    """Real probe: dnl of a sinusoidal test at (frequency, amplitude), the
+    run stage's dnl of that test (:func:`_run_block`).
 
-    A search probes one frequency, so the probe keeps the spectrum of the
-    unit sine at the last period it saw, and transforms only each probe's
+    A search probes one frequency, so the probe keeps the unit sine and its
+    spectrum at the last period it saw, and transforms only each probe's
     output.
     """
     if plant is None:
         raise ValueError("need either a plant or a probe")
     _check_sampling(plant, inputs.sample_interval)
-    dt = inputs.sample_interval
-    unit = None  # (samples per period, its unit sine's spectrum)
+    unit = None  # (samples per period, its unit sine, that sine's spectrum)
 
     def probe(frequency: float, amplitude: float) -> float:
         nonlocal unit
         case = _case(inputs, ShapeKind.SINE, frequency, amplitude)
-        run = run_plant(plant, render_reference(case))
-        if run.diverged:
-            return math.inf
         spp = case.samples_per_period
         if unit is None or unit[0] != spp:
-            unit = spp, spectral.tiled_spectrum(unit_period(case.shape, spp), case.periods, dt)
-        return spectral.dnl_of_spectra(
-            _reference_spectrum(unit[1], case.amp_gain),
-            spectral.dft_amplitude(run.trace.output, dt),
-            inputs.rho,
-            include_mean_in_scale=inputs.dnl_includes_mean,
-        )
+            period = unit_period(case.shape, spp)
+            unit = spp, period, spectral.tiled_spectrum(period, case.periods, inputs.sample_interval)
+        test = GeneratedTest(case, frequency, amplitude, 0.0)  # scored by its case alone
+        return _run_block(plant, inputs, [test], unit[1], unit[2])[0].dnl
 
     return probe
 
@@ -294,6 +294,8 @@ def optimistic_amplitude_bound(
         raise ValueError("need either a plant or a probe")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if max_frequencies < 2:
+        raise ValueError("max_frequencies must be at least 2")  # a map holds both ends
     if probe is None:
         load_kernel()  # before the pool forks, so its workers inherit it
     bounds: dict[float, float] = {}
@@ -550,29 +552,21 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests, period: np.ndarra
 def _run_chunk(plant: PlantSpec, inputs: RequiredInput, tests) -> list[TestResult]:
     """Results of ``tests``, in order.
 
-    Each run of consecutive tests with equal samples per period and periods
-    is a group: one ``rfft`` call over one period of each of its shapes
-    gives every unit reference's spectrum, and each run of its tests of one
-    shape is simulated and scored in blocks of at most ``_BLOCK_BYTES`` of
-    outputs (at least one test each).
+    Each run of consecutive tests with equal samples per period, periods and
+    shape repeats one unit reference: one ``rfft`` of its one period gives
+    that reference's spectrum, and the run is simulated and scored in blocks
+    of at most ``_BLOCK_BYTES`` of outputs (at least one test each).
     """
     results = []
-    for (spp, periods), group in itertools.groupby(
-        tests, key=lambda t: (t.case.samples_per_period, t.case.periods)
+    for (spp, periods, shape), group in itertools.groupby(
+        tests, key=lambda t: (t.case.samples_per_period, t.case.periods, t.case.shape)
     ):
         group = list(group)
-        shapes = list(dict.fromkeys(test.case.shape for test in group))
-        units = np.stack([unit_period(shape, spp) for shape in shapes])
-        spectra = spectral.tiled_spectrum(units, periods, plant.sample_interval)
+        period = unit_period(shape, spp)
+        unit = spectral.tiled_spectrum(period, periods, plant.sample_interval)
         per_block = max(1, _BLOCK_BYTES // (8 * spp * periods))
-        for shape, same in itertools.groupby(group, key=lambda t: t.case.shape):
-            same = list(same)
-            row = shapes.index(shape)
-            unit = spectral.Spectrum(spectra.frequencies, spectra.amplitudes[row])
-            for i in range(0, len(same), per_block):
-                results.extend(
-                    _run_block(plant, inputs, same[i:i + per_block], units[row], unit)
-                )
+        for i in range(0, len(group), per_block):
+            results.extend(_run_block(plant, inputs, group[i:i + per_block], period, unit))
     return results
 
 
@@ -669,19 +663,20 @@ def calibration_curve(
         raise ValueError("max_periods must be at least 1")
     _check_sampling(plant, inputs.sample_interval)
     case = _case(inputs, ShapeKind(shape), inputs.f_max, inputs.a_max, max_periods)
-    run = run_plant(plant, render_reference(case))
     spp = case.samples_per_period
     period = unit_period(case.shape, spp)
+    lanes = run_lanes(plant, period, [case.amp_gain], max_periods)
+    output = lanes.output[0, :len(lanes.logs[0].actuation)]
     dt = inputs.sample_interval
     curve = []
     for k in range(1, max_periods + 1):
         n = k * spp
-        if len(run.trace.output) < n:
+        if len(output) < n:
             curve.append(math.inf)
             continue
         curve.append(spectral.dnl_of_spectra(
             _reference_spectrum(spectral.tiled_spectrum(period, k, dt), case.amp_gain),
-            spectral.dft_amplitude(run.trace.output[:n], dt),
+            spectral.dft_amplitude(output[:n], dt),
             inputs.rho,
             include_mean_in_scale=inputs.dnl_includes_mean,
         ))

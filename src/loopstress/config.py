@@ -59,6 +59,8 @@ class CampaignConfig:
             raise ConfigError("workers must be at least 1")
         if self.max_periods < 1:
             raise ConfigError("max_periods must be at least 1")
+        if self.max_frequencies < 2:
+            raise ConfigError("max_frequencies must be at least 2")
         if not all(p > 0.0 for p in self.beta_params):
             raise ConfigError("beta distribution parameters must be positive")
         if self.mr2_bin_tolerance is not None and self.mr2_bin_tolerance < 0.0:

@@ -186,10 +186,13 @@ def _test_to_dict(test: GeneratedTest) -> dict:
 
 
 def _test_from_dict(d: dict) -> GeneratedTest:
+    amp_gain = _number(d["amp_gain"])
+    if not amp_gain > 0.0:  # a zero reference has no component to score
+        raise ValueError(f"amp_gain must be positive, got {amp_gain!r}")
     return GeneratedTest(
         case=TestCase(
             shape=ShapeKind(d["shape"]),
-            amp_gain=_number(d["amp_gain"]),
+            amp_gain=amp_gain,
             time_gain=_number(d["time_gain"]),
             periods=_integer(d["periods"]),
             sample_interval=_number(d["sample_interval"]),

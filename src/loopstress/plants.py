@@ -323,7 +323,7 @@ class LaneRuns(NamedTuple):
     logs: tuple[InstrumentationLog, ...]
 
 
-def _checked_reference(reference, periods: int = 1) -> tuple[np.ndarray, float]:
+def _checked_reference(reference, periods: int) -> tuple[np.ndarray, float]:
     """``reference`` as a float array, and the largest magnitude of the
     series that repeats it ``periods`` times."""
     ref = np.asarray(reference, dtype=float)
@@ -332,12 +332,6 @@ def _checked_reference(reference, periods: int = 1) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference contains non-finite samples")
     return ref, float(np.max(np.abs(ref)))
-
-
-def _limit(peak: float) -> float:
-    """The output limit that flags divergence of a run whose reference
-    peaks at ``peak``."""
-    return 1e6 * peak if peak > 0.0 else math.inf
 
 
 def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
@@ -354,17 +348,14 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
     never checked, so a state that overflows in it leaves a non-finite
     output, which raises ``ValueError`` as a non-finite reference does.
     """
-    ref, peak = _checked_reference(reference)
-    c = _loop(spec)
+    ref = np.asarray(reference, dtype=float)
     # One lane whose period is the whole reference, at amplitude 1.0: its
     # reference is ``1.0 * ref``, the same bits.
-    out, vel, act, a_sat, shaping_dev, steps, diverged = _step(
-        c, ref, np.ones(1), np.array([_limit(peak)]), len(ref)
-    )
-    m = steps[0]
-    trace = Trace(reference=ref[:m], output=out[0, :m], sample_interval=spec.sample_interval)
-    log = _log(c, trace.output, vel[0, :m], act[0, :m], a_sat[0, :m], shaping_dev[0, :m])
-    return PlantRun(trace=trace, log=log, diverged=diverged[0])
+    lanes = run_lanes(spec, ref, [1.0], 1)
+    log = lanes.logs[0]
+    m = len(log.actuation)
+    trace = Trace(reference=ref[:m], output=lanes.output[0, :m], sample_interval=spec.sample_interval)
+    return PlantRun(trace=trace, log=log, diverged=lanes.diverged[0])
 
 
 def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> LaneRuns:
@@ -379,11 +370,12 @@ def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> 
     u, peak = _checked_reference(period, periods)
     amps = np.array(amplitudes, dtype=float).reshape(-1)
     limits = []
-    for a in amps:
+    # On Python floats, which overflow to infinity without a warning.
+    for a in amps.tolist():
         lane_peak = abs(a) * peak  # max |a * u|: rounding is monotone
         if not math.isfinite(lane_peak):
             raise ValueError("reference contains non-finite samples")
-        limits.append(_limit(lane_peak))
+        limits.append(1e6 * lane_peak if lane_peak > 0.0 else math.inf)  # flags divergence
     c = _loop(spec)
     out, vel, act, a_sat, shaping_dev, steps, diverged = _step(
         c, u, amps, np.array(limits), len(u) * periods
@@ -392,18 +384,12 @@ def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> 
     for k, m in enumerate(steps):
         if not np.all(np.isfinite(out[k, :m])):
             raise ValueError("trace contains non-finite samples")  # as Trace does
-        logs.append(_log(c, out[k, :m], vel[k, :m], act[k, :m], a_sat[k, :m], shaping_dev[k, :m]))
+        s_sat, dev = _instrument(c, out[k, :m], vel[k, :m], shaping_dev[k, :m])
+        logs.append(InstrumentationLog(
+            actuator_saturated=a_sat[k, :m], sensor_saturated=s_sat,
+            nonlinearity_deviation=dev, actuation=act[k, :m],
+        ))
     return LaneRuns(output=out, diverged=tuple(diverged), logs=tuple(logs))
-
-
-def _log(c: SimpleNamespace, out: np.ndarray, vel: np.ndarray, act: np.ndarray,
-         a_sat: np.ndarray, shaping_dev: np.ndarray) -> InstrumentationLog:
-    """The instrumentation of one run, from what the stepper kept of it."""
-    s_sat, dev = _instrument(c, out, vel, shaping_dev)
-    return InstrumentationLog(
-        actuator_saturated=a_sat, sensor_saturated=s_sat, nonlinearity_deviation=dev,
-        actuation=act,
-    )
 
 
 def _step(c: SimpleNamespace, u: np.ndarray, amps: np.ndarray, limits: np.ndarray, n: int):

@@ -308,6 +308,14 @@ def test_bound_rejects_nonpositive_workers():
         optimistic_amplitude_bound(None, DEFAULT_INPUTS, probe=lambda f, a: 0.01, workers=0)
 
 
+@pytest.mark.parametrize("cap", [1, 0, -3])
+def test_bound_rejects_a_cap_below_the_two_endpoints(cap):
+    with pytest.raises(ValueError, match="max_frequencies must be at least 2"):
+        optimistic_amplitude_bound(
+            None, DEFAULT_INPUTS, probe=lambda f, a: 0.01, max_frequencies=cap
+        )
+
+
 # A plant sampled at 0.002 s would run the inputs' 0.001 s references at
 # twice their time scale.
 COARSE_DRONE = drone_spec(sample_interval=0.002)
@@ -529,15 +537,17 @@ def reference_run_one(plant, test, inputs):
     )
 
 
-@pytest.mark.parametrize(
-    "plant",
-    [
-        drone_spec(),
-        dc_servo_spec(extra_blocks=(quadratic_friction(0.002),)),
-        drone_spec(kp=-30.0, thrust_limit=0.0),  # every test diverges
-    ],
-    ids=["drone", "servo-friction", "diverging"],
-)
+PLANTS = [
+    drone_spec(),
+    dc_servo_spec(extra_blocks=(quadratic_friction(0.002),)),
+    # Every test of the run stage diverges; calibration at 2 Hz diverges
+    # in its third period.
+    drone_spec(kp=-30.0, thrust_limit=0.0),
+]
+PLANT_IDS = ["drone", "servo-friction", "diverging"]
+
+
+@pytest.mark.parametrize("plant", PLANTS, ids=PLANT_IDS)
 def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
     # Chunks whose blocks run as lanes of the compiled stepper, or lane by
     # lane on plants._simulate, each scored like one test at a time through
@@ -577,7 +587,7 @@ def record_output_rows(monkeypatch) -> list:
     dft_amplitude = spectral.dft_amplitude
 
     def recorded(samples, sample_interval):
-        rows.append(len(samples))
+        rows.append(len(np.atleast_2d(samples)))  # a 1-D series is one row
         return dft_amplitude(samples, sample_interval)
 
     monkeypatch.setattr(spectral, "dft_amplitude", recorded)
@@ -789,6 +799,43 @@ def test_calibration_curve_for_drone_crosses_threshold():
     assert len(curve) == 6
     assert curve[0] < 0.15  # one period hides the windup wander
     assert max(curve[:4]) >= 0.15  # a few repetitions expose it
+
+
+@pytest.mark.parametrize("plant", PLANTS, ids=PLANT_IDS)
+@pytest.mark.parametrize("shape", [ShapeKind.SINE, ShapeKind.TRIANGLE])
+def test_calibration_curve_scores_each_prefix_of_run_plants_trace(stepper, plant, shape):
+    # The oracle: run_plant on the rendered reference, each prefix of whole
+    # periods scored against the tiled spectrum of the shape's unit period.
+    inputs = RequiredInput(f_min=0.5, f_max=2.0, a_max=2.0, delta_a=0.25, base_periods=2)
+    case = campaign._case(inputs, shape, inputs.f_max, inputs.a_max, 6)
+    spp = case.samples_per_period
+    output = run_plant(plant, render_reference(case)).trace.output
+    expected = []
+    for k in range(1, 7):
+        if len(output) < k * spp:
+            expected.append(math.inf)
+            continue
+        unit = tiled_spectrum(unit_period(shape, spp), k, 0.001)
+        expected.append(dnl_of_spectra(
+            Spectrum(unit.frequencies, case.amp_gain * unit.amplitudes),
+            dft_amplitude(output[:k * spp], 0.001), inputs.rho,
+        ))
+    curve = calibration_curve(plant, inputs, max_periods=6, shape=shape)
+    assert curve == tuple(expected)
+    assert any(math.isinf(v) for v in curve) == (plant.controller.get("kp", 0.0) < 0.0)
+
+
+@pytest.mark.parametrize("plant", PLANTS, ids=PLANT_IDS)
+def test_a_sine_probe_scores_like_the_run_stage_and_run_plant(stepper, plant):
+    # The bound search's dnl at (f, A) is the run stage's dnl of the sine
+    # test at (f, A), bit for bit, and that of run_plant's run of it.
+    inputs = RequiredInput(f_min=0.5, f_max=2.0, a_max=2.0, delta_a=0.25, base_periods=2)
+    probe = campaign._sine_probe(plant, inputs)
+    points = [(1.0, 2.0), (1.0, 0.3), (0.7, 1.1), (2.0, 0.05), (1.0, 1.0)]
+    tests = [sine_tests(inputs, [a], f)[0] for f, a in points]
+    run = execute_campaign(plant, tests, inputs)
+    dnls = [probe(f, a) for f, a in points]
+    assert dnls == [r.dnl for r in run] == [reference_run_one(plant, t, inputs).dnl for t in tests]
 
 
 def test_calibration_curve_rejects_mismatched_sampling():

@@ -590,8 +590,10 @@ def only_error_line(capsys) -> str:
         ({"shapes": {"sine": 1}}, "shapes must be a list"),
         ({"plant": {"model": "drone_alt", "sample_interval": True}},
          "sample_interval must be a finite number"),
+        ({"max_frequencies": -3}, "max_frequencies must be at least 2"),
     ],
-    ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool"],
+    ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool",
+         "max-frequencies-negative"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)
@@ -626,11 +628,14 @@ def staged(tmp_path_factory):
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": 9.7}),
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": "9"}),
         (cli.TESTS_FILE, 1, lambda r: {**r, "periods": 2.5}),
+        # A zero reference has no component to score.
+        (cli.TESTS_FILE, 1, lambda r: {**r, "amp_gain": 0.0}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
          "results-diverged-number", "results-dnl-string", "results-dnl-bool",
-         "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods"],
+         "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods",
+         "tests-zero-amp-gain"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit

@@ -128,6 +128,9 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(plant={"model": "drone_alt", "sample_interval": 0.01}),
         lambda raw: raw.update(workers=0),
         lambda raw: raw.update(max_periods=0),
+        lambda raw: raw.update(max_frequencies=1),
+        lambda raw: raw.update(max_frequencies=0),
+        lambda raw: raw.update(max_frequencies=-3),
         lambda raw: raw.pop("plant"),
         lambda raw: raw["plant"].update(model=["drone_alt"]),
         lambda raw: raw["plant"].update(blocks=[1]),

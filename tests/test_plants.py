@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -701,6 +702,20 @@ def test_a_state_that_overflows_in_the_first_step_is_a_value_error(stepper):
     spec = dc_servo_spec(voltage_limit=0.0, sensor_range=0.0)
     with pytest.raises(ValueError, match="trace contains non-finite samples"):
         run_plant(spec, np.full(5, 1e307))
+
+
+def test_lanes_are_silent_where_run_plant_is_and_give_its_bits(stepper):
+    # The divergence limit, 1e6 times the peak, overflows to infinity
+    # without a warning, as a Python float does.
+    reference = np.array([0.0, 1e305, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_plant(drone_spec(), reference)
+        lanes = run_lanes(drone_spec(), reference, [1.0], 1)
+    assert not run.diverged and lanes.diverged == (False,)
+    assert lanes.output[0].tobytes() == run.trace.output.tobytes()
+    for name in run.log._fields:
+        assert getattr(lanes.logs[0], name).tobytes() == getattr(run.log, name).tobytes(), name
 
 
 def bounds_pair(limit):
