@@ -11,7 +11,7 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    per frequency, a sinusoidal binary search finds the largest amplitude
    whose dnl stays under the threshold; frequencies are refined in rounds
    where adjacent bounds disagree by more than ``delta_a``, on the grid of
-   snapped periods, and a round's searches may run in parallel.
+   snapped periods.
 3. *Generate* the test set (:func:`generate_test_set`): a uniform frequency
    grid, all requested shapes, amplitudes drawn under the interpolated
    bound -- skewed toward the bound, where the interesting behaviour is.
@@ -21,7 +21,8 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    one unit reference (shape, samples per period, periods) at their own
    amplitudes run as the lanes of one :func:`loopstress.plants.run_lanes`
    call and are scored from that reference's one spectrum; chunks of
-   tests, cut by steps, are the units of work of the process pool.
+   tests, cut by steps, are the units of work of the process pool, the
+   only one any stage starts.
 
 Every stage simulates and scores along that one path: a bound probe is a
 block of one sine test (``_run_block``), and calibration runs its test as
@@ -43,7 +44,6 @@ from .plants import PlantSpec, load_kernel, run_lanes
 from .signals import (
     ShapeKind,
     TestCase,
-    samples_per_period,
     snap_time_gain,
     unit_period,
 )
@@ -243,27 +243,11 @@ def binary_search_upperbound(
     return best if best is not None else hi
 
 
-def _counted_search(plant, inputs: RequiredInput, probe, frequency: float):
-    """``(bound, probes)``: :func:`binary_search_upperbound` at ``frequency``
-    with ``probe`` (None: the sine probe) and how many probes it ran."""
-    if probe is None:
-        probe = _sine_probe(plant, inputs)
-    probes = 0
-
-    def counted(f: float, amplitude: float) -> float:
-        nonlocal probes
-        probes += 1
-        return probe(f, amplitude)
-
-    return binary_search_upperbound(plant, frequency, inputs, counted), probes
-
-
 def optimistic_amplitude_bound(
     plant: PlantSpec | None,
     inputs: RequiredInput,
     probe=None,
     max_frequencies: int = 256,
-    workers: int = 1,
     progress=None,
 ) -> AmplitudeBoundMap:
     """Sample the linear amplitude envelope over ``[f_min, f_max]``.
@@ -282,38 +266,28 @@ def optimistic_amplitude_bound(
     frequency), and
     :class:`BoundRefinementError` is raised carrying that partial map.
 
-    ``probes`` counts the simulations that ran.  With the sine probe, a
-    round's searches go to ``workers`` processes when they may take at
-    least two run chunks' worth of steps (``2 * _CHUNK_STEPS``, counting
-    each search at its probe cap); the map is the same for any ``workers``.
-    A custom ``probe`` runs in this process.
+    ``probes`` counts the simulations that ran, all in this process.
     ``progress(round, frequencies, probes)``, if given, is called after each
     round.
     """
     if probe is None and plant is None:
         raise ValueError("need either a plant or a probe")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if max_frequencies < 2:
         raise ValueError("max_frequencies must be at least 2")  # a map holds both ends
-    if probe is None:
-        load_kernel()  # before the pool forks, so its workers inherit it
     bounds: dict[float, float] = {}
     closed: set[tuple[float, float]] = set()
     # The grid a search runs on: with the sine probe, the snapped period.
     if probe is None:
+        probe = _sine_probe(plant, inputs)
         key = functools.partial(snap_time_gain, sample_interval=inputs.sample_interval)
     else:
         key = float
-    # A search's steps at its probe cap (see binary_search_upperbound).
-    probe_cap = math.ceil(math.log2(inputs.a_max / inputs.delta_a)) + 2
-
-    def worst_steps(frequency: float) -> int:
-        spp = samples_per_period(key(frequency), inputs.sample_interval)
-        return probe_cap * inputs.base_periods * spp
-
     probes = rounds = 0
-    pool = None
+
+    def counted(frequency: float, amplitude: float) -> float:
+        nonlocal probes
+        probes += 1
+        return probe(frequency, amplitude)
 
     def build() -> AmplitudeBoundMap:
         fs = tuple(sorted(bounds))
@@ -326,59 +300,40 @@ def optimistic_amplitude_bound(
 
     def refine(frequencies) -> None:
         """Search the bound at each of ``frequencies``: one round."""
-        nonlocal probes, rounds, pool
-        search = functools.partial(_counted_search, plant, inputs, probe)
-        if (probe is None and workers > 1 and len(frequencies) >= 2
-                and sum(map(worst_steps, frequencies)) >= 2 * _CHUNK_STEPS):
-            if pool is None:
-                # Imported here: the pool module adds noticeably to every start-up.
-                # The platform's default start method, as in the run stage: a
-                # spawned worker would import numpy and this package again,
-                # which takes about as long as the servo's whole bound stage.
-                from concurrent.futures import ProcessPoolExecutor
-
-                pool = ProcessPoolExecutor(max_workers=workers)
-            found = pool.map(search, frequencies)
-        else:
-            found = map(search, frequencies)
-        for f, (bound, n) in zip(frequencies, found):
-            bounds[f] = bound
-            probes += n
+        nonlocal rounds
+        for f in frequencies:
+            bounds[f] = binary_search_upperbound(plant, f, inputs, counted)
         rounds += 1
         if progress is not None:
             progress(rounds, len(bounds), probes)
 
-    try:
-        refine((inputs.f_min, inputs.f_max))
-        while True:
-            fs = sorted(bounds)
-            splits = []  # (gap, f_lo, midpoint, f_hi)
-            for f_lo, f_hi in zip(fs, fs[1:]):
-                gap = abs(bounds[f_lo] - bounds[f_hi])
-                if gap <= inputs.delta_a or (f_lo, f_hi) in closed:
-                    continue
-                f_new = math.sqrt(f_lo * f_hi)
-                if key(f_lo) < key(f_new) < key(f_hi):
-                    splits.append((gap, f_lo, f_new, f_hi))
-                else:
-                    closed.add((f_lo, f_hi))
-            if not splits:
-                return build()
-            room = max(0, max_frequencies - len(bounds))
-            if len(splits) > room:
-                splits.sort(key=lambda s: (-s[0], s[1]))
-                if room:
-                    refine([s[2] for s in splits[:room]])
-                gap, f_lo, _, f_hi = splits[room]
-                raise BoundRefinementError(
-                    f"bound refinement exceeded {max_frequencies} frequencies; "
-                    f"widest remaining gap {gap:g} between {f_lo:g} and {f_hi:g} Hz",
-                    build(),
-                )
-            refine([s[2] for s in splits])
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    refine((inputs.f_min, inputs.f_max))
+    while True:
+        fs = sorted(bounds)
+        splits = []  # (gap, f_lo, midpoint, f_hi)
+        for f_lo, f_hi in zip(fs, fs[1:]):
+            gap = abs(bounds[f_lo] - bounds[f_hi])
+            if gap <= inputs.delta_a or (f_lo, f_hi) in closed:
+                continue
+            f_new = math.sqrt(f_lo * f_hi)
+            if key(f_lo) < key(f_new) < key(f_hi):
+                splits.append((gap, f_lo, f_new, f_hi))
+            else:
+                closed.add((f_lo, f_hi))
+        if not splits:
+            return build()
+        room = max(0, max_frequencies - len(bounds))
+        if len(splits) > room:
+            splits.sort(key=lambda s: (-s[0], s[1]))
+            if room:
+                refine([s[2] for s in splits[:room]])
+            gap, f_lo, _, f_hi = splits[room]
+            raise BoundRefinementError(
+                f"bound refinement exceeded {max_frequencies} frequencies; "
+                f"widest remaining gap {gap:g} between {f_lo:g} and {f_hi:g} Hz",
+                build(),
+            )
+        refine([s[2] for s in splits])
 
 
 def derive_frequency_resolution(bound_map: AmplitudeBoundMap) -> float:
@@ -479,7 +434,7 @@ class TestResult(NamedTuple):
 # 1,000,000 steps of the dc_servo campaign with friction and a quantiser, or
 # of drone_desk, took 0.18-0.21 s of CPU on a 2-vCPU VM that runs
 # perfbench's probe 1.7 times slower than its reference host: about 0.12
-# reference seconds, well above what starting a process pool costs.  A stage
+# reference seconds, well above what starting a process pool costs.  A run
 # with less than two chunks of work runs in-process.
 _CHUNK_STEPS = 1_000_000
 

@@ -10,12 +10,12 @@ artifacts inspected between steps::
     loopstress analyze   --config cfg.json --out out/
     loopstress campaign  --config cfg.json --out out/   # bound..analyze in one go
 
-``--workers N`` spreads the bound and run stages over at most N processes;
-a stage with less than two chunks of work (``campaign._CHUNK_STEPS`` steps
-each) runs in this process, where it costs less than starting a pool.
-Results are the same bits for any worker count.  A bound or run stage that
-lasts more than 5 s (``PROGRESS_INTERVAL_S``) prints its progress to
-stderr, at most that often.  ``analyze`` writes ``mr_report.json`` (built by
+``--workers N`` spreads the run stage over at most N processes; a run with
+less than two chunks of work (``campaign._CHUNK_STEPS`` steps each), and
+every other stage, runs in this process, where it costs less than starting
+a pool.  Results are the same bits for any worker count.  A bound or run
+stage that lasts more than 5 s (``PROGRESS_INTERVAL_S``) prints its
+progress to stderr, at most that often.  ``analyze`` writes ``mr_report.json`` (built by
 :func:`loopstress.analysis.analyze`) and the two plot tables; with
 ``--full-violations`` (also on ``campaign``) it streams every violation
 record to ``mr_violations.jsonl``, and without it removes a stale one.  The
@@ -138,7 +138,7 @@ def cmd_bound(cfg: CampaignConfig, out: Path) -> int:
     try:
         bound_map = campaign.optimistic_amplitude_bound(
             cfg.plant, cfg.inputs, max_frequencies=cfg.max_frequencies,
-            workers=cfg.workers, progress=_progress(_bound_line),
+            progress=_progress(_bound_line),
         )
     except campaign.BoundRefinementError as exc:
         # The plant and config ask for more frequencies than the cap allows.

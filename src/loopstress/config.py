@@ -55,6 +55,8 @@ class CampaignConfig:
             raise ConfigError("shapes must not be empty")
         if len(set(self.shapes)) != len(self.shapes):
             raise ConfigError("shapes must not repeat")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.max_periods < 1:

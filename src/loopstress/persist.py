@@ -114,12 +114,23 @@ def _load(path, kind: str, record: str, build):
 # keeps them cheap and rejects bools, which are ints in Python.
 
 def _number(value) -> float:
-    """A JSON number as a float."""
+    """A JSON number as a float; infinities pass, NaN (no writer emits it)
+    is a ``ValueError``."""
     if type(value) is float:
+        if value != value:
+            raise ValueError("expected a number, got NaN")
         return value
     if type(value) is int:
         return float(value)
     raise TypeError(f"expected a number, got {value!r}")
+
+
+def _finite(value) -> float:
+    """A JSON number that is finite, as a float."""
+    number = _number(value)
+    if math.isinf(number):
+        raise ValueError(f"expected a finite number, got {number!r}")
+    return number
 
 
 def _integer(value) -> int:
@@ -156,12 +167,13 @@ def save_bounds(path, bound_map: AmplitudeBoundMap) -> None:
 
 def load_bounds(path) -> AmplitudeBoundMap:
     def build(header, body):
-        pairs = [(_number(row["frequency"]), _number(row["bound"])) for row in body]
+        # A map's frequencies and bounds are finite: a bound is at most a_max.
+        pairs = [(_finite(row["frequency"]), _finite(row["bound"])) for row in body]
         return AmplitudeBoundMap(
             frequencies=tuple(f for f, _ in pairs),
             bounds=tuple(b for _, b in pairs),
             unresolved=tuple(
-                (_number(a), _number(b)) for a, b in header.get("unresolved", [])
+                (_finite(a), _finite(b)) for a, b in header.get("unresolved", [])
             ),
             probes=_integer(header.get("probes", 0)),
         )

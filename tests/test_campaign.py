@@ -279,14 +279,9 @@ def real_bound_inputs():
     )
 
 
-def test_bound_map_lies_on_the_snapped_period_grid(monkeypatch):
+def test_bound_map_lies_on_the_snapped_period_grid():
     plant, inputs = real_bound_inputs()
     serial = optimistic_amplitude_bound(plant, inputs)
-    # Searches of at most 450 to 1,800 steps: with 1,000-step chunks the
-    # first round's two searches (the only round with two) fork.
-    monkeypatch.setattr(campaign, "_CHUNK_STEPS", 1_000)
-    pooled = optimistic_amplitude_bound(plant, inputs, workers=2)
-    assert pooled == serial
 
     def period(f):
         return snap_time_gain(f, inputs.sample_interval)
@@ -298,14 +293,16 @@ def test_bound_map_lies_on_the_snapped_period_grid(monkeypatch):
     for f_lo, f_hi in serial.unresolved:
         assert period(math.sqrt(f_lo * f_hi)) in (period(f_lo), period(f_hi))
     # One search per frequency, of as many probes as it takes alone.
-    assert serial.probes == sum(
-        campaign._counted_search(plant, inputs, None, f)[1] for f in serial.frequencies
-    )
+    sine = campaign._sine_probe(plant, inputs)
+    probed = []
 
+    def counted(f, amplitude):
+        probed.append(f)
+        return sine(f, amplitude)
 
-def test_bound_rejects_nonpositive_workers():
-    with pytest.raises(ValueError):
-        optimistic_amplitude_bound(None, DEFAULT_INPUTS, probe=lambda f, a: 0.01, workers=0)
+    for f in serial.frequencies:
+        binary_search_upperbound(plant, f, inputs, counted)
+    assert serial.probes == len(probed)
 
 
 @pytest.mark.parametrize("cap", [1, 0, -3])

@@ -146,7 +146,7 @@ def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(serial)]) == 0
-    # Chunks small enough that both stages have two chunks of work and fork.
+    # Chunks small enough that the run stage has two chunks of work and forks.
     monkeypatch.setattr(campaign, "_CHUNK_STEPS", 10_000)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert (
@@ -155,7 +155,7 @@ def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
         )
         == 0
     )
-    assert started == [2, 2]  # the bound stage's pool, then the run stage's
+    assert started == [2]  # the run stage's pool; the bound stage never forks
     for name in ARTIFACTS:
         assert digest(serial / name) == digest(parallel / name), name
 
@@ -591,15 +591,25 @@ def only_error_line(capsys) -> str:
         ({"plant": {"model": "drone_alt", "sample_interval": True}},
          "sample_interval must be a finite number"),
         ({"max_frequencies": -3}, "max_frequencies must be at least 2"),
+        ({"seed": -1}, "seed must not be negative"),
     ],
     ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool",
-         "max-frequencies-negative"],
+         "max-frequencies-negative", "seed-negative"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)
     rc = cli.main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INVALID_INPUT
     assert says in only_error_line(capsys)
+
+
+def test_negative_seed_override_exits_3_before_any_stage(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    rc = cli.main(["campaign", "--config", str(cfg), "--seed", "-5", "--out", str(out)])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert "seed must not be negative" in only_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -630,12 +640,17 @@ def staged(tmp_path_factory):
         (cli.TESTS_FILE, 1, lambda r: {**r, "periods": 2.5}),
         # A zero reference has no component to score.
         (cli.TESTS_FILE, 1, lambda r: {**r, "amp_gain": 0.0}),
+        # No writer emits NaN, nor a map frequency or bound that is infinite.
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": math.nan}),
+        (cli.BOUNDS_FILE, -1, lambda r: {**r, "frequency": math.inf}),  # still increasing
+        (cli.BOUNDS_FILE, 1, lambda r: {**r, "bound": math.inf}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
          "results-diverged-number", "results-dnl-string", "results-dnl-bool",
          "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods",
-         "tests-zero-amp-gain"],
+         "tests-zero-amp-gain", "results-dnl-nan", "bounds-frequency-infinite",
+         "bounds-bound-infinite"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit
