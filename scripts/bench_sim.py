@@ -9,10 +9,11 @@ the Python fallback, and ``run_lanes`` on the compiled stepper at 1, 2, 4
 and 8 lanes, and prints one JSON object whose rows hold:
 
 * ``kernel_us_per_step`` and ``simulate_us_per_step``: microseconds per
-  simulated step of ``run_plant``, the instrumentation post-pass included;
+  simulated step of ``run_plant``, whose steppers write the whole
+  instrumentation log as they step;
 * ``speedup``: the second over the first;
 * ``lanes_us_per_lane_step``: per lane count, microseconds per step of
-  one lane of ``run_lanes``, the post-pass included.
+  one lane of ``run_lanes``.
 
 The reference is a 1 Hz sine of amplitude 8 at the 1 ms controller period,
 which reaches the saturations; lane ``k`` runs it at amplitude ``8 +

@@ -443,8 +443,8 @@ _CHUNK_STEPS = 1_000_000
 # whose spectrum is computed once per group (see ``_run_chunk``).  Batched
 # rows cost several times less per row than one call each, and a larger
 # block saves little more while it adds to the peak memory: the stepper
-# also writes each lane's velocity, actuation, flags and deviation, about
-# four times the outputs' bytes.
+# also writes each lane's actuation, two flags and deviation, 8 + 1 + 1 + 8
+# bytes per sample against the output's 8.
 _BLOCK_BYTES = 2**19
 
 

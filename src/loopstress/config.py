@@ -67,6 +67,8 @@ class CampaignConfig:
             raise ConfigError("beta distribution parameters must be positive")
         if self.mr2_bin_tolerance is not None and self.mr2_bin_tolerance < 0.0:
             raise ConfigError("mr2_bin_tolerance must not be negative")
+        if self.mr2_equality_tolerance < 0.0:
+            raise ConfigError("mr2_equality_tolerance must not be negative")
         if self.mr3_epsilon is not None and not self.mr3_epsilon > 0.0:
             raise ConfigError("mr3_epsilon must be positive")
         if not 0.0 < self.boundary_factor < 1.0:

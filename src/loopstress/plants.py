@@ -27,12 +27,11 @@ One stepper runs the loop: ``stepper.c``, compiled at first use with
 call of it steps several runs of one spec as interleaved lanes, whose
 references repeat one period at their own amplitudes (:func:`run_lanes`);
 :func:`run_plant` is the call of one lane.  ``_simulate`` is the same loop
-in Python, with the same float operations in the same order: the reference
-implementation, and the fallback, 20 to 45 times slower, run lane by lane
-where no compiler is found or the build fails.  Both only step: they keep
-the outputs and velocities, and of the instrumentation only what depends
-on the command inside a step.  One post-pass, ``_instrument``, derives the
-sensor flags and the deviation log from those.
+in Python, with the same arguments and the same float operations in the
+same order: the reference implementation, and the fallback, 20 to 45 times
+slower, which runs the lanes one after another where no compiler is found
+or the build fails.  Both write the whole log of a step as they take it:
+the output, the actuation, the saturation flags and the deviation.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from types import SimpleNamespace
+from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -315,7 +314,8 @@ class LaneRuns(NamedTuple):
 
     ``output`` holds one row per lane: a lane that did not diverge fills its
     row, and a diverged one only its first ``len(logs[k].actuation)``
-    entries, the rest of the row being undefined.
+    entries, the rest of the row being undefined.  Each log's arrays are
+    views of the rows the stepper wrote.
     """
 
     output: np.ndarray
@@ -324,14 +324,15 @@ class LaneRuns(NamedTuple):
 
 
 def _checked_reference(reference, periods: int) -> tuple[np.ndarray, float]:
-    """``reference`` as a float array, and the largest magnitude of the
-    series that repeats it ``periods`` times."""
+    """``reference`` as a contiguous float array, as the compiled stepper
+    reads it, and the largest magnitude of the series that repeats it
+    ``periods`` times."""
     ref = np.asarray(reference, dtype=float)
     if ref.ndim != 1 or periods < 1 or len(ref) * periods < 2:
         raise ValueError("reference must be 1-D with at least two samples")
     if not np.all(np.isfinite(ref)):
         raise ValueError("reference contains non-finite samples")
-    return ref, float(np.max(np.abs(ref)))
+    return np.ascontiguousarray(ref), float(np.max(np.abs(ref)))
 
 
 def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
@@ -361,7 +362,7 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
 def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> LaneRuns:
     """The runs of ``run_plant(spec, a * np.tile(period, periods))`` for each
     ``a`` of ``amplitudes``, with the same bits, from one call of the
-    compiled stepper that steps them as interleaved lanes.
+    stepper, which on the compiled one steps them as interleaved lanes.
 
     No reference is rendered: lane ``k``'s sample ``i`` is ``amplitudes[k] *
     period[i % len(period)]``, the one multiply that rendering makes.  A
@@ -376,56 +377,23 @@ def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> 
         if not math.isfinite(lane_peak):
             raise ValueError("reference contains non-finite samples")
         limits.append(1e6 * lane_peak if lane_peak > 0.0 else math.inf)  # flags divergence
-    c = _loop(spec)
-    out, vel, act, a_sat, shaping_dev, steps, diverged = _step(
-        c, u, amps, np.array(limits), len(u) * periods
-    )
+    p, blocks = _loop(spec)
+    lanes, n = len(amps), len(u) * periods
+    out, act, dev = np.empty((3, lanes, n))
+    a_sat, s_sat = np.empty((2, lanes, n), dtype=bool)
+    steps = np.empty(lanes, dtype="l")  # C long
+    diverged = np.empty(lanes, dtype=np.intc)
+    (load_kernel() or _simulate)(p, blocks, u, len(u), n, lanes, amps, np.array(limits),
+                                 out, act, a_sat, s_sat, dev, steps, diverged)
     logs = []
-    for k, m in enumerate(steps):
+    for k, m in enumerate(steps.tolist()):
         if not np.all(np.isfinite(out[k, :m])):
             raise ValueError("trace contains non-finite samples")  # as Trace does
-        s_sat, dev = _instrument(c, out[k, :m], vel[k, :m], shaping_dev[k, :m])
         logs.append(InstrumentationLog(
-            actuator_saturated=a_sat[k, :m], sensor_saturated=s_sat,
-            nonlinearity_deviation=dev, actuation=act[k, :m],
+            actuator_saturated=a_sat[k, :m], sensor_saturated=s_sat[k, :m],
+            nonlinearity_deviation=dev[k, :m], actuation=act[k, :m],
         ))
-    return LaneRuns(output=out, diverged=tuple(diverged), logs=tuple(logs))
-
-
-def _step(c: SimpleNamespace, u: np.ndarray, amps: np.ndarray, limits: np.ndarray, n: int):
-    """Step one lane per amplitude of ``amps`` for ``n`` steps, lane ``k``'s
-    reference being ``amps[k] * u[i % len(u)]`` and its divergence limit
-    ``limits[k]``.
-
-    Returns one row per lane of the output and velocity at each step's
-    start, the actuation, the actuator flags and the dead zone's and
-    backlash's deviation, then each lane's steps and divergence flag.  On
-    the compiled stepper this is one call; on ``_simulate``, one run per
-    lane of its rendered reference.
-    """
-    lanes = len(amps)
-    out, vel, act, dev = np.empty((4, lanes, n))
-    a_sat = np.empty((lanes, n), dtype=bool)
-    kernel = load_kernel()
-    if kernel is not None:
-        values = [getattr(c, name) for name in _KERNEL_PARAMS]
-        p = np.array([0.0 if v is None else v for v in values])
-        blocks = sum(1 << i for i, name in enumerate(_KERNEL_BLOCKS) if getattr(c, name) is not None)
-        steps = np.empty(lanes, dtype="l")  # C long
-        diverged = np.empty(lanes, dtype=np.intc)
-        kernel(p, blocks, np.ascontiguousarray(u), len(u), n, lanes, np.ascontiguousarray(amps),
-               limits, out, vel, act, a_sat, dev, steps, diverged)
-        return out, vel, act, a_sat, dev, steps.tolist(), [bool(d) for d in diverged]
-    steps, diverged = [], []
-    for k, (a, limit) in enumerate(zip(amps, limits)):
-        ref = np.tile(a * u, n // len(u))
-        runs = _simulate(c, ref.tolist(), float(limit))
-        m = len(runs[0])
-        for rows, values in zip((out, vel, act, a_sat, dev), runs):
-            rows[k, :m] = values
-        steps.append(m)
-        diverged.append(runs[-1])
-    return out, vel, act, a_sat, dev, steps, diverged
+    return LaneRuns(output=out, diverged=tuple(bool(d) for d in diverged), logs=tuple(logs))
 
 
 # The command that builds ``stepper.c``: that file says why these flags and
@@ -437,7 +405,8 @@ _kernel = None  # the loaded stepper; False once it could not be built
 def load_kernel():
     """The compiled stepper, built and loaded at its first use in this
     process; None if that failed, after one line on stderr, and then
-    :func:`run_plant` runs ``_simulate``, with the same results.
+    :func:`run_lanes` calls ``_simulate`` in its place, with the same
+    arguments and results.
 
     The shared object is cached in the package's ``__pycache__`` under the
     sha256 of the C source, the compiler command and the machine, so a
@@ -512,166 +481,151 @@ def _load(path: str):
     from numpy.ctypeslib import ndpointer
 
     doubles = ndpointer(np.float64, flags="C_CONTIGUOUS")
+    flags = ndpointer(np.bool_, flags="C_CONTIGUOUS")
     simulate = ctypes.CDLL(path).simulate
     simulate.argtypes = [
         doubles, ctypes.c_int, doubles, ctypes.c_long, ctypes.c_long, ctypes.c_long, doubles,
-        doubles, doubles, doubles, doubles, ndpointer(np.bool_, flags="C_CONTIGUOUS"), doubles,
+        doubles, doubles, doubles, flags, flags, doubles,
         ndpointer(ctypes.c_long, flags="C_CONTIGUOUS"), ndpointer(np.intc, flags="C_CONTIGUOUS"),
     ]
     simulate.restype = None
     return simulate
 
 
-# The scalars of :func:`_loop` in the order of the compiled stepper's ``p``,
-# and the ones of blocks that may be absent, bit ``i`` of its ``blocks``
-# telling whether the ``i``-th is present.
-_KERNEL_PARAMS = (
-    "dt", "gain", "damping", "inertia", "kp", "ki", "kd", "alpha", "pwm_step", "sens_lo",
-    "sens_hi", "sens_step", "dz_hw", "bl_half", "act_lo", "act_hi", "coulomb", "quad",
-)
-_KERNEL_BLOCKS = ("sens_lo", "sens_step", "dz_hw", "bl_half", "act_lo", "coulomb", "quad")
+# Bit of ``stepper.c``'s ``blocks`` telling whether a block of each kind is
+# attached: its enum, in the same order.
+_BLOCK_BITS = {
+    "sensor_saturation": 1, "quantizer": 2, "dead_zone": 4, "backlash": 8,
+    "actuator_saturation": 16, "coulomb_friction": 32, "quadratic_friction": 64,
+}
 
 
-def _loop(spec: PlantSpec) -> SimpleNamespace:
-    """The shared loop's scalars for ``spec``; a block's entries are None
-    when the block is absent."""
+def _loop(spec: PlantSpec) -> tuple[np.ndarray, int]:
+    """The shared loop's scalars for ``spec`` in the order of the steppers'
+    ``p``, an absent block's being 0.0, and their ``blocks`` bits."""
     dt = spec.sample_interval
     params = {**spec.physical, **spec.controller}
     gain_key, damping_key, inertia_key, p_key, i_key, d_key = _LOOP_ROLES[spec.model]
     blocks = {b.kind: b.params for b in spec.blocks}
 
     def block_param(kind, name):
-        return blocks[kind][name] if kind in blocks else None
+        return blocks[kind][name] if kind in blocks else 0.0
 
-    play = block_param("backlash", "play")
     quad = block_param("quadratic_friction", "coef")
-    return SimpleNamespace(
-        dt=dt,
-        gain=1.0 if gain_key is None else params[gain_key],
-        damping=params[damping_key],
-        inertia=params[inertia_key],
-        kp=params[p_key],
-        ki=params[i_key],
-        kd=params[d_key],
-        alpha=dt / (params["deriv_tau"] + dt),
-        pwm_step=params.get("pwm_step", 0.0),
-        sens_lo=block_param("sensor_saturation", "lo"),
-        sens_hi=block_param("sensor_saturation", "hi"),
-        sens_step=block_param("quantizer", "step"),
-        dz_hw=block_param("dead_zone", "half_width"),
-        bl_half=None if play is None else play / 2.0,
-        act_lo=block_param("actuator_saturation", "lo"),
-        act_hi=block_param("actuator_saturation", "hi"),
-        coulomb=block_param("coulomb_friction", "level"),
-        quad=quad,
-        quad_lin=None if quad is None else quad * abs(params["nominal_speed"]),
-    )
+    p = np.array([
+        dt,
+        1.0 if gain_key is None else params[gain_key],
+        params[damping_key],
+        params[inertia_key],
+        params[p_key],
+        params[i_key],
+        params[d_key],
+        dt / (params["deriv_tau"] + dt),  # alpha
+        params.get("pwm_step", 0.0),
+        block_param("sensor_saturation", "lo"),
+        block_param("sensor_saturation", "hi"),
+        block_param("quantizer", "step"),
+        block_param("dead_zone", "half_width"),
+        block_param("backlash", "play") / 2.0,
+        block_param("actuator_saturation", "lo"),
+        block_param("actuator_saturation", "hi"),
+        block_param("coulomb_friction", "level"),
+        quad,
+        quad * abs(params["nominal_speed"]),  # quad_lin
+    ])
+    return p, sum(_BLOCK_BITS[kind] for kind in blocks)
 
 
-def _simulate(c: SimpleNamespace, ref: list, limit: float):
-    """Run the shared loop with the scalars ``c`` of :func:`_loop`: the
-    reference implementation of ``stepper.c``, which must give the same
-    bits, and the fallback where that cannot be built.
-
-    Returns per-step lists of the output and velocity at the step's start,
-    the actuation, the actuator flags and the dead zone's and backlash's
-    deviation (what depends on the command inside the step), plus the
-    divergence flag; :func:`_instrument` derives the rest.
+def _simulate(p, blocks, u, spp, n, lanes, amp, limit, out, act, a_sat, s_sat, dev, steps,
+              diverged):
+    """``simulate`` of ``stepper.c`` in Python, on the same arguments: the
+    reference implementation, which must give the same bits, and the
+    fallback where that cannot be built.  It steps the lanes one after
+    another, each from its own ``(a * u).tolist()``.
     """
-    dt, gain, damping, inertia = c.dt, c.gain, c.damping, c.inertia
-    kp, ki, kd, alpha, pwm_step = c.kp, c.ki, c.kd, c.alpha, c.pwm_step
-    sens_lo, sens_hi, sens_step = c.sens_lo, c.sens_hi, c.sens_step
-    dz_hw, bl_half, act_lo, act_hi = c.dz_hw, c.bl_half, c.act_lo, c.act_hi
-    coulomb, quad = c.coulomb, c.quad
+    (dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step, sens_lo, sens_hi, sens_step,
+     dz_hw, bl_half, act_lo, act_hi, coulomb, quad, quad_lin) = p.tolist()
+    sensor_sat, quantize, dead, lash, actuator_sat, coulombic, quadratic = (
+        bool(blocks & bit) for bit in _BLOCK_BITS.values()
+    )
+    # What C hoists out of its loop: constant signs, magnitudes and tests.
+    neg_coulomb, abs_coulomb, neg_quad, neg_quad_lin = -coulomb, abs(coulomb), -quad, -quad_lin
+    pwm, isfinite = pwm_step > 0.0, math.isfinite
+    for k in range(lanes):
+        x = v = integ = dfilt = bl_state = 0.0
+        prev_meas = None  # no derivative at step 0
+        xs, acts, a_flags, s_flags, devs = [], [], [], [], []
+        lim, gone = float(limit[k]), False
+        for r in islice(cycle((amp[k] * u).tolist()), n):
+            xs.append(x)
 
-    x = v = 0.0
-    integ = dfilt = 0.0
-    prev_meas = None
-    bl_state = 0.0
-    out, vel, act, a_sat, dev_log = [], [], [], [], []
-    diverged = False
+            meas = x
+            if sensor_sat:
+                sflag = False
+                if meas > sens_hi:
+                    meas, sflag = sens_hi, True
+                elif meas < sens_lo:
+                    meas, sflag = sens_lo, True
+                s_flags.append(sflag)
+            if quantize:
+                meas = _floor(meas / sens_step + 0.5) * sens_step
 
-    for r in ref:
-        out.append(x)
-        vel.append(v)
+            e = r - meas
+            d_raw = 0.0 if prev_meas is None else (meas - prev_meas) / dt
+            prev_meas = meas
+            dfilt += alpha * (d_raw - dfilt)
+            cmd = kp * e + integ - kd * dfilt
 
-        meas = x
-        if sens_lo is not None:
-            if meas > sens_hi:
-                meas = sens_hi
-            elif meas < sens_lo:
-                meas = sens_lo
-        if sens_step is not None:
-            meas = _floor(meas / sens_step + 0.5) * sens_step
+            d = 0.0
+            if dead:
+                shaped = cmd - dz_hw if cmd > dz_hw else (cmd + dz_hw if cmd < -dz_hw else 0.0)
+                d += abs(shaped - cmd)
+                cmd = shaped
+            if lash:
+                if cmd > bl_state + bl_half:
+                    bl_state = cmd - bl_half
+                elif cmd < bl_state - bl_half:
+                    bl_state = cmd + bl_half
+                d += abs(bl_state - cmd)
+                cmd = bl_state
+            aflag = False
+            if actuator_sat:
+                if cmd > act_hi:
+                    cmd, aflag = act_hi, True
+                elif cmd < act_lo:
+                    cmd, aflag = act_lo, True
+            if pwm:  # duty-cycle averaged PWM: quantised drive voltage
+                cmd = _floor(cmd / pwm_step + 0.5) * pwm_step
+            a_flags.append(aflag)
+            acts.append(cmd)
+            integ += ki * e * dt
 
-        e = r - meas
-        d_raw = 0.0 if prev_meas is None else (meas - prev_meas) / dt
-        prev_meas = meas
-        dfilt += alpha * (d_raw - dfilt)
-        u = kp * e + integ - kd * dfilt
+            fric = fdev = 0.0
+            if coulombic and v != 0.0:
+                fric += neg_coulomb if v > 0.0 else coulomb
+                fdev += abs_coulomb
+            if quadratic:
+                fq = neg_quad * v * abs(v)
+                fric += fq
+                fdev += abs(fq - neg_quad_lin * v)
+            devs.append(d + fdev)
 
-        dev = 0.0
-        if dz_hw is not None:
-            shaped = u - dz_hw if u > dz_hw else (u + dz_hw if u < -dz_hw else 0.0)
-            dev += abs(shaped - u)
-            u = shaped
-        if bl_half is not None:
-            if u > bl_state + bl_half:
-                bl_state = u - bl_half
-            elif u < bl_state - bl_half:
-                bl_state = u + bl_half
-            dev += abs(bl_state - u)
-            u = bl_state
-        dev_log.append(dev)
-        aflag = False
-        if act_lo is not None:
-            if u > act_hi:
-                u, aflag = act_hi, True
-            elif u < act_lo:
-                u, aflag = act_lo, True
-        if pwm_step > 0.0:  # duty-cycle averaged PWM: quantised drive voltage
-            u = _floor(u / pwm_step + 0.5) * pwm_step
-        a_sat.append(aflag)
-        act.append(u)
-        integ += ki * e * dt
-
-        fric = 0.0
-        if coulomb is not None and v != 0.0:
-            fric += -coulomb if v > 0.0 else coulomb
-        if quad is not None:
-            fric += -quad * v * abs(v)
-
-        v += (gain * u + fric - damping * v) / inertia * dt
-        x += v * dt
-        if not (abs(x) <= limit and math.isfinite(v)):
-            if len(out) >= 2:
-                diverged = True
+            v += (gain * cmd + fric - damping * v) / inertia * dt
+            x += v * dt
+            if not (abs(x) <= lim and isfinite(v)) and len(xs) >= 2:  # step 0 never ends it
+                gone = True
                 break
-    return out, vel, act, a_sat, dev_log, diverged
+        m = len(xs)
+        out[k, :m] = xs
+        act[k, :m] = acts
+        a_sat[k, :m] = a_flags
+        s_sat[k, :m] = s_flags if sensor_sat else False
+        dev[k, :m] = devs
+        steps[k] = m
+        diverged[k] = gone
 
 
 def _floor(y: float):
     """``math.floor`` as C's ``floor`` in the compiled stepper: infinities
     and NaN pass through instead of raising."""
     return math.floor(y) if math.isfinite(y) else y
-
-
-def _instrument(c: SimpleNamespace, out: np.ndarray, v: np.ndarray,
-                shaping_dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sensor flags and the deviation log of one run, from its outputs
-    and velocities at the start of each step and the dead zone's and
-    backlash's part of the deviation.
-
-    The friction deviation is summed apart and added once, so the logged
-    value keeps its rounding when several blocks are active.
-    """
-    sensor = np.zeros(len(out), dtype=bool)
-    if c.sens_lo is not None:
-        sensor = (out > c.sens_hi) | (out < c.sens_lo)
-    fdev = 0.0
-    if c.coulomb is not None:
-        fdev = np.where(v != 0.0, 0.0 + abs(c.coulomb), 0.0)
-    if c.quad is not None:
-        fq = -c.quad * v * np.abs(v)
-        fdev = fdev + np.abs(fq - (-c.quad_lin * v))
-    return sensor, shaping_dev + fdev

@@ -5,14 +5,15 @@
  * One call steps ``lanes`` runs of one spec over equally long references
  * that share one period ``u``: lane k's reference at step i is
  * ``amp[k] * u[i % spp]``, the single multiply with which
- * ``signals.render_reference`` renders a test, so a lane runs as
- * ``_simulate`` on the rendered reference.  ``run_plant`` is the call of
- * one lane with ``u`` its whole reference and an amplitude of 1.0, which
- * is exact.  The loop's state is a chain of dependent divisions and
- * multiplies, so one run waits on their latency; the step loop therefore
- * advances up to ``BATCH`` lanes per step, whose chains overlap.  On the
- * servo with its quantiser, 8,499 steps of a sine, a lane-step took 52 ns
- * alone, 26 ns with 2 lanes and 14 ns with 4 or 8 (a 2-vCPU x86-64 VM).
+ * ``signals.render_reference`` renders a test.  ``_simulate`` takes the
+ * same arguments and fills the same rows, lane by lane.  ``run_plant`` is
+ * the call of one lane with ``u`` its whole reference and an amplitude of
+ * 1.0, which is exact.  The loop's state is a chain of dependent
+ * divisions and multiplies, so one run waits on their latency; the step
+ * loop therefore advances up to ``BATCH`` lanes per step, whose chains
+ * overlap.  On the servo with its quantiser, 8,499 steps of a sine, a
+ * lane-step took 52 ns alone, 26 ns with 2 lanes and 14 ns with 4 or 8 (a
+ * 2-vCPU x86-64 VM).
  *
  * plants.load_kernel builds this file with ``-O2 -fPIC -shared
  * -ffp-contract=off`` and nothing else.  Those flags are load-bearing:
@@ -40,22 +41,22 @@ struct lane {
 };
 
 /* ``p`` holds dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step,
- * sens_lo, sens_hi, sens_step, dz_hw, bl_half, act_lo, act_hi, coulomb and
- * quad.  Lane k runs ``n`` steps of the reference ``amp[k] * u[i % spp]``
- * and stops early when its output leaves ``limit[k]``.  Per step, it
- * writes row k (``n`` entries from ``k * n``) of the output and velocity
- * at the step's start, the actuation, the actuator flag and the dead
- * zone's and backlash's deviation; it sets ``steps[k]`` to the steps run
- * and ``diverged[k]``. */
+ * sens_lo, sens_hi, sens_step, dz_hw, bl_half, act_lo, act_hi, coulomb,
+ * quad and quad_lin.  Lane k runs ``n`` steps of the reference ``amp[k] *
+ * u[i % spp]`` and stops early when its output leaves ``limit[k]``.  Per
+ * step, it writes row k (``n`` entries from ``k * n``) of the output at
+ * the step's start, the actuation, the actuator and sensor flags and the
+ * deviation; it sets ``steps[k]`` to the steps run and ``diverged[k]``. */
 void simulate(const double *p, int blocks, const double *u, long spp, long n, long lanes,
-              const double *amp, const double *limit, double *out, double *vel, double *act,
-              unsigned char *a_sat, double *dev, long *steps, int *diverged)
+              const double *amp, const double *limit, double *out, double *act,
+              unsigned char *a_sat, unsigned char *s_sat, double *dev, long *steps,
+              int *diverged)
 {
     const double dt = p[0], gain = p[1], damping = p[2], inertia = p[3];
     const double kp = p[4], ki = p[5], kd = p[6], alpha = p[7], pwm_step = p[8];
     const double sens_lo = p[9], sens_hi = p[10], sens_step = p[11];
     const double dz_hw = p[12], bl_half = p[13], act_lo = p[14], act_hi = p[15];
-    const double coulomb = p[16], quad = p[17];
+    const double coulomb = p[16], quad = p[17], quad_lin = p[18];
 
     for (long k0 = 0; k0 < lanes; k0 += BATCH) {
         const int batch = lanes - k0 < BATCH ? (int)(lanes - k0) : BATCH;
@@ -75,14 +76,17 @@ void simulate(const double *p, int blocks, const double *u, long spp, long n, lo
                 const long o = (k0 + k) * n + i;
                 double x = l->x, v = l->v;
                 out[o] = x;
-                vel[o] = v;
 
                 double meas = x;
+                s_sat[o] = 0;
                 if (blocks & SENSOR_SAT) {
-                    if (meas > sens_hi)
+                    if (meas > sens_hi) {
                         meas = sens_hi;
-                    else if (meas < sens_lo)
+                        s_sat[o] = 1;
+                    } else if (meas < sens_lo) {
                         meas = sens_lo;
+                        s_sat[o] = 1;
+                    }
                 }
                 if (blocks & QUANTIZER)
                     meas = floor(meas / sens_step + 0.5) * sens_step;
@@ -108,7 +112,6 @@ void simulate(const double *p, int blocks, const double *u, long spp, long n, lo
                     d += fabs(l->bl_state - cmd);
                     cmd = l->bl_state;
                 }
-                dev[o] = d;
                 a_sat[o] = 0;
                 if (blocks & ACTUATOR_SAT) {
                     if (cmd > act_hi) {
@@ -124,11 +127,19 @@ void simulate(const double *p, int blocks, const double *u, long spp, long n, lo
                 act[o] = cmd;
                 l->integ += (ki * e) * dt;
 
-                double fric = 0.0;
-                if ((blocks & COULOMB) && v != 0.0)
+                /* Each friction's deviation from its linear counterpart:
+                 * no force, and the drag matched at the nominal speed. */
+                double fric = 0.0, fdev = 0.0;
+                if ((blocks & COULOMB) && v != 0.0) {
                     fric += v > 0.0 ? -coulomb : coulomb;
-                if (blocks & QUADRATIC)
-                    fric += ((-quad) * v) * fabs(v);
+                    fdev += fabs(coulomb);
+                }
+                if (blocks & QUADRATIC) {
+                    const double fq = ((-quad) * v) * fabs(v);
+                    fric += fq;
+                    fdev += fabs(fq - ((-quad_lin) * v));
+                }
+                dev[o] = d + fdev;
 
                 v += ((((gain * cmd) + fric) - (damping * v)) / inertia) * dt;
                 x += v * dt;

@@ -592,9 +592,10 @@ def only_error_line(capsys) -> str:
          "sample_interval must be a finite number"),
         ({"max_frequencies": -3}, "max_frequencies must be at least 2"),
         ({"seed": -1}, "seed must not be negative"),
+        ({"mr2_equality_tolerance": -1.0}, "mr2_equality_tolerance must not be negative"),
     ],
     ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool",
-         "max-frequencies-negative", "seed-negative"],
+         "max-frequencies-negative", "seed-negative", "mr2-equality-tolerance-negative"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)

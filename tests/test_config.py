@@ -146,6 +146,7 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(beta_alpha=-1.0),
         lambda raw: raw.update(beta_beta=-1.0),
         lambda raw: raw.update(mr2_bin_tolerance=-0.1),
+        lambda raw: raw.update(mr2_equality_tolerance=-1.0),
         lambda raw: raw.update(mr3_epsilon=0.0),
         lambda raw: raw.update(mr3_epsilon=-0.2),
     ],

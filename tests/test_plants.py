@@ -84,7 +84,7 @@ def test_actuator_saturation_clips_symmetrically():
     assert log.actuator_saturated.tolist() == [True, True, False]
 
 
-def test_sensor_saturation_same_rule_different_slot():
+def test_sensor_saturation_same_rule_different_slot(stepper):
     assert sensor_saturation(-0.5, 0.5).kind == "sensor_saturation"
     spec = unit_gain_servo(sensor_range=0.5)
     run = run_plant(spec, np.ones(3000))
@@ -122,7 +122,7 @@ def test_backlash_holds_output_inside_play():
     assert log.actuation.tolist() == pytest.approx([0.2, 0.2, 0.15, 0.15])
 
 
-def test_coulomb_friction_opposes_motion():
+def test_coulomb_friction_opposes_motion(stepper):
     # A constant drive against viscous damping settles at gain * u / damping
     # (2.5 rad/s); the friction subtracts its level in either direction.
     free, _ = terminal_speed(pass_through(drive=0.05), 1.0)
@@ -138,7 +138,7 @@ def test_coulomb_friction_opposes_motion():
     assert np.all(run.log.nonlinearity_deviation[1:] == 0.01)
 
 
-def test_quadratic_friction_grows_with_speed_squared():
+def test_quadratic_friction_grows_with_speed_squared(stepper):
     coef, damping = 0.02, 0.02
     spec = pass_through(quadratic_friction(coef), drive=0.05)
     for command in (1.0, 4.0, -4.0):
@@ -716,6 +716,21 @@ def test_lanes_are_silent_where_run_plant_is_and_give_its_bits(stepper):
     assert lanes.output[0].tobytes() == run.trace.output.tobytes()
     for name in run.log._fields:
         assert getattr(lanes.logs[0], name).tobytes() == getattr(run.log, name).tobytes(), name
+
+
+def test_a_strided_reference_runs_like_its_copy(stepper):
+    # Both steppers read a reference that is a view with a stride, as the
+    # compiled one reads a contiguous copy.
+    spec = dc_servo_spec(extra_blocks=(dead_zone(0.05), backlash(0.05), coulomb_friction(0.05),
+                                       quadratic_friction(0.002)))
+    reference = 8.0 * np.sin(2.0 * np.pi * np.arange(6000) * 0.001)
+    strided = reference[::2]
+    assert not strided.flags.c_contiguous
+    assert outcome(spec, strided) == outcome(spec, strided.copy())
+    period = reference[:2000:2]
+    assert lanes_outcome(spec, period, [0.5, 1.0, 1.5], 3) == lanes_outcome(
+        spec, period.copy(), [0.5, 1.0, 1.5], 3
+    )
 
 
 def bounds_pair(limit):
