@@ -19,17 +19,20 @@ The reference is a 1 Hz sine of amplitude 8 at the 1 ms controller period,
 which reaches the saturations; lane ``k`` runs it at amplitude ``8 +
 0.01 k``.  Each row's run is checked bit for bit between the two steppers,
 and each lane of every lane count against ``run_plant`` on its rendered
-reference, before it is timed.  Times are the best of ``--repeats`` runs.
+reference, before it is timed.  Times are CPU times of this process
+(``time.process_time``), the best of ``--repeats`` runs: on a shared
+machine, wall-clock times of one row spread too widely between
+invocations to compare steppers.
 Exits 1 if the compiled stepper cannot be built.
 
-    PYTHONPATH=src python3 scripts/bench_sim.py [--steps 20000] [--repeats 3]
+    PYTHONPATH=src python3 scripts/bench_sim.py [--steps 20000] [--repeats 7]
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from time import perf_counter
+from time import process_time
 from unittest import mock
 
 import numpy as np
@@ -61,9 +64,9 @@ BLOCK_SETS = {
 def best_time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
-        start = perf_counter()
+        start = process_time()
         fn()
-        best = min(best, perf_counter() - start)
+        best = min(best, process_time() - start)
     return best
 
 
@@ -128,7 +131,7 @@ def measure(steps: int, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=20000, help="samples of the reference")
-    parser.add_argument("--repeats", type=int, default=3, help="timed runs; the best counts")
+    parser.add_argument("--repeats", type=int, default=7, help="timed runs; the best counts")
     args = parser.parse_args(argv)
     if args.steps < 2:
         parser.error("--steps must be at least 2")

@@ -152,6 +152,13 @@ def _flag(value) -> bool:
     raise TypeError(f"expected true or false, got {value!r}")
 
 
+def _list(value) -> list:
+    """A JSON array."""
+    if type(value) is list:
+        return value
+    raise TypeError(f"expected a list, got {value!r}")
+
+
 # -- bounds ---------------------------------------------------------------
 
 def save_bounds(path, bound_map: AmplitudeBoundMap) -> None:
@@ -173,7 +180,7 @@ def load_bounds(path) -> AmplitudeBoundMap:
             frequencies=tuple(f for f, _ in pairs),
             bounds=tuple(b for _, b in pairs),
             unresolved=tuple(
-                (_finite(a), _finite(b)) for a, b in header.get("unresolved", [])
+                (_finite(a), _finite(b)) for a, b in _list(header.get("unresolved", []))
             ),
             probes=_integer(header.get("probes", 0)),
         )
@@ -231,7 +238,7 @@ def load_test_set(path) -> TestSet:
         tests=tuple(_test_from_dict(row) for row in body),
         seed=_integer(header["seed"]),
         frequency_step=_number(header["frequency_step"]),
-        shapes=tuple(ShapeKind(s) for s in header["shapes"]),
+        shapes=tuple(ShapeKind(s) for s in _list(header["shapes"])),
     ))
 
 
@@ -264,7 +271,7 @@ def _result_from_dict(row: dict) -> TestResult:
                 amplitude=_number(a),
                 dof=None if d is None else _number(d),
             )
-            for f, a, d in row["components"]
+            for f, a, d in _list(row["components"])
         ),
         actuator_saturation_fraction=_number(row["actuator_sat_fraction"]),
         sensor_saturation_fraction=_number(row["sensor_sat_fraction"]),

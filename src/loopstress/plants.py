@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 from typing import NamedTuple
@@ -68,16 +69,34 @@ __all__ = [
     "load_kernel",
 ]
 
-# kind -> required parameter names
-BLOCK_KINDS: dict[str, tuple[str, ...]] = {
-    "actuator_saturation": ("lo", "hi"),
-    "sensor_saturation": ("lo", "hi"),
-    "quantizer": ("step",),
-    "dead_zone": ("half_width",),
-    "backlash": ("play",),
-    "coulomb_friction": ("level",),
-    "quadratic_friction": ("coef",),
+
+class _Block(NamedTuple):
+    bit: int  # of the steppers' ``blocks``: set when a block of the kind is attached
+    params: tuple[str, ...]  # required names, in the order their values fill ``p``
+    rule: Callable[..., bool]  # true of valid parameter values, false of NaN
+    error: str  # the message when ``rule`` fails
+
+
+# Every block kind, in the order of ``stepper.c``'s enum.
+_BLOCKS = {
+    "sensor_saturation":
+        _Block(1, ("lo", "hi"), lambda lo, hi: lo < hi, "saturation needs lo < hi"),
+    "quantizer":
+        _Block(2, ("step",), lambda step: step > 0.0, "quantizer step must be positive"),
+    "dead_zone":
+        _Block(4, ("half_width",), lambda w: w >= 0.0, "dead zone half width must be non-negative"),
+    "backlash":
+        _Block(8, ("play",), lambda play: play >= 0.0, "backlash play must be non-negative"),
+    "actuator_saturation":
+        _Block(16, ("lo", "hi"), lambda lo, hi: lo < hi, "saturation needs lo < hi"),
+    "coulomb_friction":
+        _Block(32, ("level",), lambda level: level >= 0.0, "friction level must be non-negative"),
+    "quadratic_friction":
+        _Block(64, ("coef",), lambda coef: coef >= 0.0, "friction coefficient must be non-negative"),
 }
+
+# kind -> required parameter names
+BLOCK_KINDS: dict[str, tuple[str, ...]] = {kind: b.params for kind, b in _BLOCKS.items()}
 
 
 @dataclass(frozen=True)
@@ -88,9 +107,10 @@ class NonlinearBlock:
     params: dict[str, float]
 
     def __post_init__(self):
-        if self.kind not in BLOCK_KINDS:
+        if self.kind not in _BLOCKS:
             raise ValueError(f"unknown block kind {self.kind!r}")
-        wanted = set(BLOCK_KINDS[self.kind])
+        block = _BLOCKS[self.kind]
+        wanted = set(block.params)
         got = set(self.params)
         if got != wanted:
             raise ValueError(
@@ -99,19 +119,8 @@ class NonlinearBlock:
         object.__setattr__(
             self, "params", {k: float(v) for k, v in self.params.items()}
         )
-        p = self.params
-        if self.kind.endswith("saturation") and not p["lo"] < p["hi"]:
-            raise ValueError("saturation needs lo < hi")
-        if self.kind == "quantizer" and p["step"] <= 0.0:
-            raise ValueError("quantizer step must be positive")
-        if self.kind == "dead_zone" and p["half_width"] < 0.0:
-            raise ValueError("dead zone half width must be non-negative")
-        if self.kind == "backlash" and p["play"] < 0.0:
-            raise ValueError("backlash play must be non-negative")
-        if self.kind == "coulomb_friction" and p["level"] < 0.0:
-            raise ValueError("friction level must be non-negative")
-        if self.kind == "quadratic_friction" and p["coef"] < 0.0:
-            raise ValueError("friction coefficient must be non-negative")
+        if not block.rule(*(self.params[name] for name in block.params)):
+            raise ValueError(block.error)
 
 
 def actuator_saturation(lo: float, hi: float) -> NonlinearBlock:
@@ -142,10 +151,17 @@ def quadratic_friction(coef: float) -> NonlinearBlock:
     return NonlinearBlock("quadratic_friction", {"coef": coef})
 
 
-_MODEL_DEFAULTS = {
+# Each model's default parameters, and the parameter that plays each role in
+# the shared loop
+#     u = P*e + integral - D*filtered_derivative,
+#     v += (gain*u + friction - damping*v) / inertia * dt,
+# as (gain, damping, inertia, P, I, D).  The drone's thrust acts on its mass
+# directly, so its gain is None, meaning the constant 1.0.
+_MODELS = {
     "drone_alt": {
         "physical": {"mass": 0.1, "drag": 1.0, "nominal_speed": 1.0},
         "controller": {"kp": 3.0, "ki": 2.0, "kd": 0.0, "deriv_tau": 0.0},
+        "roles": (None, "drag", "mass", "kp", "ki", "kd"),
     },
     "dc_servo": {
         "physical": {
@@ -156,17 +172,8 @@ _MODEL_DEFAULTS = {
             "pwm_step": 0.0,  # >0 replaces PWM by duty-cycle quantisation
         },
         "controller": {"k_pos": 3.7, "k_int": 2.0, "k_vel": 0.8, "deriv_tau": 0.01},
+        "roles": ("torque_const", "damping", "inertia", "k_pos", "k_int", "k_vel"),
     },
-}
-
-# Which parameter plays each role in the shared loop
-#     u = P*e + integral - D*filtered_derivative,
-#     v += (gain*u + friction - damping*v) / inertia * dt,
-# as (gain, damping, inertia, P, I, D).  The drone's thrust acts on its mass
-# directly, so its gain is None, meaning the constant 1.0.
-_LOOP_ROLES = {
-    "drone_alt": (None, "drag", "mass", "kp", "ki", "kd"),
-    "dc_servo": ("torque_const", "damping", "inertia", "k_pos", "k_int", "k_vel"),
 }
 
 
@@ -176,7 +183,10 @@ class PlantSpec:
 
     Missing physical/controller entries are filled with the model defaults;
     unknown entries are rejected.  At most one block of each kind may be
-    attached.
+    attached.  Parameters are checked by their role in the loop: the inertia
+    (the drone's mass) must be positive, and the damping (the drone's drag),
+    ``deriv_tau`` and ``pwm_step`` non-negative, which NaN fails; the gains
+    are free.
     """
 
     model: str
@@ -186,9 +196,9 @@ class PlantSpec:
     sample_interval: float = 0.001
 
     def __post_init__(self):
-        if self.model not in _MODEL_DEFAULTS:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown plant model {self.model!r}")
-        defaults = _MODEL_DEFAULTS[self.model]
+        defaults = _MODELS[self.model]
         for attr in ("physical", "controller"):
             given = dict(getattr(self, attr))
             allowed = defaults[attr]
@@ -204,25 +214,27 @@ class PlantSpec:
         kinds = [b.kind for b in blocks]
         if len(kinds) != len(set(kinds)):
             raise ValueError("at most one block of each kind may be attached")
-        if self.sample_interval <= 0.0:
+        if not self.sample_interval > 0.0:
             raise ValueError("sample_interval must be positive")
-        if self.physical.get("mass", 1.0) <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.physical.get("drag", 0.0) < 0.0:
-            raise ValueError("drag must be non-negative")
-        if self.physical.get("inertia", 1.0) <= 0.0:
-            raise ValueError("inertia must be positive")
+        params = {**self.physical, **self.controller}
+        _, damping, inertia = defaults["roles"][:3]
+        if not params[inertia] > 0.0:
+            raise ValueError(f"{inertia} must be positive")
+        for name in (damping, "deriv_tau", "pwm_step"):
+            if not params.get(name, 0.0) >= 0.0:  # the drone has no pwm_step
+                raise ValueError(f"{name} must be non-negative")
 
 
-def _split_overrides(model: str, overrides: dict) -> tuple[dict, dict]:
-    """Sort flat keyword overrides into the model's physical and controller sets."""
-    defaults = _MODEL_DEFAULTS[model]
+def _model_spec(model: str, blocks, sample_interval: float, overrides: dict) -> PlantSpec:
+    """The spec of ``model`` with ``blocks``, its flat keyword overrides
+    sorted into the model's physical and controller sets."""
+    defaults = _MODELS[model]
     physical = {k: v for k, v in overrides.items() if k in defaults["physical"]}
     controller = {k: v for k, v in overrides.items() if k in defaults["controller"]}
     leftovers = set(overrides) - set(physical) - set(controller)
     if leftovers:
         raise ValueError(f"unknown {model} parameters: {sorted(leftovers)}")
-    return physical, controller
+    return PlantSpec(model, physical, controller, blocks, sample_interval)
 
 
 def drone_spec(
@@ -235,14 +247,7 @@ def drone_spec(
     blocks = ()
     if thrust_limit > 0.0:
         blocks = (actuator_saturation(-thrust_limit, thrust_limit),)
-    physical, controller = _split_overrides("drone_alt", param_overrides)
-    return PlantSpec(
-        model="drone_alt",
-        physical=physical,
-        controller=controller,
-        blocks=blocks + tuple(extra_blocks),
-        sample_interval=sample_interval,
-    )
+    return _model_spec("drone_alt", blocks + tuple(extra_blocks), sample_interval, param_overrides)
 
 
 def dc_servo_spec(
@@ -261,14 +266,7 @@ def dc_servo_spec(
         blocks += (sensor_saturation(-sensor_range, sensor_range),)
     if adc_step > 0.0:
         blocks += (quantizer(adc_step),)
-    physical, controller = _split_overrides("dc_servo", param_overrides)
-    return PlantSpec(
-        model="dc_servo",
-        physical=physical,
-        controller=controller,
-        blocks=blocks + tuple(extra_blocks),
-        sample_interval=sample_interval,
-    )
+    return _model_spec("dc_servo", blocks + tuple(extra_blocks), sample_interval, param_overrides)
 
 
 class InstrumentationLog(NamedTuple):
@@ -492,48 +490,20 @@ def _load(path: str):
     return simulate
 
 
-# Bit of ``stepper.c``'s ``blocks`` telling whether a block of each kind is
-# attached: its enum, in the same order.
-_BLOCK_BITS = {
-    "sensor_saturation": 1, "quantizer": 2, "dead_zone": 4, "backlash": 8,
-    "actuator_saturation": 16, "coulomb_friction": 32, "quadratic_friction": 64,
-}
-
-
 def _loop(spec: PlantSpec) -> tuple[np.ndarray, int]:
-    """The shared loop's scalars for ``spec`` in the order of the steppers'
-    ``p``, an absent block's being 0.0, and their ``blocks`` bits."""
+    """The steppers' ``p`` and ``blocks`` for ``spec``: ``p`` holds dt, the
+    roles, alpha, pwm_step, each kind's parameters in ``_BLOCKS`` order (0.0
+    for a kind not attached; slot 13, the backlash play, is halved by the
+    steppers) and quad_lin."""
     dt = spec.sample_interval
-    params = {**spec.physical, **spec.controller}
-    gain_key, damping_key, inertia_key, p_key, i_key, d_key = _LOOP_ROLES[spec.model]
+    params = {None: 1.0, **spec.physical, **spec.controller}  # a role None is 1.0
     blocks = {b.kind: b.params for b in spec.blocks}
-
-    def block_param(kind, name):
-        return blocks[kind][name] if kind in blocks else 0.0
-
-    quad = block_param("quadratic_friction", "coef")
-    p = np.array([
-        dt,
-        1.0 if gain_key is None else params[gain_key],
-        params[damping_key],
-        params[inertia_key],
-        params[p_key],
-        params[i_key],
-        params[d_key],
-        dt / (params["deriv_tau"] + dt),  # alpha
-        params.get("pwm_step", 0.0),
-        block_param("sensor_saturation", "lo"),
-        block_param("sensor_saturation", "hi"),
-        block_param("quantizer", "step"),
-        block_param("dead_zone", "half_width"),
-        block_param("backlash", "play") / 2.0,
-        block_param("actuator_saturation", "lo"),
-        block_param("actuator_saturation", "hi"),
-        block_param("coulomb_friction", "level"),
-        quad,
-        quad * abs(params["nominal_speed"]),  # quad_lin
-    ])
-    return p, sum(_BLOCK_BITS[kind] for kind in blocks)
+    p = [dt, *(params[role] for role in _MODELS[spec.model]["roles"]),
+         dt / (params["deriv_tau"] + dt), params.get("pwm_step", 0.0)]  # alpha, pwm_step
+    for kind, block in _BLOCKS.items():
+        p += (blocks[kind][name] if kind in blocks else 0.0 for name in block.params)
+    p.append(p[-1] * abs(params["nominal_speed"]))  # quad_lin; p[-1] is quad, the last one
+    return np.array(p), sum(_BLOCKS[kind].bit for kind in blocks)
 
 
 def _simulate(p, blocks, u, spp, n, lanes, amp, limit, out, act, a_sat, s_sat, dev, steps,
@@ -544,10 +514,11 @@ def _simulate(p, blocks, u, spp, n, lanes, amp, limit, out, act, a_sat, s_sat, d
     another, each from its own ``(a * u).tolist()``.
     """
     (dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step, sens_lo, sens_hi, sens_step,
-     dz_hw, bl_half, act_lo, act_hi, coulomb, quad, quad_lin) = p.tolist()
+     dz_hw, play, act_lo, act_hi, coulomb, quad, quad_lin) = p.tolist()
     sensor_sat, quantize, dead, lash, actuator_sat, coulombic, quadratic = (
-        bool(blocks & bit) for bit in _BLOCK_BITS.values()
+        bool(blocks & b.bit) for b in _BLOCKS.values()
     )
+    bl_half = play / 2.0
     # What C hoists out of its loop: constant signs, magnitudes and tests.
     neg_coulomb, abs_coulomb, neg_quad, neg_quad_lin = -coulomb, abs(coulomb), -quad, -quad_lin
     pwm, isfinite = pwm_step > 0.0, math.isfinite

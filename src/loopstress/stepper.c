@@ -41,12 +41,13 @@ struct lane {
 };
 
 /* ``p`` holds dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step,
- * sens_lo, sens_hi, sens_step, dz_hw, bl_half, act_lo, act_hi, coulomb,
- * quad and quad_lin.  Lane k runs ``n`` steps of the reference ``amp[k] *
- * u[i % spp]`` and stops early when its output leaves ``limit[k]``.  Per
- * step, it writes row k (``n`` entries from ``k * n``) of the output at
- * the step's start, the actuation, the actuator and sensor flags and the
- * deviation; it sets ``steps[k]`` to the steps run and ``diverged[k]``. */
+ * sens_lo, sens_hi, sens_step, dz_hw, the backlash play (halved below),
+ * act_lo, act_hi, coulomb, quad and quad_lin.  Lane k runs ``n`` steps of
+ * the reference ``amp[k] * u[i % spp]`` and stops early when its output
+ * leaves ``limit[k]``.  Per step, it writes row k (``n`` entries from
+ * ``k * n``) of the output at the step's start, the actuation, the
+ * actuator and sensor flags and the deviation; it sets ``steps[k]`` to the
+ * steps run and ``diverged[k]``. */
 void simulate(const double *p, int blocks, const double *u, long spp, long n, long lanes,
               const double *amp, const double *limit, double *out, double *act,
               unsigned char *a_sat, unsigned char *s_sat, double *dev, long *steps,
@@ -55,7 +56,7 @@ void simulate(const double *p, int blocks, const double *u, long spp, long n, lo
     const double dt = p[0], gain = p[1], damping = p[2], inertia = p[3];
     const double kp = p[4], ki = p[5], kd = p[6], alpha = p[7], pwm_step = p[8];
     const double sens_lo = p[9], sens_hi = p[10], sens_step = p[11];
-    const double dz_hw = p[12], bl_half = p[13], act_lo = p[14], act_hi = p[15];
+    const double dz_hw = p[12], bl_half = p[13] / 2.0, act_lo = p[14], act_hi = p[15];
     const double coulomb = p[16], quad = p[17], quad_lin = p[18];
 
     for (long k0 = 0; k0 < lanes; k0 += BATCH) {

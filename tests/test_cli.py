@@ -593,9 +593,17 @@ def only_error_line(capsys) -> str:
         ({"max_frequencies": -3}, "max_frequencies must be at least 2"),
         ({"seed": -1}, "seed must not be negative"),
         ({"mr2_equality_tolerance": -1.0}, "mr2_equality_tolerance must not be negative"),
+        # Minus the sample interval, which alpha = dt / (deriv_tau + dt) divides by.
+        ({"plant": {"model": "drone_alt", "controller": {"deriv_tau": -0.001}}},
+         "deriv_tau must be non-negative"),
+        ({"plant": {"model": "dc_servo", "physical": {"damping": -5.0}}},
+         "damping must be non-negative"),
+        ({"plant": {"model": "dc_servo", "physical": {"pwm_step": -0.05}}},
+         "pwm_step must be non-negative"),
     ],
     ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool",
-         "max-frequencies-negative", "seed-negative", "mr2-equality-tolerance-negative"],
+         "max-frequencies-negative", "seed-negative", "mr2-equality-tolerance-negative",
+         "deriv-tau-minus-dt", "servo-damping-negative", "pwm-step-negative"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)
@@ -645,13 +653,18 @@ def staged(tmp_path_factory):
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": math.nan}),
         (cli.BOUNDS_FILE, -1, lambda r: {**r, "frequency": math.inf}),  # still increasing
         (cli.BOUNDS_FILE, 1, lambda r: {**r, "bound": math.inf}),
+        # An object or a string where a list belongs.
+        (cli.TESTS_FILE, 0, lambda r: {**r, "shapes": {s: 1 for s in r["shapes"]}}),
+        (cli.BOUNDS_FILE, 0, lambda r: {**r, "unresolved": {}}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "components": ""}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
          "results-diverged-number", "results-dnl-string", "results-dnl-bool",
          "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods",
          "tests-zero-amp-gain", "results-dnl-nan", "bounds-frequency-infinite",
-         "bounds-bound-infinite"],
+         "bounds-bound-infinite", "tests-shapes-object", "bounds-unresolved-object",
+         "results-components-string"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit

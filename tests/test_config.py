@@ -149,6 +149,11 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(mr2_equality_tolerance=-1.0),
         lambda raw: raw.update(mr3_epsilon=0.0),
         lambda raw: raw.update(mr3_epsilon=-0.2),
+        # Loop roles out of range, which the steppers would run or divide by 0 on.
+        lambda raw: raw.update(plant={"model": "dc_servo", "physical": {"damping": -0.1}}),
+        lambda raw: raw["plant"].update(controller={"deriv_tau": -0.001}),
+        lambda raw: raw["plant"].update(controller={"deriv_tau": -0.0005}),
+        lambda raw: raw.update(plant={"model": "dc_servo", "physical": {"pwm_step": -0.05}}),
     ],
 )
 def test_bad_configs_raise_config_error(mutate):

@@ -180,11 +180,27 @@ def test_block_kind_registry_is_complete():
         (backlash, (-0.2,)),
         (coulomb_friction, (-1.0,)),
         (quadratic_friction, (-0.5,)),
+        (quantizer, (math.nan,)),  # NaN fails every rule
     ],
 )
 def test_block_factories_reject_bad_parameters(factory, args):
     with pytest.raises(ValueError):
         factory(*args)
+
+
+@pytest.mark.parametrize(
+    "make, overrides, says",
+    [
+        (dc_servo_spec, {"damping": -0.1}, "damping must be non-negative"),
+        # Minus the sample interval: alpha = dt / (deriv_tau + dt) divides by 0.
+        (drone_spec, {"deriv_tau": -0.001}, "deriv_tau must be non-negative"),
+        (drone_spec, {"deriv_tau": -0.0005}, "deriv_tau must be non-negative"),
+        (dc_servo_spec, {"pwm_step": -0.05}, "pwm_step must be non-negative"),
+    ],
+)
+def test_plant_specs_reject_bad_loop_roles(make, overrides, says):
+    with pytest.raises(ValueError, match=says):
+        make(**overrides)
 
 
 def test_unknown_block_kind_rejected():
