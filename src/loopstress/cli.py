@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import sys
 import time
 from pathlib import Path
@@ -69,23 +68,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def stage(name: str, help_text: str) -> argparse.ArgumentParser:
+    def stage(name: str, run, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="campaign config (JSON)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--workers", type=int, default=None, help="override worker count")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
+        p.set_defaults(run=run)
         return p
 
-    stage("calibrate", "pick the per-test repetition count")
-    stage("bound", "sample the linear amplitude envelope")
-    g = stage("generate", "draw the campaign test set")
+    stage("calibrate", cmd_calibrate, "pick the per-test repetition count")
+    stage("bound", cmd_bound, "sample the linear amplitude envelope")
+    g = stage("generate", cmd_generate, "draw the campaign test set")
     g.add_argument("--bounds", default=None, help=f"bounds artifact (default <out>/{BOUNDS_FILE})")
-    r = stage("run", "execute the test set")
+    r = stage("run", cmd_run, "execute the test set")
     r.add_argument("--tests", default=None, help=f"test-set artifact (default <out>/{TESTS_FILE})")
-    a = stage("analyze", "check relations, estimate bandwidth, export tables")
+    a = stage("analyze", cmd_analyze, "check relations, estimate bandwidth, export tables")
     a.add_argument("--results", default=None, help=f"results artifact (default <out>/{RESULTS_FILE})")
-    c = stage("campaign", "bound, generate, run and analyze in sequence")
+    c = stage("campaign", cmd_campaign, "bound, generate, run and analyze in sequence")
+    # campaign hands its args to each stage, which then reads its input from <out>.
+    c.set_defaults(bounds=None, tests=None, results=None)
     for p in (a, c):
         p.add_argument(
             "--full-violations", action="store_true",
@@ -102,7 +104,7 @@ def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
     return cfg
 
 
-def cmd_calibrate(cfg: CampaignConfig, out: Path) -> int:
+def cmd_calibrate(cfg: CampaignConfig, out: Path, args) -> int:
     curve = campaign.calibration_curve(
         cfg.plant, cfg.inputs, cfg.max_periods, cfg.calibration_shape
     )
@@ -134,7 +136,7 @@ def cmd_calibrate(cfg: CampaignConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_bound(cfg: CampaignConfig, out: Path) -> int:
+def cmd_bound(cfg: CampaignConfig, out: Path, args) -> int:
     try:
         bound_map = campaign.optimistic_amplitude_bound(
             cfg.plant, cfg.inputs, max_frequencies=cfg.max_frequencies,
@@ -160,8 +162,8 @@ def cmd_bound(cfg: CampaignConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_generate(cfg: CampaignConfig, out: Path, bounds_path=None) -> int:
-    bounds = persist.load_bounds(bounds_path or out / BOUNDS_FILE)
+def cmd_generate(cfg: CampaignConfig, out: Path, args) -> int:
+    bounds = persist.load_bounds(args.bounds or out / BOUNDS_FILE)
     test_set = campaign.generate_test_set(
         bounds, cfg.shapes, cfg.inputs, seed=cfg.seed, beta_params=cfg.beta_params
     )
@@ -196,8 +198,8 @@ def _run_line(elapsed: float, done: int, total: int) -> str:
     return f"run: {done}/{total} tests, {done / elapsed:.1f} tests/s"
 
 
-def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
-    test_set = persist.load_test_set(tests_path or out / TESTS_FILE)
+def cmd_run(cfg: CampaignConfig, out: Path, args) -> int:
+    test_set = persist.load_test_set(args.tests or out / TESTS_FILE)
     results = campaign.execute_campaign(
         cfg.plant, test_set, cfg.inputs, workers=cfg.workers, progress=_progress(_run_line)
     )
@@ -207,11 +209,10 @@ def cmd_run(cfg: CampaignConfig, out: Path, tests_path=None) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None,
-                full_violations: bool = False) -> int:
-    results = persist.load_results(results_path or out / RESULTS_FILE)
+def cmd_analyze(cfg: CampaignConfig, out: Path, args) -> int:
+    results = persist.load_results(args.results or out / RESULTS_FILE)
     full_path = out / MR_VIOLATIONS_FILE
-    if full_violations:
+    if args.full_violations:
         writer = persist.violation_writer(full_path)
     else:
         full_path.unlink(missing_ok=True)  # it would not match the new report
@@ -229,19 +230,11 @@ def cmd_analyze(cfg: CampaignConfig, out: Path, results_path=None,
     return EXIT_OK
 
 
-def cmd_campaign(cfg: CampaignConfig, out: Path, full_violations: bool = False) -> int:
+def cmd_campaign(cfg: CampaignConfig, out: Path, args) -> int:
     # Each stage reloads its input artifact from disk, so a one-shot campaign
-    # is byte-for-byte the same as running the stages one by one.
-    code = cmd_bound(cfg, out)
-    if code not in (EXIT_OK, EXIT_WARNINGS):
-        return code
-    analyze = functools.partial(cmd_analyze, full_violations=full_violations)
-    for step in (cmd_generate, cmd_run, analyze):
-        step_code = step(cfg, out)
-        if step_code not in (EXIT_OK, EXIT_WARNINGS):
-            return step_code
-        code = max(code, step_code)
-    return code
+    # is byte-for-byte the same as running the stages one by one.  A stage
+    # returns EXIT_OK or EXIT_WARNINGS or raises, so the max is the outcome.
+    return max(stage(cfg, out, args) for stage in (cmd_bound, cmd_generate, cmd_run, cmd_analyze))
 
 
 def main(argv=None) -> int:
@@ -250,19 +243,7 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out)
-        if args.command == "bound":
-            return cmd_bound(cfg, out)
-        if args.command == "generate":
-            return cmd_generate(cfg, out, args.bounds)
-        if args.command == "run":
-            return cmd_run(cfg, out, args.tests)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, out, args.results, args.full_violations)
-        if args.command == "campaign":
-            return cmd_campaign(cfg, out, args.full_violations)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(cfg, out, args)
     except (persist.SchemaError, ConfigError, campaign.SamplingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -183,7 +183,7 @@ def _build_config(raw: dict) -> CampaignConfig:
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
 
-    includes_mean = _take(raw, "dnl_includes_mean", True)
+    includes_mean = _take(raw, "dnl_includes_mean", RequiredInput.dnl_includes_mean)
     if not isinstance(includes_mean, bool):
         raise ConfigError(f"dnl_includes_mean must be true or false, got {includes_mean!r}")
     inputs = RequiredInput(
@@ -191,10 +191,10 @@ def _build_config(raw: dict) -> CampaignConfig:
         f_max=_number(raw, "f_max", required=True),
         a_max=_number(raw, "a_max", required=True),
         delta_a=_number(raw, "delta_a", required=True),
-        dnl_threshold=_number(raw, "dnl_threshold", 0.15),
-        rho=_number(raw, "rho", 0.1),
-        base_periods=_integer(raw, "base_periods", 5),
-        sample_interval=_number(raw, "sample_interval", 0.001),
+        dnl_threshold=_number(raw, "dnl_threshold", RequiredInput.dnl_threshold),
+        rho=_number(raw, "rho", RequiredInput.rho),
+        base_periods=_integer(raw, "base_periods", RequiredInput.base_periods),
+        sample_interval=_number(raw, "sample_interval", RequiredInput.sample_interval),
         dnl_includes_mean=includes_mean,
     )
 
@@ -207,20 +207,25 @@ def _build_config(raw: dict) -> CampaignConfig:
     if not isinstance(shapes_raw, list):
         raise ConfigError(f"shapes must be a list, got {shapes_raw!r}")
 
+    beta_alpha, beta_beta = CampaignConfig.beta_params
     cfg_kwargs = dict(
         plant=plant,
         inputs=inputs,
         shapes=tuple(_shape("shape", s) for s in shapes_raw),
-        seed=_integer(raw, "seed", 0),
-        workers=_integer(raw, "workers", 1),
-        max_periods=_integer(raw, "max_periods", 10),
-        calibration_shape=_shape("calibration_shape", _take(raw, "calibration_shape", "sine")),
-        beta_params=(_number(raw, "beta_alpha", 2.0), _number(raw, "beta_beta", 1.0)),
-        mr2_bin_tolerance=_number(raw, "mr2_bin_tolerance"),
-        mr2_equality_tolerance=_number(raw, "mr2_equality_tolerance", 1e-6),
-        mr3_epsilon=_number(raw, "mr3_epsilon"),
-        boundary_factor=_number(raw, "boundary_factor", 0.5),
-        max_frequencies=_integer(raw, "max_frequencies", 256),
+        seed=_integer(raw, "seed", CampaignConfig.seed),
+        workers=_integer(raw, "workers", CampaignConfig.workers),
+        max_periods=_integer(raw, "max_periods", CampaignConfig.max_periods),
+        calibration_shape=_shape(
+            "calibration_shape", _take(raw, "calibration_shape", CampaignConfig.calibration_shape)
+        ),
+        beta_params=(_number(raw, "beta_alpha", beta_alpha), _number(raw, "beta_beta", beta_beta)),
+        mr2_bin_tolerance=_number(raw, "mr2_bin_tolerance", CampaignConfig.mr2_bin_tolerance),
+        mr2_equality_tolerance=_number(
+            raw, "mr2_equality_tolerance", CampaignConfig.mr2_equality_tolerance
+        ),
+        mr3_epsilon=_number(raw, "mr3_epsilon", CampaignConfig.mr3_epsilon),
+        boundary_factor=_number(raw, "boundary_factor", CampaignConfig.boundary_factor),
+        max_frequencies=_integer(raw, "max_frequencies", CampaignConfig.max_frequencies),
     )
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")

@@ -33,6 +33,20 @@ class ShapeKind(str, enum.Enum):
     TRAPEZOID = "trapezoid"
 
 
+# Each shape's waveform at a phase array ``p`` in [0, 1); see ``eval_shape``.
+_SHAPES = {
+    ShapeKind.SINE: lambda p: 0.5 + 0.5 * np.sin(2.0 * np.pi * p),
+    ShapeKind.SQUARE: lambda p: np.where(p < 0.5, 0.0, 1.0),
+    ShapeKind.SAWTOOTH: lambda p: p.copy(),
+    ShapeKind.TRIANGLE: lambda p: np.where(p < 0.5, 2.0 * p, 2.0 - 2.0 * p),
+    ShapeKind.TRAPEZOID: lambda p: np.select(
+        [p < 0.25, p < 0.5, p < 0.75],
+        [4.0 * p, 1.0, 3.0 - 4.0 * p],
+        default=0.0,
+    ),
+}
+
+
 def eval_shape(shape: ShapeKind, phase):
     """Evaluate a normalised shape at ``phase`` in [0, 1).
 
@@ -63,23 +77,7 @@ def eval_shape(shape: ShapeKind, phase):
     p = np.asarray(phase, dtype=float)
     if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p >= 1.0):
         raise ValueError("phase must lie in [0, 1)")
-    shape = ShapeKind(shape)
-    if shape is ShapeKind.SINE:
-        out = 0.5 + 0.5 * np.sin(2.0 * np.pi * p)
-    elif shape is ShapeKind.SQUARE:
-        out = np.where(p < 0.5, 0.0, 1.0)
-    elif shape is ShapeKind.SAWTOOTH:
-        out = p.copy()
-    elif shape is ShapeKind.TRIANGLE:
-        out = np.where(p < 0.5, 2.0 * p, 2.0 - 2.0 * p)
-    elif shape is ShapeKind.TRAPEZOID:
-        out = np.select(
-            [p < 0.25, p < 0.5, p < 0.75],
-            [4.0 * p, 1.0, 3.0 - 4.0 * p],
-            default=0.0,
-        )
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown shape {shape!r}")
+    out = _SHAPES[ShapeKind(shape)](p)
     if np.isscalar(phase) or np.ndim(phase) == 0:
         return float(out)
     return out

@@ -139,6 +139,11 @@ def test_bound_search_requires_a_probe_or_plant():
 # ---------------------------------------------------------------------------
 
 
+def test_bound_map_requires_a_probe_or_plant():
+    with pytest.raises(ValueError, match="need either a plant or a probe"):
+        optimistic_amplitude_bound(None, DEFAULT_INPUTS)
+
+
 def test_flat_linear_plant_needs_only_the_endpoints():
     bound_map = optimistic_amplitude_bound(None, DEFAULT_INPUTS, probe=lambda f, a: 0.01)
     assert list(bound_map.frequencies) == [0.1, 2.0]
@@ -833,6 +838,11 @@ def test_a_sine_probe_scores_like_the_run_stage_and_run_plant(stepper, plant):
     run = execute_campaign(plant, tests, inputs)
     dnls = [probe(f, a) for f, a in points]
     assert dnls == [r.dnl for r in run] == [reference_run_one(plant, t, inputs).dnl for t in tests]
+
+
+def test_calibration_curve_needs_at_least_one_period():
+    with pytest.raises(ValueError, match="max_periods must be at least 1"):
+        calibration_curve(drone_spec(), DEFAULT_INPUTS, max_periods=0)
 
 
 def test_calibration_curve_rejects_mismatched_sampling():

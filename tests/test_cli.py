@@ -576,9 +576,9 @@ def test_stage_rejects_artifact_of_wrong_kind(tmp_path):
     assert rc == cli.EXIT_INVALID_INPUT
 
 
-def only_error_line(capsys) -> str:
+def only_error_line(capsys, prefix: str = "error:") -> str:
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
     return lines[0]
 
 
@@ -600,16 +600,26 @@ def only_error_line(capsys) -> str:
          "damping must be non-negative"),
         ({"plant": {"model": "dc_servo", "physical": {"pwm_step": -0.05}}},
          "pwm_step must be non-negative"),
+        ({"plant": {"model": "drone_alt", "blocks": {}}}, "plant blocks must be a list"),
     ],
     ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool",
          "max-frequencies-negative", "seed-negative", "mr2-equality-tolerance-negative",
-         "deriv-tau-minus-dt", "servo-damping-negative", "pwm-step-negative"],
+         "deriv-tau-minus-dt", "servo-damping-negative", "pwm-step-negative",
+         "plant-blocks-object"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)
     rc = cli.main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INVALID_INPUT
     assert says in only_error_line(capsys)
+
+
+def test_a_config_that_is_not_an_object_exits_3_with_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps([1, 2]))
+    rc = cli.main(["campaign", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert "config must be a JSON object" in only_error_line(capsys)
 
 
 def test_negative_seed_override_exits_3_before_any_stage(tmp_path, capsys):
@@ -727,6 +737,29 @@ def test_shipped_configs_bound_on_the_snapped_period_grid(tmp_path, capsys, path
 def test_unknown_subcommand_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+@pytest.mark.parametrize("stage", ["bound", "campaign"])
+def test_a_failing_stage_exits_4_with_one_internal_error_line(
+    tmp_path, capsys, monkeypatch, stage
+):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(campaign, "optimistic_amplitude_bound", boom)
+    cfg = write_config(tmp_path)
+    rc = cli.main([stage, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_INTERNAL
+    assert only_error_line(capsys, "internal error:") == "internal error: RuntimeError('boom')"
+
+
+@pytest.mark.parametrize("flag", ["--bounds", "--tests", "--results"])
+def test_campaign_takes_no_artifact_path_flag(tmp_path, flag):
+    # campaign reads each stage's input from --out; the flags belong to the stages.
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["campaign", "--config", str(cfg), flag, "x", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
 
 
 def test_exit_code_constants_are_distinct():

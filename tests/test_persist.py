@@ -255,6 +255,15 @@ def test_loaders_reject_what_they_would_have_to_coerce(
         load(path)
 
 
+def test_blank_lines_between_records_are_skipped(artifact_records):
+    path, artifacts = artifact_records
+    for load, _, records in artifacts:
+        write_records(path, records)
+        plain = load(path)
+        path.write_text("\n\n".join(json.dumps(r) + "\n  \t" for r in records) + "\n")
+        assert load(path) == plain
+
+
 def test_integral_numbers_load_as_integers(artifact_records):
     path, artifacts = artifact_records
     for (load, _, records), key in zip(artifacts, ("probes", "seed")):
@@ -443,6 +452,13 @@ def test_json_report_rejects_future_version(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(persist.SchemaError):
+        persist.load_json_report(path)
+
+
+def test_json_report_rejects_text_that_is_not_json(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("{not json")
+    with pytest.raises(persist.SchemaError, match="not valid JSON"):
         persist.load_json_report(path)
 
 

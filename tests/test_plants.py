@@ -156,6 +156,12 @@ def test_run_plant_rejects_non_finite_reference(value):
         run_plant(drone_spec(), np.array([0.0, value]))
 
 
+def test_run_lanes_rejects_a_lane_whose_scaled_reference_overflows():
+    # |a| * peak is 1e309, beyond float range.
+    with pytest.raises(ValueError, match="reference contains non-finite samples"):
+        run_lanes(drone_spec(), np.array([0.0, 10.0]), [1e308], 1)
+
+
 def test_block_kind_registry_is_complete():
     kinds = {
         "actuator_saturation",

@@ -302,6 +302,11 @@ def test_trace_rejects_malformed_pairs(ref, out):
         Trace(reference=ref, output=out, sample_interval=0.001)
 
 
+def test_trace_rejects_a_nonpositive_sample_interval():
+    with pytest.raises(ValueError, match="sample_interval must be positive"):
+        Trace(np.zeros(2), np.zeros(2), 0.0)
+
+
 def test_dnl_zero_for_perfect_tracking_of_sine():
     r = sine_trace()
     dnl = degree_of_nonlinearity(Trace(reference=r, output=r.copy(), sample_interval=0.001))
