@@ -8,6 +8,10 @@ and re-serialising reproduces the exact bytes; infinities use the
 JSON-extension ``Infinity`` token that the stdlib emits and accepts.  Each
 file is written next to its target and renamed into place, so an artifact
 is never left half-written.
+
+Stream artifacts go through the file one record at a time: a loader holds
+one parsed line besides the records it returns, and a writer writes each
+record's line as it comes, so neither builds a string the size of the file.
 """
 
 from __future__ import annotations
@@ -59,26 +63,25 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _write_records(path, kind: str, header_extra: dict, records) -> None:
-    lines = [_dump({"record": "header", "schema_version": SCHEMA_VERSION,
-                    "kind": kind, **header_extra})]
-    lines.extend(_dump(r) for r in records)
+@contextmanager
+def _record_writer(path, kind: str, header_extra: dict):
+    """``write(records)`` appends one line per record to the stream artifact
+    of ``kind`` at ``path``, after its header; each line goes to the file as
+    its record comes, and the file replaces ``path`` once the block ends."""
     with _replacing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_dump({"record": "header", "schema_version": SCHEMA_VERSION,
+                        "kind": kind, **header_extra}) + "\n")
+        yield lambda records: fh.writelines(_dump(r) + "\n" for r in records)
 
 
-def _load(path, kind: str, record: str, build):
-    """``build(header, body)`` on the stream artifact of ``kind`` at ``path``,
-    whose body rows must all be ``record`` rows.
+def _write_records(path, kind: str, header_extra: dict, records) -> None:
+    with _record_writer(path, kind, header_extra) as write:
+        write(records)
 
-    A missing field raises ``KeyError`` inside ``build``, and a field of the
-    wrong JSON type or out of range ``TypeError`` or ``ValueError`` (or
-    ``OverflowError``: an infinite count, an integer beyond float range);
-    each becomes a ``SchemaError``.
-    """
-    rows = []
-    # The file's text is let go before ``build`` runs.
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+
+def _objects(path, lines):
+    """The JSON object on each non-blank line of ``lines``, in order."""
+    for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -87,26 +90,46 @@ def _load(path, kind: str, record: str, build):
             raise SchemaError(f"{path}:{ln}: not valid JSON: {exc}") from exc
         if not isinstance(row, dict):
             raise SchemaError(f"{path}:{ln}: record is not a JSON object")
-        rows.append(row)
-    if not rows:
-        raise SchemaError(f"{path}: empty artifact")
-    header, body = rows[0], rows[1:]
-    if header.get("record") != "header":
-        raise SchemaError(f"{path}: first record must be the header")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(
-            f"{path}: schema_version {header.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    if header.get("kind") != kind:
-        raise SchemaError(f"{path}: artifact kind {header.get('kind')!r}, expected {kind!r}")
-    for row in body:
-        if row.get("record") != record:
-            raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
-    try:
-        return build(header, body)
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise SchemaError(f"{path}: bad {kind} artifact: {exc!r}") from exc
+        yield row
+
+
+def _load(path, kind: str, record: str, build):
+    """``build(header, body)`` on the stream artifact of ``kind`` at ``path``,
+    where ``body`` yields its rows, which must all be ``record`` rows, one
+    at a time as the file is read.
+
+    A missing field raises ``KeyError`` inside ``build``, and a field of the
+    wrong JSON type or out of range ``TypeError`` or ``ValueError`` (or
+    ``OverflowError``: an infinite count, an integer beyond float range);
+    each becomes a ``SchemaError``.  Faults are reported in file order.
+    """
+    with open(path, encoding="utf-8") as fh:
+        rows = _objects(path, fh)
+        header = next(rows, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty artifact")
+        if header.get("record") != "header":
+            raise SchemaError(f"{path}: first record must be the header")
+        if header.get("schema_version") != SCHEMA_VERSION:
+            raise SchemaError(
+                f"{path}: schema_version {header.get('schema_version')!r}, "
+                f"expected {SCHEMA_VERSION}"
+            )
+        if header.get("kind") != kind:
+            raise SchemaError(f"{path}: artifact kind {header.get('kind')!r}, expected {kind!r}")
+
+        def body():
+            for row in rows:
+                if row.get("record") != record:
+                    raise SchemaError(f"{path}: unexpected record {row.get('record')!r}")
+                yield row
+
+        try:
+            return build(header, body())
+        except SchemaError:
+            raise  # a fault of the body's lines, already named
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            raise SchemaError(f"{path}: bad {kind} artifact: {exc!r}") from exc
 
 
 # Field readers: a value of another JSON type is a ``TypeError`` (a
@@ -143,6 +166,13 @@ def _integer(value) -> int:
             return n
         raise ValueError(f"expected an integer, got {value!r}")
     raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _within(number, low, high=math.inf):
+    """``number`` if it lies in ``[low, high]``; the readers' range check."""
+    if low <= number <= high:
+        return number
+    raise ValueError(f"expected a value in [{low}, {high}], got {number!r}")
 
 
 def _flag(value) -> bool:
@@ -182,7 +212,7 @@ def load_bounds(path) -> AmplitudeBoundMap:
             unresolved=tuple(
                 (_finite(a), _finite(b)) for a, b in _list(header.get("unresolved", []))
             ),
-            probes=_integer(header.get("probes", 0)),
+            probes=_within(_integer(header.get("probes", 0)), 0),
         )
 
     return _load(path, "bounds", "bound", build)
@@ -273,9 +303,10 @@ def _result_from_dict(row: dict) -> TestResult:
             )
             for f, a, d in _list(row["components"])
         ),
-        actuator_saturation_fraction=_number(row["actuator_sat_fraction"]),
-        sensor_saturation_fraction=_number(row["sensor_sat_fraction"]),
-        deviation_mean=_number(row["deviation_mean"]),
+        actuator_saturation_fraction=_within(_number(row["actuator_sat_fraction"]), 0.0, 1.0),
+        sensor_saturation_fraction=_within(_number(row["sensor_sat_fraction"]), 0.0, 1.0),
+        # Infinite when a diverging lane's friction term overflows.
+        deviation_mean=_within(_number(row["deviation_mean"]), 0.0),
         diverged=_flag(row["diverged"]),
     )
 
@@ -323,12 +354,8 @@ def violation_writer(path):
     to disk as they come, and the file replaces ``path`` only once the
     ``with`` block completes.
     """
-    with _replacing(path) as fh:
-        fh.write(_dump({"record": "header", "schema_version": SCHEMA_VERSION,
-                        "kind": "mr_violations"}) + "\n")
-        yield lambda records: fh.writelines(
-            _dump(_violation_form(v)) + "\n" for v in records
-        )
+    with _record_writer(path, "mr_violations", {}) as write:
+        yield lambda records: write(map(_violation_form, records))
 
 
 def load_json_report(path) -> dict:

@@ -667,6 +667,12 @@ def staged(tmp_path_factory):
         (cli.TESTS_FILE, 0, lambda r: {**r, "shapes": {s: 1 for s in r["shapes"]}}),
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "unresolved": {}}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "components": ""}),
+        # Writers emit counts >= 0, fractions in [0, 1] and deviations >= 0.
+        (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": -5}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "actuator_sat_fraction": 1.5}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "sensor_sat_fraction": -0.25}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "actuator_sat_fraction": math.inf}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "deviation_mean": -1.0}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
@@ -674,7 +680,9 @@ def staged(tmp_path_factory):
          "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods",
          "tests-zero-amp-gain", "results-dnl-nan", "bounds-frequency-infinite",
          "bounds-bound-infinite", "tests-shapes-object", "bounds-unresolved-object",
-         "results-components-string"],
+         "results-components-string", "bounds-negative-probes",
+         "results-fraction-above-one", "results-fraction-negative",
+         "results-fraction-infinite", "results-deviation-negative"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,6 +116,51 @@ def test_artifacts_are_line_delimited_json_with_header(tmp_path, small_tests):
 
 
 # ---------------------------------------------------------------------------
+# memory: records are read and written one at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def many_results(tmp_path_factory):
+    """2,000 copies of one real result, and the results artifact they make."""
+    inputs = RequiredInput(f_min=0.5, f_max=1.0, a_max=1.5, delta_a=0.5, base_periods=2)
+    bound_map = AmplitudeBoundMap(frequencies=(0.5, 1.0), bounds=(1.5, 1.0))
+    tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), inputs, seed=3)
+    results = execute_campaign(drone_spec(), tests.tests[:1], inputs) * 2000
+    path = tmp_path_factory.mktemp("many") / "results.jsonl"
+    persist.save_results(path, results)
+    return results, path
+
+
+def test_load_results_holds_no_more_than_the_results(many_results):
+    _, path = many_results
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = persist.load_results(path)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2000
+    assert peak - current < size / 4
+
+
+def test_save_results_builds_no_file_sized_text(many_results, tmp_path):
+    results, path = many_results
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        persist.save_results(tmp_path / "results.jsonl", results)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "results.jsonl").read_bytes() == path.read_bytes()
+    assert peak - before < size / 4
+
+
+# ---------------------------------------------------------------------------
 # schema guards
 # ---------------------------------------------------------------------------
 
@@ -163,6 +209,34 @@ def test_load_rejects_unexpected_body_record(tmp_path, kind, load):
     path.write_text(header + "\n" + json.dumps({"record": "wat"}) + "\n")
     with pytest.raises(persist.SchemaError, match="unexpected record 'wat'"):
         load(path)
+
+
+_BOUNDS_HEADER = json.dumps({"record": "header", "schema_version": 1, "kind": "bounds"})
+_BOUND_ROW = json.dumps({"record": "bound", "frequency": 1.0, "bound": 1.0})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\n  \n\t\n", ": empty artifact"),
+        (_BOUND_ROW + "\n", ": first record must be the header"),
+        (_BOUNDS_HEADER.replace('"schema_version": 1', '"schema_version": 99') + "\n",
+         ": schema_version 99, expected 1"),
+        (_BOUNDS_HEADER.replace('"bounds"', '"tests"') + "\n",
+         ": artifact kind 'tests', expected 'bounds'"),
+        (f"{_BOUNDS_HEADER}\n{_BOUND_ROW}\nnot json\n", ":3: not valid JSON: "),
+        (f"{_BOUNDS_HEADER}\n[1, 2]\n", ":2: record is not a JSON object"),
+    ],
+    ids=["blank-lines-only", "no-header", "future-schema-version", "wrong-kind",
+         "bad-json-line", "non-object-line"],
+)
+def test_load_names_the_file_line_and_fault(tmp_path, text, message):
+    path = tmp_path / "x.jsonl"
+    path.write_text(text)
+    with pytest.raises(persist.SchemaError) as info:
+        persist.load_bounds(path)
+    assert str(info.value).startswith(f"{path}{message}")
+    assert str(info.value).count(str(path)) == 1  # a body line's fault is not wrapped
 
 
 def test_load_bounds_rejects_a_record_without_its_frequency(tmp_path):
