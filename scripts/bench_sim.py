@@ -3,13 +3,14 @@
 
 For each plant model (the drone with its thrust limit, the DC servo with
 its voltage limit, encoder range and encoder quantiser) and each set of
-injected blocks, times ``run_plant`` on one reference, once on the
-compiled stepper (``plants.load_kernel``) and once on ``plants._simulate``,
-the Python fallback, and ``run_lanes`` on the compiled stepper at 1, 2, 4
-and 8 lanes, and prints one JSON object whose rows hold:
+injected blocks, times ``run_lanes(spec, reference, [1.0], 1)``, one
+lane whose period is the whole reference, once on the compiled stepper
+(``plants.load_kernel``) and once on ``plants._simulate``, the Python
+fallback, and ``run_lanes`` on the compiled stepper at 1, 2, 4 and 8 lanes
+of one period, and prints one JSON object whose rows hold:
 
 * ``kernel_us_per_step`` and ``simulate_us_per_step``: microseconds per
-  simulated step of ``run_plant``, whose steppers write the whole
+  simulated step of that one lane, whose steppers write the whole
   instrumentation log as they step;
 * ``speedup``: the second over the first;
 * ``lanes_us_per_lane_step``: per lane count, microseconds per step of
@@ -18,11 +19,11 @@ and 8 lanes, and prints one JSON object whose rows hold:
 The reference is a 1 Hz sine of amplitude 8 at the 1 ms controller period,
 which reaches the saturations; lane ``k`` runs it at amplitude ``8 +
 0.01 k``.  Each row's run is checked bit for bit between the two steppers,
-and each lane of every lane count against ``run_plant`` on its rendered
-reference, before it is timed.  Times are CPU times of this process
-(``time.process_time``), the best of ``--repeats`` runs: on a shared
-machine, wall-clock times of one row spread too widely between
-invocations to compare steppers.
+and each lane ``k`` of every lane count against one lane on its rendered
+reference, ``(8 + 0.01 k) * period``, before it is timed.  Times are CPU
+times of this process (``time.process_time``), the best of ``--repeats``
+runs: on a shared machine, wall-clock times of one row spread too widely
+between invocations to compare steppers.
 Exits 1 if the compiled stepper cannot be built.
 
     PYTHONPATH=src python3 scripts/bench_sim.py [--steps 20000] [--repeats 7]
@@ -46,7 +47,6 @@ from loopstress.plants import (
     drone_spec,
     quadratic_friction,
     run_lanes,
-    run_plant,
 )
 
 LANES = (1, 2, 4, 8)
@@ -71,31 +71,35 @@ def best_time(fn, repeats: int) -> float:
 
 
 def python_stepper():
-    """Within it, ``run_plant`` runs ``_simulate``."""
+    """Within it, ``run_lanes`` runs ``_simulate``."""
     return mock.patch.object(plants, "load_kernel", lambda: None)
 
 
-def run_bytes(output, log, diverged) -> list:
-    arrays = (output, log.actuation, log.actuator_saturated, log.sensor_saturated,
-              log.nonlinearity_deviation)
-    return [a.tobytes() for a in arrays] + [diverged]
+def one_lane(spec, reference):
+    """The run of ``reference``: one lane, at amplitude 1.0, whose period is
+    the whole reference."""
+    return run_lanes(spec, reference, [1.0], 1)
 
 
-def plant_bytes(run) -> list:
-    return run_bytes(run.trace.output, run.log, run.diverged)
+def lane_bytes(runs, k: int = 0) -> list:
+    """What lane ``k`` of ``runs`` wrote, as bytes, and whether it diverged."""
+    log = runs.logs[k]
+    arrays = (runs.output[k, :len(log.actuation)], log.actuation, log.actuator_saturated,
+              log.sensor_saturated, log.nonlinearity_deviation)
+    return [a.tobytes() for a in arrays] + [runs.diverged[k]]
 
 
 def lanes_us_per_lane_step(spec, period: np.ndarray, repeats: int) -> dict:
     """Per lane count of ``LANES``, the best time per lane-step of
-    ``run_lanes``, after every lane is checked against ``run_plant``."""
+    ``run_lanes``, after every lane is checked against one lane on its
+    rendered reference."""
     timed = {}
     for lanes in LANES:
         amplitudes = [8.0 + 0.01 * k for k in range(lanes)]
         runs = run_lanes(spec, period, amplitudes, 1)
-        for k, (a, log) in enumerate(zip(amplitudes, runs.logs)):
-            lane = run_bytes(runs.output[k, :len(log.actuation)], log, runs.diverged[k])
-            if lane != plant_bytes(run_plant(spec, a * period)):
-                raise AssertionError(f"lane {k} of {lanes} differs from run_plant for {spec}")
+        for k, a in enumerate(amplitudes):
+            if lane_bytes(runs, k) != lane_bytes(one_lane(spec, a * period)):
+                raise AssertionError(f"lane {k} of {lanes} differs from one lane for {spec}")
         seconds = best_time(lambda: run_lanes(spec, period, amplitudes, 1), repeats)
         timed[str(lanes)] = seconds / (lanes * len(period)) * 1e6
     return timed
@@ -111,12 +115,12 @@ def measure(steps: int, repeats: int) -> dict:
     for model, make in MODELS.items():
         for name, blocks in BLOCK_SETS.items():
             spec = make(extra_blocks=blocks)
-            compiled = plant_bytes(run_plant(spec, reference))
+            compiled = lane_bytes(one_lane(spec, reference))
             with python_stepper():
-                if plant_bytes(run_plant(spec, reference)) != compiled:
+                if lane_bytes(one_lane(spec, reference)) != compiled:
                     raise AssertionError(f"the steppers differ for {spec}")
-                simulate = best_time(lambda: run_plant(spec, reference), repeats)
-            kernel = best_time(lambda: run_plant(spec, reference), repeats)
+                simulate = best_time(lambda: one_lane(spec, reference), repeats)
+            kernel = best_time(lambda: one_lane(spec, reference), repeats)
             rows.append({
                 "model": model,
                 "blocks": name,

@@ -26,8 +26,8 @@ import numpy as np
 
 from loopstress.analysis import classify_scope, estimate_bandwidth
 from loopstress.campaign import GeneratedTest, RequiredInput, execute_campaign
-from loopstress.plants import drone_spec, run_plant
-from loopstress.signals import ShapeKind, TestCase, render_reference
+from loopstress.plants import drone_spec, run_lanes
+from loopstress.signals import ShapeKind, TestCase, unit_period
 
 QUARTET = (
     (0.6, 10.0),
@@ -74,7 +74,11 @@ def main(argv=None) -> int:
     print(f"{'amplitude':>10} {'period':>8} {'dnl':>8} {'act sat':>8} "
           f"{'peak':>7}  scope")
     for (amp, period), result in zip(QUARTET, results):
-        peak = float(np.max(run_plant(plant, render_reference(result.case)).trace.output))
+        case = result.case
+        lanes = run_lanes(plant, unit_period(case.shape, case.samples_per_period),
+                          [case.amp_gain], case.periods)
+        steps = len(lanes.logs[0].actuation)  # all of them, unless the run diverged
+        peak = float(np.max(lanes.output[0, :steps]))
         scope = classify_scope(result, inputs.dnl_threshold)
         print(
             f"{amp:>8.1f} m {period:>6.0f} s {result.dnl:>8.4f} "

@@ -4,7 +4,8 @@ A campaign stresses one control loop over a frequency range ``[f_min,
 f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 
 1. *Calibrate* how many periods each test repeats
-   (:func:`calibration_curve`, :func:`pick_num_periods`): repetitions
+   (:func:`calibration_curve`, :func:`pick_num_periods`) from the run
+   stage's dnl of the harshest test at each repetition count: repetitions
    insert DFT bins between the reference harmonics, which is what makes
    non-periodic behaviour visible, but longer tests cost simulation time.
 2. *Bound* the linear envelope (:func:`optimistic_amplitude_bound`):
@@ -25,8 +26,8 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
    only one any stage starts.
 
 Every stage simulates and scores along that one path: a bound probe is a
-block of one sine test (``_run_block``), and calibration runs its test as
-one lane.  No stage renders a reference.
+block of one sine test (``_run_block``), calibration a chunk of one test
+per repetition count (``_run_chunk``).  No stage renders a reference.
 """
 
 from __future__ import annotations
@@ -173,12 +174,6 @@ def _check_sampling(plant: PlantSpec, sample_interval: float, what: str = "input
             f"{what} and plant sample intervals differ "
             f"({sample_interval} vs {plant.sample_interval})"
         )
-
-
-def _reference_spectrum(unit: spectral.Spectrum, amplitude: float) -> spectral.Spectrum:
-    """The spectrum of a reference that is ``amplitude`` times the one whose
-    spectrum is ``unit`` (see :func:`spectral.tiled_spectrum`)."""
-    return spectral.Spectrum(unit.frequencies, amplitude * unit.amplitudes)
 
 
 def _sine_probe(plant: PlantSpec, inputs: RequiredInput):
@@ -477,7 +472,7 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests, period: np.ndarra
         out_rows = iter(spectral.dft_amplitude(rows, plant.sample_interval).amplitudes)
     results = []
     for test, amplitude, diverged, log in zip(tests, amplitudes, lanes.diverged, lanes.logs):
-        ref_spec = _reference_spectrum(unit, amplitude)
+        ref_spec = spectral.Spectrum(unit.frequencies, amplitude * unit.amplitudes)
         comps = spectral.components(ref_spec, inputs.rho)
         if diverged:
             dnl = math.inf
@@ -607,41 +602,28 @@ def calibration_curve(
     max_periods: int = 10,
     shape: ShapeKind = ShapeKind.SINE,
 ) -> tuple[float, ...]:
-    """dnl of the maximally stressful test, per whole-period prefix.
+    """dnl of the maximally stressful test, per repetition count.
 
-    Runs one test at ``(a_max, f_max)`` with ``max_periods`` repetitions and
-    scores the dnl of each prefix of ``k`` whole periods, ``k = 1 ..
-    max_periods``.  Prefixes the simulation never reached (divergence) score
-    infinity.
+    Entry ``k - 1`` is the run stage's dnl (:func:`_run_block`) of the test
+    at ``(f_max, a_max)`` that repeats its period ``k`` times, ``k = 1 ..
+    max_periods``: infinity if it diverges.  The tests simulate
+    ``max_periods * (max_periods + 1) / 2`` periods in all.
     """
     if max_periods < 1:
         raise ValueError("max_periods must be at least 1")
     _check_sampling(plant, inputs.sample_interval)
-    case = _case(inputs, ShapeKind(shape), inputs.f_max, inputs.a_max, max_periods)
-    spp = case.samples_per_period
-    period = unit_period(case.shape, spp)
-    lanes = run_lanes(plant, period, [case.amp_gain], max_periods)
-    output = lanes.output[0, :len(lanes.logs[0].actuation)]
-    dt = inputs.sample_interval
-    curve = []
-    for k in range(1, max_periods + 1):
-        n = k * spp
-        if len(output) < n:
-            curve.append(math.inf)
-            continue
-        curve.append(spectral.dnl_of_spectra(
-            _reference_spectrum(spectral.tiled_spectrum(period, k, dt), case.amp_gain),
-            spectral.dft_amplitude(output[:n], dt),
-            inputs.rho,
-            include_mean_in_scale=inputs.dnl_includes_mean,
-        ))
-    return tuple(curve)
+    tests = [
+        GeneratedTest(_case(inputs, shape, inputs.f_max, inputs.a_max, k),
+                      inputs.f_max, inputs.a_max, 0.0)
+        for k in range(1, max_periods + 1)
+    ]
+    return tuple(r.dnl for r in _run_chunk(plant, inputs, tests))
 
 
 def pick_num_periods(
     curve: tuple[float, ...], dnl_threshold: float, max_periods: int
 ) -> tuple[int, bool]:
-    """First prefix length whose dnl exceeds the threshold, plus one period
+    """First repetition count whose dnl exceeds the threshold, plus one period
     of margin, capped at ``max_periods``.  Returns ``(periods, exceeded)``;
     when the threshold is never exceeded the cap is returned with
     ``exceeded=False`` (the caller should warn: even the harshest test looks

@@ -828,6 +828,23 @@ def test_calibration_curve_scores_each_prefix_of_run_plants_trace(stepper, plant
 
 
 @pytest.mark.parametrize("plant", PLANTS, ids=PLANT_IDS)
+@pytest.mark.parametrize("shape", [ShapeKind.SINE, ShapeKind.TRIANGLE])
+def test_calibration_curve_is_the_run_stages_dnl_per_repetition_count(stepper, plant, shape):
+    # Entry k - 1 is execute_campaign's dnl of the test at (f_max, a_max)
+    # that repeats its period k times, a diverging one's included.
+    inputs = RequiredInput(f_min=0.5, f_max=2.0, a_max=2.0, delta_a=0.25, base_periods=2)
+    tests = [
+        campaign.GeneratedTest(
+            campaign._case(inputs, shape, inputs.f_max, inputs.a_max, k), inputs.f_max, inputs.a_max, 0.0
+        )
+        for k in range(1, 7)
+    ]
+    curve = calibration_curve(plant, inputs, max_periods=6, shape=shape)
+    assert curve == tuple(r.dnl for r in execute_campaign(plant, tests, inputs))
+    assert any(math.isinf(v) for v in curve) == (plant.controller.get("kp", 0.0) < 0.0)
+
+
+@pytest.mark.parametrize("plant", PLANTS, ids=PLANT_IDS)
 def test_a_sine_probe_scores_like_the_run_stage_and_run_plant(stepper, plant):
     # The bound search's dnl at (f, A) is the run stage's dnl of the sine
     # test at (f, A), bit for bit, and that of run_plant's run of it.

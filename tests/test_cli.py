@@ -500,6 +500,34 @@ def test_calibrate_warns_when_loop_never_stressed(tmp_path):
     assert report["threshold_exceeded"] is False
 
 
+def test_every_lane_a_stage_simulates_is_a_test_the_block_scorer_scores(tmp_path, monkeypatch):
+    # Calibration, bound probes and the run stage all simulate through
+    # campaign._run_block, so after each stage the lanes run_lanes stepped
+    # equal the tests _run_block scored.
+    counts = {"lanes": 0, "scored": 0}
+    run_lanes, run_block = campaign.run_lanes, campaign._run_block
+
+    def counted_lanes(spec, period, amplitudes, periods):
+        counts["lanes"] += len(amplitudes)
+        return run_lanes(spec, period, amplitudes, periods)
+
+    def counted_block(plant, inputs, tests, period, unit):
+        counts["scored"] += len(tests)
+        return run_block(plant, inputs, tests, period, unit)
+
+    monkeypatch.setattr(campaign, "run_lanes", counted_lanes)
+    monkeypatch.setattr(campaign, "_run_block", counted_block)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "drone_desk.json"
+    seen = {}
+    for stage in ("calibrate", "bound", "generate", "run"):
+        argv = [stage, "--config", str(cfg), "--workers", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_WARNINGS)
+        seen[stage] = (counts["lanes"], counts["scored"])
+    assert all(lanes == scored for lanes, scored in seen.values()), seen
+    assert seen["calibrate"] == (10, 10)  # one test per repetition count
+    assert seen["run"][0] > seen["bound"][0] > seen["calibrate"][0]
+
+
 # ---------------------------------------------------------------------------
 # exit codes on bad input
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ SRC = str(Path(loopstress.__file__).resolve().parent.parent)
     "script, args",
     [
         # Checks the compiled stepper against _simulate, and each lane against
-        # run_plant, bit for bit before timing.
+        # a one-lane call, bit for bit before timing.
         ("bench_sim.py", ["--steps", "50", "--repeats", "1"]),
         ("reproduce_square_regimes.py", ["--periods", "2"]),
     ],
