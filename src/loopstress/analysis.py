@@ -261,13 +261,12 @@ def check_mr1(results, sink=None) -> MrSummary:
 def _match_components(f, t_fast, freq, speed, valid, tol):
     """Partners of a faster test's components ``f`` (speed ``t_fast``) in
     slower tests with padded components ``freq``/``valid`` and speeds and
-    bin tolerances ``speed``/``tol``.
+    finite bin tolerances ``speed``/``tol``.
 
     Each component is scaled to ``(f * speed) / t_fast``, as in MR2, and
     matched to the nearest valid slow component; of equally near ones the
-    first wins, and only a distance below infinity matches.  Returns the
-    matched column and whether it lies within the tolerance, both shaped
-    (slower test, component).
+    first wins.  Returns the matched column and whether it lies within the
+    tolerance, both shaped (slower test, component).
     """
     with np.errstate(all="ignore"):
         target = (f * speed[:, None]) / t_fast
@@ -275,7 +274,7 @@ def _match_components(f, t_fast, freq, speed, valid, tol):
     dist[~valid[:, None, :] | np.isnan(dist)] = np.inf
     best = dist.argmin(axis=2)
     best_dist = np.take_along_axis(dist, best[:, :, None], axis=2)[:, :, 0]
-    return best, (best_dist < np.inf) & ~(best_dist > tol[:, None])
+    return best, best_dist <= tol[:, None]
 
 
 def _mr2_records(results, first, second, comp, partner):
@@ -299,7 +298,6 @@ def _mr2_records(results, first, second, comp, partner):
 def check_mr2(
     results,
     dnl_threshold: float,
-    bin_tolerance: float | None = None,
     equality_tolerance: float = 1e-6,
     sink=None,
 ) -> tuple[MrSummary, int]:
@@ -308,12 +306,12 @@ def check_mr2(
     For each same-shape pair of linear tests (both dnl under the threshold)
     with ``T_i > T_j``, every relevant component ``f`` of the faster test is
     compared against the slower test's component at ``f * T_j / T_i``
-    (matched to the nearest component within ``bin_tolerance``, which
-    defaults to half the slower trace's DFT bin width; the first of equally
-    near components wins).  The relation expects ``dof_i(f) > dof_j(matched)``;
-    differences smaller than ``equality_tolerance`` are not flagged.  Returns
-    the :class:`MrSummary` of the violations plus the number of components
-    that found no partner bin; ``sink``, if given, is called with every
+    (matched to the nearest component within half the slower test's DFT
+    bin, ``0.5 / duration``; the first of equally near components wins).
+    The relation expects ``dof_i(f) > dof_j(matched)``; differences smaller
+    than ``equality_tolerance`` are not flagged.  Returns the
+    :class:`MrSummary` of the violations plus the number of components that
+    found no partner bin; ``sink``, if given, is called with every
     violation's record, one iterable per chunk of the search (ascending
     ``(i, j, component)`` within a chunk).
     """
@@ -342,10 +340,7 @@ def check_mr2(
                     dof[row, k] = comp.dof
                     valid[row, k] = True
         speed = np.array([r.case.time_gain for r in group], dtype=float)
-        if bin_tolerance is None:
-            tol = np.array([0.5 / r.case.duration for r in group], dtype=float)
-        else:
-            tol = np.full(idx.size, bin_tolerance, dtype=float)
+        tol = np.array([0.5 / r.case.duration for r in group], dtype=float)
         # Tests with equal speed, tolerance, component frequencies and dof
         # mask pick the same partners, so the nearest-component search runs
         # once per pair of such layouts.
@@ -449,23 +444,18 @@ def check_mr3(
 ) -> tuple[tuple[MrViolation, ...], tuple[str, ...]]:
     """Bandwidth estimates from different shapes must agree within ``epsilon``.
 
-    ``bandwidths`` maps shape -> BandwidthEstimate (or plain float).
-    ``epsilon`` defaults to 20% of the mean defined bandwidth.  Shapes whose
-    estimate is undefined are returned separately, not flagged.
+    ``bandwidths`` maps shape -> :class:`BandwidthEstimate`.  ``epsilon``
+    defaults to 20% of the mean defined bandwidth.  Shapes whose estimate is
+    undefined are returned separately, not flagged.
     """
     defined = {}
     undefined = []
     for shape, est in bandwidths.items():
         name = shape.value if isinstance(shape, ShapeKind) else str(shape)
-        if isinstance(est, BandwidthEstimate):
-            if est.defined:
-                defined[name] = est.value
-            else:
-                undefined.append(name)
-        elif est is None:
-            undefined.append(name)
+        if est.defined:
+            defined[name] = est.value
         else:
-            defined[name] = float(est)
+            undefined.append(name)
     if epsilon is None:
         if not defined:
             return (), tuple(sorted(undefined))
@@ -586,9 +576,7 @@ def analyze(results, cfg, sink=None) -> tuple[dict, list[tuple], list[tuple]]:
     }
     mr3, undefined = check_mr3(bandwidths, cfg.mr3_epsilon)
     mr1 = check_mr1(results, sink)
-    mr2, skipped = check_mr2(
-        results, th, cfg.mr2_bin_tolerance, cfg.mr2_equality_tolerance, sink
-    )
+    mr2, skipped = check_mr2(results, th, cfg.mr2_equality_tolerance, sink)
     if sink is not None:
         sink(mr3)
     scatter, dof_rows = export_plot_data(results, th, cfg.boundary_factor)

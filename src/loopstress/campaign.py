@@ -87,8 +87,6 @@ class RequiredInput:
     rho: float = 0.1
     base_periods: int = 5
     sample_interval: float = 0.001
-    # Whether the dnl denominator's maximum may be the 0 Hz component.
-    dnl_includes_mean: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.f_min < self.f_max:
@@ -479,9 +477,7 @@ def _run_block(plant: PlantSpec, inputs: RequiredInput, tests, period: np.ndarra
             dof = {}
         else:
             out_spec = spectral.Spectrum(unit.frequencies, next(out_rows))
-            dnl = spectral.dnl_of_spectra(
-                ref_spec, out_spec, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
-            )
+            dnl = spectral.dnl_of_spectra(ref_spec, out_spec, inputs.rho)
             dof = spectral.dof_of_spectrum(comps, out_spec) if dnl < inputs.dnl_threshold else {}
         components = tuple(
             Component(frequency=float(f), amplitude=float(a), dof=dof.get(float(f)))

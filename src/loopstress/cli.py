@@ -124,7 +124,7 @@ def cmd_calibrate(cfg: CampaignConfig, out: Path, args) -> int:
             "threshold_exceeded": exceeded,
         },
     )
-    print(f"calibration: dnl per prefix {[round(v, 4) for v in curve]}")
+    print(f"calibration: dnl per period count {[round(v, 4) for v in curve]}")
     print(f"calibration: chose {periods} period(s) per test")
     if not exceeded:
         print(

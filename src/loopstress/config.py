@@ -4,9 +4,9 @@ One JSON document describes a whole campaign: the plant under test, the
 required inputs (frequency range, amplitude cap and resolution), the shapes
 to generate, and the analysis knobs.  Parsing is strict -- unknown keys are
 rejected rather than ignored, and values of the wrong JSON type (``"7"`` or
-``true`` for a number, ``2.9`` for an integer, ``"false"`` for a flag) are
-rejected rather than coerced, so a typo fails loudly instead of silently
-running with something else.
+``true`` for a number, ``2.9`` for an integer) are rejected rather than
+coerced, so a typo fails loudly instead of silently running with something
+else.  The plant samples at the campaign's ``sample_interval``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class CampaignConfig:
     max_periods: int = 10
     calibration_shape: ShapeKind = ShapeKind.SINE
     beta_params: tuple[float, float] = (2.0, 1.0)
-    mr2_bin_tolerance: float | None = None
     mr2_equality_tolerance: float = 1e-6
     mr3_epsilon: float | None = None
     boundary_factor: float = 0.5
@@ -65,8 +64,6 @@ class CampaignConfig:
             raise ConfigError("max_frequencies must be at least 2")
         if not all(p > 0.0 for p in self.beta_params):
             raise ConfigError("beta distribution parameters must be positive")
-        if self.mr2_bin_tolerance is not None and self.mr2_bin_tolerance < 0.0:
-            raise ConfigError("mr2_bin_tolerance must not be negative")
         if self.mr2_equality_tolerance < 0.0:
             raise ConfigError("mr2_equality_tolerance must not be negative")
         if self.mr3_epsilon is not None and not self.mr3_epsilon > 0.0:
@@ -148,7 +145,6 @@ def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
     physical = _numbers("plant physical", _take(raw, "physical", {}))
     controller = _numbers("plant controller", _take(raw, "controller", {}))
     blocks_raw = _take(raw, "blocks", [])
-    plant_dt = _number(raw, "sample_interval", sample_interval)
     if raw:
         raise ConfigError(f"unknown plant keys: {sorted(raw)}")
     if not isinstance(blocks_raw, list):
@@ -158,7 +154,7 @@ def _parse_plant(raw: dict, sample_interval: float) -> PlantSpec:
         physical=physical,
         controller=controller,
         blocks=tuple(_parse_block(b) for b in blocks_raw),
-        sample_interval=plant_dt,
+        sample_interval=sample_interval,
     )
 
 
@@ -183,9 +179,6 @@ def _build_config(raw: dict) -> CampaignConfig:
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config schema_version {version!r}")
 
-    includes_mean = _take(raw, "dnl_includes_mean", RequiredInput.dnl_includes_mean)
-    if not isinstance(includes_mean, bool):
-        raise ConfigError(f"dnl_includes_mean must be true or false, got {includes_mean!r}")
     inputs = RequiredInput(
         f_min=_number(raw, "f_min", required=True),
         f_max=_number(raw, "f_max", required=True),
@@ -195,7 +188,6 @@ def _build_config(raw: dict) -> CampaignConfig:
         rho=_number(raw, "rho", RequiredInput.rho),
         base_periods=_integer(raw, "base_periods", RequiredInput.base_periods),
         sample_interval=_number(raw, "sample_interval", RequiredInput.sample_interval),
-        dnl_includes_mean=includes_mean,
     )
 
     plant_raw = _take(raw, "plant", required=True)
@@ -219,7 +211,6 @@ def _build_config(raw: dict) -> CampaignConfig:
             "calibration_shape", _take(raw, "calibration_shape", CampaignConfig.calibration_shape)
         ),
         beta_params=(_number(raw, "beta_alpha", beta_alpha), _number(raw, "beta_beta", beta_beta)),
-        mr2_bin_tolerance=_number(raw, "mr2_bin_tolerance", CampaignConfig.mr2_bin_tolerance),
         mr2_equality_tolerance=_number(
             raw, "mr2_equality_tolerance", CampaignConfig.mr2_equality_tolerance
         ),

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .analysis import MrViolation
@@ -110,11 +110,7 @@ def _load(path, kind: str, record: str, build):
             raise SchemaError(f"{path}: empty artifact")
         if header.get("record") != "header":
             raise SchemaError(f"{path}: first record must be the header")
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(
-                f"{path}: schema_version {header.get('schema_version')!r}, "
-                f"expected {SCHEMA_VERSION}"
-            )
+        _check_version(path, header)
         if header.get("kind") != kind:
             raise SchemaError(f"{path}: artifact kind {header.get('kind')!r}, expected {kind!r}")
 
@@ -166,6 +162,16 @@ def _integer(value) -> int:
             return n
         raise ValueError(f"expected an integer, got {value!r}")
     raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _check_version(path, payload: dict) -> None:
+    """Reject an artifact whose ``schema_version`` is not this module's,
+    read as :func:`_integer` reads a count: ``true`` is no version."""
+    version = payload.get("schema_version")
+    with suppress(TypeError, ValueError, OverflowError):
+        if _integer(version) == SCHEMA_VERSION:
+            return
+    raise SchemaError(f"{path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
 
 
 def _within(number, low, high=math.inf):
@@ -365,8 +371,7 @@ def load_json_report(path) -> dict:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: report is not a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"{path}: unexpected schema_version")
+    _check_version(path, payload)
     return payload
 
 

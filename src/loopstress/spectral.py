@@ -168,54 +168,34 @@ def components(spectrum: Spectrum, rho: float = 0.1) -> ComponentSet:
     )
 
 
-def degree_of_nonlinearity(
-    trace: Trace,
-    rho: float = 0.1,
-    *,
-    include_mean_in_scale: bool = True,
-) -> float:
+def degree_of_nonlinearity(trace: Trace, rho: float = 0.1) -> float:
     """Energy the loop created at frequencies absent from the reference.
 
     Computed as the largest output amplitude over the DFT bins *not* in the
-    reference component set, divided by the largest reference amplitude.
-    Rendering the reference with several repeated periods inserts extra bins
-    between the reference harmonics, which is what makes spectrum broadening
-    (dropped periodicity, subharmonics, intermodulation) observable.
-
-    ``include_mean_in_scale=False`` excludes the 0 Hz bin from the
-    denominator's maximum (the numerator's bin set is unaffected).
+    reference component set, divided by the largest reference amplitude,
+    the 0 Hz component included.  Rendering the reference with several
+    repeated periods inserts extra bins between the reference harmonics,
+    which is what makes spectrum broadening (dropped periodicity,
+    subharmonics, intermodulation) observable.
     """
     _check_rho(rho)
     freqs, amps = dft_amplitude(np.stack((trace.reference, trace.output)), trace.sample_interval)
-    return dnl_of_spectra(
-        Spectrum(freqs, amps[0]),
-        Spectrum(freqs, amps[1]),
-        rho,
-        include_mean_in_scale=include_mean_in_scale,
-    )
+    return dnl_of_spectra(Spectrum(freqs, amps[0]), Spectrum(freqs, amps[1]), rho)
 
 
-def dnl_of_spectra(
-    reference: Spectrum,
-    output: Spectrum,
-    rho: float = 0.1,
-    *,
-    include_mean_in_scale: bool = True,
-) -> float:
+def dnl_of_spectra(reference: Spectrum, output: Spectrum, rho: float = 0.1) -> float:
     """:func:`degree_of_nonlinearity` of a run whose reference and output
-    have the spectra ``reference`` and ``output``."""
+    have the spectra ``reference`` and ``output``: the largest output
+    amplitude off ``components(reference, rho)``, over the reference's peak."""
     _check_rho(rho)
     ra = reference.amplitudes
     peak = float(ra.max())
     if peak == 0.0:
         raise ValueError("all-zero reference has no components above threshold")
     new_bins = ~(ra > rho * peak)
-    scale = peak if include_mean_in_scale else float(ra[1:].max())
-    if scale == 0.0:
-        raise ValueError("reference has no non-mean component to scale against")
     if not np.any(new_bins):
         return 0.0
-    return float(output.amplitudes[new_bins].max()) / scale
+    return float(output.amplitudes[new_bins].max()) / peak
 
 
 def dof_profile(trace: Trace, rho: float = 0.1) -> dict[float, float]:

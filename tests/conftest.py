@@ -3,9 +3,10 @@
 Provides a brute-force spectrum oracle (direct O(N^2) evaluation of the
 DFT sum, independent of any FFT library), a factory for synthetic
 ``TestResult`` records so analysis-level behaviour can be tested without
-running simulations, the ``stepper`` fixture, which runs a test once on
-each of the plant simulator's two steppers, and ``JSON_VALUES``, the
-values a hand-edited config or artifact field may hold.
+running simulations, and one for bandwidth estimates, the ``stepper``
+fixture, which runs a test once on each of the plant simulator's two
+steppers, and ``JSON_VALUES``, the values a hand-edited config or artifact
+field may hold.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import strategies as st
 
 from loopstress import plants
+from loopstress.analysis import BandwidthEstimate, BandwidthStatus
 from loopstress.campaign import Component, GeneratedTest, TestResult
 from loopstress.signals import ShapeKind, TestCase, snap_time_gain
 
@@ -97,6 +99,16 @@ def make_result(
         deviation_mean=deviation,
         diverged=diverged,
     )
+
+
+def bandwidth_estimates(values: dict) -> dict:
+    """Shape -> ``BandwidthEstimate``: a defined estimate of each value,
+    from two points, and an insufficient one for ``None``."""
+    return {
+        shape: BandwidthEstimate(None, BandwidthStatus.INSUFFICIENT, 0) if value is None
+        else BandwidthEstimate(value, BandwidthStatus.OK, 2)
+        for shape, value in values.items()
+    }
 
 
 def violation_family(n_amps, n_speeds=92):

@@ -30,7 +30,7 @@ from loopstress.plants import drone_spec
 from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain
 from loopstress.spectral import Trace, degree_of_nonlinearity, dft_amplitude, dof_profile, fa_map
 
-from conftest import brute_force_spectrum, make_result
+from conftest import bandwidth_estimates, brute_force_spectrum, make_result
 
 
 def announce(capfd, number, ok, detail):
@@ -311,10 +311,10 @@ def _mr2_results(violating):
 
 def _mr3_bandwidths(n_violations):
     if n_violations == 0:
-        return {"a": 1.0, "b": 1.05, "c": 0.95}
+        return bandwidth_estimates({"a": 1.0, "b": 1.05, "c": 0.95})
     if n_violations == 1:
-        return {"a": 1.0, "b": 2.0}
-    return {f"s{k}": (10.0 if k == 0 else 10.4) for k in range(6)}
+        return bandwidth_estimates({"a": 1.0, "b": 2.0})
+    return bandwidth_estimates({f"s{k}": (10.0 if k == 0 else 10.4) for k in range(6)})
 
 
 def test_criterion_6_checkers_count_injected_violations_exactly(capfd):

@@ -29,7 +29,7 @@ from loopstress.analysis import (
 )
 from loopstress.signals import ShapeKind, snap_time_gain
 
-from conftest import make_result, violation_family
+from conftest import bandwidth_estimates, make_result, violation_family
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def reference_mr1(results):
     return tuple(violations)
 
 
-def reference_mr2(results, dnl_threshold, bin_tolerance=None, equality_tolerance=1e-6):
+def reference_mr2(results, dnl_threshold, equality_tolerance=1e-6):
     results = list(results)
     linear = [
         (idx, r)
@@ -79,9 +79,7 @@ def reference_mr2(results, dnl_threshold, bin_tolerance=None, equality_tolerance
             ti, tj = ri.case.time_gain, rj.case.time_gain
             if not ti > tj:
                 continue
-            tol = bin_tolerance
-            if tol is None:
-                tol = 0.5 / rj.case.duration
+            tol = 0.5 / rj.case.duration
             for comp in ri.components:
                 if comp.dof is None:
                     continue
@@ -417,17 +415,6 @@ def test_mr2_ignores_pairs_across_shapes():
     assert len(summary) == 0 and violations == ()
 
 
-def test_mr2_wide_bin_tolerance_matches_offset_components():
-    # With an explicit generous tolerance the 7 Hz component finds the
-    # 3 Hz slow component (distance 0.5) instead of being skipped.
-    results = _mr2_pair(set(), fast_extra=((7.0, 1.0, 0.0),))
-    summary, skipped = check_mr2(results, dnl_threshold=0.15, bin_tolerance=0.6)
-    assert skipped == 0
-    # Partner dof 0.3 - 0.1 = 0.2 exceeds the extra component's dof 0.0.
-    assert len(summary) == 1
-    assert summary.violations[0].witnesses[0] == 7.0
-
-
 # ---------------------------------------------------------------------------
 # the numpy checkers against the reference loops
 # ---------------------------------------------------------------------------
@@ -442,21 +429,16 @@ def test_mr1_matches_the_reference_loops(results):
 @settings(max_examples=200, deadline=None)
 @given(
     results=_results,
-    bin_tolerance=st.sampled_from([None, 0.3, math.inf]),
     equality_tolerance=st.sampled_from([1e-6, 0.0, -1.0]),
 )
-def test_mr2_matches_the_reference_loops(results, bin_tolerance, equality_tolerance):
-    assert_mr2_matches_reference(results, 0.15, bin_tolerance, equality_tolerance)
+def test_mr2_matches_the_reference_loops(results, equality_tolerance):
+    assert_mr2_matches_reference(results, 0.15, equality_tolerance)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    results=_results,
-    bin_tolerance=st.sampled_from([None, 0.3, math.inf]),
-    top_k=st.integers(1, 4),
-)
+@given(results=_results, top_k=st.integers(1, 4))
 def test_summaries_of_few_top_rows_and_small_chunks_match_the_reference_loops(
-    results, bin_tolerance, top_k
+    results, top_k
 ):
     # Few top rows and tiny chunks: the top rows are merged across many
     # chunks, and most chunks hold more violations than the top keeps.
@@ -464,19 +446,21 @@ def test_summaries_of_few_top_rows_and_small_chunks_match_the_reference_loops(
         mp.setattr(analysis, "TOP_K", top_k)
         mp.setattr(analysis, "_CHUNK_ELEMENTS", 7)
         assert_mr1_matches_reference(results)
-        assert_mr2_matches_reference(results, 0.15, bin_tolerance, 0.0)
+        assert_mr2_matches_reference(results, 0.15, 0.0)
 
 
 def test_mr2_equidistant_partners_pick_the_first():
     # The 1.5 Hz component of the 2 Hz test maps to 0.75 Hz, midway between
-    # the slow test's 0.5 and 1.0 Hz components: the first one is the partner.
+    # the slow test's 0.5 and 1.0 Hz components, both inside its one-period
+    # window of 0.5 Hz: the first one is the partner.
     results = [
         make_result(frequency=2.0, dnl=0.01, components=[(1.5, 1.0, 0.0)]),
         make_result(
-            frequency=1.0, dnl=0.01, components=[(0.5, 1.0, 0.3), (1.0, 1.0, 0.6)]
+            frequency=1.0, dnl=0.01, periods=1,
+            components=[(0.5, 1.0, 0.3), (1.0, 1.0, 0.6)],
         ),
     ]
-    violations, skipped = assert_mr2_matches_reference(results, 0.15, bin_tolerance=0.3)
+    violations, skipped = assert_mr2_matches_reference(results, 0.15)
     assert [v.witnesses for v in violations] == [(1.5, 0.0, 0.5, 0.3)]
 
 
@@ -501,11 +485,16 @@ def test_mr2_scales_the_target_as_frequency_times_slow_over_fast():
     fast = snap_time_gain(3.0, 0.001)
     f = 11 * fast
     assert f * (1.0 / fast) != 11.0
+    _, hit = analysis._match_components(
+        np.array([f]), fast, np.array([[11.0]]), np.array([1.0]), np.array([[True]]),
+        np.array([0.0]),
+    )
+    assert hit.tolist() == [[True]]
     results = [
         make_result(frequency=3.0, dnl=0.01, components=[(f, 1.0, 0.1)]),
         make_result(frequency=1.0, dnl=0.01, components=[(11.0, 1.0, 0.2)]),
     ]
-    violations, skipped = assert_mr2_matches_reference(results, 0.15, bin_tolerance=0.0)
+    violations, skipped = assert_mr2_matches_reference(results, 0.15)
     assert skipped == 0 and len(violations) == 1
 
 
@@ -640,7 +629,7 @@ def test_bandwidth_pools_across_results():
 
 def test_mr3_flags_the_pinned_disagreement():
     violations, undefined = check_mr3(
-        {ShapeKind.SQUARE: 0.9, ShapeKind.SAWTOOTH: 0.6}, epsilon=0.18
+        bandwidth_estimates({ShapeKind.SQUARE: 0.9, ShapeKind.SAWTOOTH: 0.6}), epsilon=0.18
     )
     assert undefined == ()
     assert len(violations) == 1
@@ -651,7 +640,9 @@ def test_mr3_flags_the_pinned_disagreement():
 
 def test_mr3_close_estimates_pass_with_default_epsilon():
     # Default epsilon is 20% of the mean defined bandwidth (0.182 here).
-    violations, undefined = check_mr3({ShapeKind.SQUARE: 0.9, ShapeKind.TRIANGLE: 0.92})
+    violations, undefined = check_mr3(
+        bandwidth_estimates({ShapeKind.SQUARE: 0.9, ShapeKind.TRIANGLE: 0.92})
+    )
     assert violations == ()
     assert undefined == ()
 
@@ -660,7 +651,7 @@ def test_mr3_undefined_estimates_are_reported_not_flagged():
     bandwidths = {
         ShapeKind.SQUARE: BandwidthEstimate(0.9, BandwidthStatus.OK, 4),
         ShapeKind.SAWTOOTH: BandwidthEstimate(None, BandwidthStatus.ABOVE_RANGE, 4),
-        ShapeKind.TRIANGLE: None,
+        ShapeKind.TRIANGLE: BandwidthEstimate(None, BandwidthStatus.INSUFFICIENT, 0),
     }
     violations, undefined = check_mr3(bandwidths, epsilon=0.01)
     assert violations == ()
@@ -676,12 +667,12 @@ def test_mr3_undefined_estimates_are_reported_not_flagged():
     ],
 )
 def test_mr3_reports_exactly_the_injected_violations(bandwidths, epsilon, expected):
-    violations, _ = check_mr3(bandwidths, epsilon=epsilon)
+    violations, _ = check_mr3(bandwidth_estimates(bandwidths), epsilon=epsilon)
     assert len(violations) == expected
 
 
 def test_mr3_all_undefined_yields_no_violations():
-    violations, undefined = check_mr3({"square": None, "triangle": None})
+    violations, undefined = check_mr3(bandwidth_estimates({"square": None, "triangle": None}))
     assert violations == ()
     assert undefined == ("square", "triangle")
 
@@ -787,7 +778,6 @@ def stage_config(**overrides):
     knobs = dict(
         inputs=SimpleNamespace(dnl_threshold=0.15),
         shapes=(ShapeKind.SQUARE, ShapeKind.TRIANGLE, ShapeKind.SINE, ShapeKind.SAWTOOTH),
-        mr2_bin_tolerance=None,
         mr2_equality_tolerance=1e-6,
         mr3_epsilon=0.1,
         boundary_factor=0.5,

@@ -521,9 +521,7 @@ def reference_run_one(plant, test, inputs):
         dnl, dof = math.inf, {}
     else:
         output = dft_amplitude(run.trace.output, dt)
-        dnl = dnl_of_spectra(
-            reference, output, inputs.rho, include_mean_in_scale=inputs.dnl_includes_mean
-        )
+        dnl = dnl_of_spectra(reference, output, inputs.rho)
         dof = dof_of_spectrum(comps, output) if dnl < inputs.dnl_threshold else {}
     return TestResult(
         test=test,
@@ -556,7 +554,6 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
     # run_plant on _simulate.
     inputs = RequiredInput(
         f_min=0.5, f_max=2.0, a_max=1.0, delta_a=0.25, base_periods=1,
-        dnl_includes_mean=False,
     )
     bound_map = AmplitudeBoundMap(
         frequencies=(0.5, 0.75, 1.0, 1.5, 2.0), bounds=(1.0, 0.9, 0.8, 0.7, 0.6)

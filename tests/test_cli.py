@@ -477,7 +477,7 @@ def test_bound_stage_reports_each_round_when_it_lasts(tmp_path, capsys, monkeypa
 # ---------------------------------------------------------------------------
 
 
-def test_calibrate_writes_report_and_reruns_identically(tmp_path):
+def test_calibrate_writes_report_and_reruns_identically(tmp_path, capsys):
     cfg = write_config(tmp_path)
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -488,6 +488,13 @@ def test_calibrate_writes_report_and_reruns_identically(tmp_path):
     assert report["threshold_exceeded"] is True
     assert report["chosen_periods"] >= 1
     assert len(report["dnl_per_periods"]) == 10
+    # Entry k of the curve is the dnl of the test that repeats its period k
+    # times, not of a k-period prefix of one run.
+    curve = [round(v, 4) for v in report["dnl_per_periods"]]
+    assert capsys.readouterr().out.splitlines() == 2 * [
+        f"calibration: dnl per period count {curve}",
+        f"calibration: chose {report['chosen_periods']} period(s) per test",
+    ]
 
 
 def test_calibrate_warns_when_loop_never_stressed(tmp_path):
@@ -548,7 +555,7 @@ def test_unknown_config_key_is_invalid_input(tmp_path):
 
 @pytest.mark.parametrize(
     "override",
-    [{"dnl_includes_mean": "false"}, {"base_periods": 2.9}, {"seed": "7"}, {"f_min": "0.3"}],
+    [{"rho": True}, {"base_periods": 2.9}, {"seed": "7"}, {"f_min": "0.3"}],
 )
 def test_wrongly_typed_config_value_is_invalid_input(tmp_path, override):
     cfg = write_config(tmp_path, **override)
@@ -616,8 +623,7 @@ def only_error_line(capsys, prefix: str = "error:") -> str:
         ({"shapes": 5}, "shapes must be a list"),
         ({"shapes": None}, "shapes must be a list"),
         ({"shapes": {"sine": 1}}, "shapes must be a list"),
-        ({"plant": {"model": "drone_alt", "sample_interval": True}},
-         "sample_interval must be a finite number"),
+        ({"sample_interval": True}, "sample_interval must be a finite number"),
         ({"max_frequencies": -3}, "max_frequencies must be at least 2"),
         ({"seed": -1}, "seed must not be negative"),
         ({"mr2_equality_tolerance": -1.0}, "mr2_equality_tolerance must not be negative"),
@@ -629,11 +635,17 @@ def only_error_line(capsys, prefix: str = "error:") -> str:
         ({"plant": {"model": "dc_servo", "physical": {"pwm_step": -0.05}}},
          "pwm_step must be non-negative"),
         ({"plant": {"model": "drone_alt", "blocks": {}}}, "plant blocks must be a list"),
+        # Keys that selected a second dnl divisor, MR2 window or sample interval.
+        ({"dnl_includes_mean": True}, "unknown config keys: ['dnl_includes_mean']"),
+        ({"mr2_bin_tolerance": 0.1}, "unknown config keys: ['mr2_bin_tolerance']"),
+        ({"plant": {"model": "drone_alt", "sample_interval": 0.001}},
+         "unknown plant keys: ['sample_interval']"),
     ],
-    ids=["shapes-int", "shapes-null", "shapes-object", "plant-sample-interval-bool",
+    ids=["shapes-int", "shapes-null", "shapes-object", "sample-interval-bool",
          "max-frequencies-negative", "seed-negative", "mr2-equality-tolerance-negative",
          "deriv-tau-minus-dt", "servo-damping-negative", "pwm-step-negative",
-         "plant-blocks-object"],
+         "plant-blocks-object", "dnl-includes-mean", "mr2-bin-tolerance",
+         "plant-sample-interval"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)
@@ -737,10 +749,7 @@ def test_run_on_tests_sampled_unlike_the_plant_exits_3_with_one_error_line(
     cfg, _ = staged  # plant and tests at 0.001 s
     coarse = tmp_path / "coarse"
     coarse.mkdir()
-    coarse_cfg = write_config(
-        coarse, sample_interval=0.002,
-        plant={"model": "drone_alt", "sample_interval": 0.002},
-    )
+    coarse_cfg = write_config(coarse, sample_interval=0.002)
     for stage in ("bound", "generate"):
         rc = cli.main([stage, "--config", str(coarse_cfg), "--out", str(coarse)])
         assert rc in (cli.EXIT_OK, cli.EXIT_WARNINGS)

@@ -66,7 +66,6 @@ def full_raw():
             "model": "dc_servo",
             "physical": {"inertia": 0.02},
             "controller": {"k_pos": 4.0},
-            "sample_interval": 0.001,
             "blocks": [
                 {"kind": "actuator_saturation", "lo": -10.0, "hi": 10.0},
                 {"kind": "dead_zone", "half_width": 0.05},
@@ -82,9 +81,7 @@ def full_raw():
         dnl_threshold=0.2,
         rho=0.05,
         base_periods=4,
-        sample_interval=0.001,
-        dnl_includes_mean=False,
-        mr2_bin_tolerance=0.1,
+        sample_interval=0.002,
         mr2_equality_tolerance=0.0,
         mr3_epsilon=0.25,
         boundary_factor=0.4,
@@ -107,8 +104,7 @@ def test_full_config_round_trip_of_every_field():
     assert cfg.inputs.dnl_threshold == pytest.approx(0.2)
     assert cfg.inputs.rho == pytest.approx(0.05)
     assert cfg.inputs.base_periods == 4
-    assert cfg.inputs.dnl_includes_mean is False
-    assert cfg.mr2_bin_tolerance == pytest.approx(0.1)
+    assert cfg.plant.sample_interval == cfg.inputs.sample_interval == 0.002
     assert cfg.mr2_equality_tolerance == 0.0
     assert cfg.mr3_epsilon == pytest.approx(0.25)
     assert cfg.boundary_factor == pytest.approx(0.4)
@@ -125,7 +121,11 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(shapes=["square", "square"]),
         lambda raw: raw.update(plant={"model": "unknown_plant"}),
         lambda raw: raw.update(plant={"model": "drone_alt", "wings": 2}),
-        lambda raw: raw.update(plant={"model": "drone_alt", "sample_interval": 0.01}),
+        # dnl has one divisor, MR2 one matching window, and the plant samples
+        # at the campaign's interval: no key selects another.
+        lambda raw: raw.update(dnl_includes_mean=True),
+        lambda raw: raw.update(mr2_bin_tolerance=0.1),
+        lambda raw: raw["plant"].update(sample_interval=0.001),
         lambda raw: raw.update(workers=0),
         lambda raw: raw.update(seed=-1),
         lambda raw: raw.update(max_periods=0),
@@ -145,7 +145,6 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(beta_alpha=0.0),
         lambda raw: raw.update(beta_alpha=-1.0),
         lambda raw: raw.update(beta_beta=-1.0),
-        lambda raw: raw.update(mr2_bin_tolerance=-0.1),
         lambda raw: raw.update(mr2_equality_tolerance=-1.0),
         lambda raw: raw.update(mr3_epsilon=0.0),
         lambda raw: raw.update(mr3_epsilon=-0.2),
@@ -163,12 +162,12 @@ def test_bad_configs_raise_config_error(mutate):
         config_from_dict(raw)
 
 
-def test_zero_bin_tolerance_and_tiny_knobs_are_accepted():
+def test_tiny_knobs_are_accepted():
     cfg = config_from_dict(
-        dict(minimal_raw(), mr2_bin_tolerance=0.0, mr3_epsilon=1e-9,
+        dict(minimal_raw(), mr2_equality_tolerance=0.0, mr3_epsilon=1e-9,
              boundary_factor=0.01, beta_alpha=0.1, beta_beta=0.1)
     )
-    assert (cfg.mr2_bin_tolerance, cfg.mr3_epsilon) == (0.0, 1e-9)
+    assert (cfg.mr2_equality_tolerance, cfg.mr3_epsilon) == (0.0, 1e-9)
 
 
 def test_invalid_required_input_surfaces_as_value_error():
@@ -220,7 +219,7 @@ def test_load_config_missing_file_raises_config_error(tmp_path):
         lambda raw: raw.update(mr3_epsilon=True),
         lambda raw: raw["plant"].update(physical={"mass": True}),
         lambda raw: raw["plant"]["blocks"][0].update(hi=True),
-        lambda raw: raw["plant"].update(sample_interval=True),
+        lambda raw: raw.update(sample_interval=True),
     ],
 )
 def test_bool_for_a_number_is_rejected(mutate):
@@ -235,7 +234,7 @@ def test_bool_for_a_number_is_rejected(mutate):
     [
         lambda raw: raw.update(f_min="0.3"),
         lambda raw: raw.update(beta_alpha="2"),
-        lambda raw: raw.update(mr2_bin_tolerance="0.1"),
+        lambda raw: raw.update(mr2_equality_tolerance="0.1"),
         lambda raw: raw["plant"].update(controller={"kp": "3.0"}),
         lambda raw: raw["plant"]["blocks"][0].update(lo="-2"),
     ],
@@ -262,13 +261,6 @@ def test_string_for_a_number_is_rejected(mutate):
 def test_non_integer_for_an_integer_field_is_rejected(key, value):
     raw = dict(minimal_raw(), **{key: value})
     with pytest.raises(ConfigError, match="must be an integer"):
-        config_from_dict(raw)
-
-
-@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-def test_non_bool_for_dnl_includes_mean_is_rejected(value):
-    raw = dict(minimal_raw(), dnl_includes_mean=value)
-    with pytest.raises(ConfigError, match="true or false"):
         config_from_dict(raw)
 
 

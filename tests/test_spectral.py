@@ -322,18 +322,15 @@ def test_dnl_recovers_injected_tone_ratio():
     assert dnl == pytest.approx(0.2, abs=1e-9)
 
 
-def test_dnl_scale_reference_switch():
-    # With the mean included, a large offset dominates the scale; without
-    # it, the oscillatory line sets the scale.
+def test_dnl_scale_includes_the_mean():
+    # The scale is the reference's largest component, so a large offset
+    # dominates it rather than the oscillatory line.
     dt = 0.001
     t = np.arange(2000) * dt
     r = 5.0 + 1.0 * np.sin(2.0 * np.pi * 1.0 * t)
     y = r + 0.3 * np.sin(2.0 * np.pi * 9.0 * t)
     trace = Trace(reference=r, output=y, sample_interval=dt)
-    with_mean = degree_of_nonlinearity(trace)
-    without_mean = degree_of_nonlinearity(trace, include_mean_in_scale=False)
-    assert with_mean == pytest.approx(0.3 / 5.0, abs=1e-9)
-    assert without_mean == pytest.approx(0.3 / 1.0, abs=1e-9)
+    assert degree_of_nonlinearity(trace) == pytest.approx(0.3 / 5.0, abs=1e-9)
 
 
 def test_dnl_rejects_zero_reference():
@@ -436,19 +433,16 @@ def reference_fa_map(samples, sample_interval, rho):
     return spec.frequencies[idx], spec.amplitudes[idx], idx
 
 
-def reference_dnl(trace, rho, include_mean_in_scale):
+def reference_dnl(trace, rho):
     ra = dft_amplitude(trace.reference, trace.sample_interval).amplitudes
     oa = dft_amplitude(trace.output, trace.sample_interval).amplitudes
     peak = float(ra.max())
     if peak == 0.0:
         raise ValueError("all-zero reference")
     new_bins = ~(ra > rho * peak)
-    scale = peak if include_mean_in_scale else float(ra[1:].max())
-    if scale == 0.0:
-        raise ValueError("no non-mean component")
     if not np.any(new_bins):
         return 0.0
-    return float(oa[new_bins].max()) / scale
+    return float(oa[new_bins].max()) / peak
 
 
 def reference_dof_profile(trace, rho):
@@ -524,14 +518,9 @@ def test_metrics_from_one_spectrum_per_signal_match_the_series_metrics(
         assert got.amplitudes.tobytes() == expected[1].tobytes()
         assert got.bin_indices.tobytes() == expected[2].tobytes()
 
-    for include in (True, False):
-        expected_dnl = float_bits(outcome(reference_dnl, trace, rho, include))
-        assert float_bits(outcome(
-            degree_of_nonlinearity, trace, rho, include_mean_in_scale=include
-        )) == expected_dnl
-        assert float_bits(outcome(
-            dnl_of_spectra, ref_spec, out_spec, rho, include_mean_in_scale=include
-        )) == expected_dnl
+    expected_dnl = float_bits(outcome(reference_dnl, trace, rho))
+    assert float_bits(outcome(degree_of_nonlinearity, trace, rho)) == expected_dnl
+    assert float_bits(outcome(dnl_of_spectra, ref_spec, out_spec, rho)) == expected_dnl
 
     expected_dof = dict_bits(outcome(reference_dof_profile, trace, rho))
     assert dict_bits(outcome(dof_profile, trace, rho)) == expected_dof
