@@ -17,8 +17,10 @@ a pool.  Results are the same bits for any worker count.  A bound or run
 stage that lasts more than 5 s (``PROGRESS_INTERVAL_S``) prints its
 progress to stderr, at most that often.  ``analyze`` writes ``mr_report.json`` (built by
 :func:`loopstress.analysis.analyze`) and the two plot tables; with
-``--full-violations`` (also on ``campaign``) it streams every violation
-record to ``mr_violations.jsonl``, and without it removes a stale one.  The
+``--full-violations`` (also on ``campaign``) it first prints the record
+count and an estimated size, exits 3 if that exceeds the free space under
+``--out``, and else streams every violation record to
+``mr_violations.jsonl``; without the flag it removes a stale one.  The
 README describes the stages and the report.
 
 Exit codes: 0 success, 2 success with warnings (e.g. the calibration stress
@@ -34,8 +36,8 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -209,16 +211,37 @@ def cmd_run(cfg: CampaignConfig, out: Path, args) -> int:
     return EXIT_OK
 
 
+def _check_room(report: dict, out: Path) -> None:
+    """Print how many records ``--full-violations`` writes for ``report``
+    and about how many bytes, from the mean line of its top records; raise
+    ``OSError`` if that is more than the free space under ``out``."""
+    records = size = 0
+    for section in (report["mr1"], report["mr2"]):
+        sample = [persist.violation_line_bytes(v) for v in section["violations"]]
+        records += section["count"]
+        size += section["count"] * sum(sample) // max(len(sample), 1)
+    mr3 = report["mr3"]["violations"]
+    records += len(mr3)
+    size += sum(persist.violation_line_bytes(v) for v in mr3)
+    print(f"violations: {records} records, about {size / 1e6:,.1f} MB, to {MR_VIOLATIONS_FILE}")
+    free = shutil.disk_usage(out).free
+    if size > free:
+        raise OSError(
+            f"--full-violations: {MR_VIOLATIONS_FILE} would take about {size / 1e6:,.1f} MB, "
+            f"more than the {free / 1e6:,.1f} MB free under {out}"
+        )
+
+
 def cmd_analyze(cfg: CampaignConfig, out: Path, args) -> int:
     results = persist.load_results(args.results or out / RESULTS_FILE)
+    report, scatter, dof_rows = analysis.analyze(results, cfg)
     full_path = out / MR_VIOLATIONS_FILE
     if args.full_violations:
-        writer = persist.violation_writer(full_path)
+        _check_room(report, out)
+        with persist.violation_writer(full_path) as sink:
+            analysis.list_violations(results, cfg, report["mr3"]["violations"], sink)
     else:
         full_path.unlink(missing_ok=True)  # it would not match the new report
-        writer = contextlib.nullcontext()
-    with writer as sink:
-        report, scatter, dof_rows = analysis.analyze(results, cfg, sink)
     persist.save_csv(out / SCATTER_FILE, analysis.SCATTER_HEADER, scatter)
     persist.save_csv(out / DOF_FILE, analysis.DOF_HEADER, dof_rows)
     persist.save_json_report(out / MR_REPORT_FILE, report)

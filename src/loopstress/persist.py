@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis import MrViolation
@@ -165,12 +165,11 @@ def _integer(value) -> int:
 
 
 def _check_version(path, payload: dict) -> None:
-    """Reject an artifact whose ``schema_version`` is not this module's,
-    read as :func:`_integer` reads a count: ``true`` is no version."""
+    """Reject an artifact whose ``schema_version`` is not this module's as a
+    JSON integer: ``1.0`` and ``true`` are no version, as in a config."""
     version = payload.get("schema_version")
-    with suppress(TypeError, ValueError, OverflowError):
-        if _integer(version) == SCHEMA_VERSION:
-            return
+    if type(version) is int and version == SCHEMA_VERSION:
+        return
     raise SchemaError(f"{path}: schema_version {version!r}, expected {SCHEMA_VERSION}")
 
 
@@ -362,6 +361,11 @@ def violation_writer(path):
     """
     with _record_writer(path, "mr_violations", {}) as write:
         yield lambda records: write(map(_violation_form, records))
+
+
+def violation_line_bytes(record: MrViolation) -> int:
+    """Bytes of ``record``'s line in an ``mr_violations.jsonl``."""
+    return len((_dump(_violation_form(record)) + "\n").encode())
 
 
 def load_json_report(path) -> dict:

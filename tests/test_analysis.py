@@ -445,8 +445,77 @@ def test_summaries_of_few_top_rows_and_small_chunks_match_the_reference_loops(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "TOP_K", top_k)
         mp.setattr(analysis, "_CHUNK_ELEMENTS", 7)
+        mp.setattr(analysis, "_TABLE_SIDE", 2)
         assert_mr1_matches_reference(results)
         assert_mr2_matches_reference(results, 0.15, 0.0)
+
+
+# Result sets for the oracle below: few amplitudes, speeds and dnl values,
+# so ties are common; diverged tests carry an infinite dnl; some tests
+# saturate; components lie on a 0.5 Hz grid that includes 0 Hz, and some
+# have no dof.
+@st.composite
+def _oracle_result(draw):
+    diverged = draw(st.sampled_from([False, False, False, True]))
+    return make_result(
+        shape=draw(st.sampled_from([ShapeKind.SQUARE, ShapeKind.SINE])),
+        amp=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        frequency=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        dnl=math.inf if diverged else draw(st.sampled_from([0.0, 0.05, 0.1, 0.2])),
+        components=draw(st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                st.just(1.0),
+                st.sampled_from([None, 0.0, 0.2, 0.5, 0.8]),
+            ),
+            max_size=4,
+        )),
+        diverged=diverged,
+        periods=draw(st.sampled_from([1, 3])),
+        actuator_sat=draw(st.sampled_from([0.0, 0.0, 0.3])),
+        sensor_sat=draw(st.sampled_from([0.0, 0.0, 0.2])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    results=st.lists(_oracle_result(), min_size=2, max_size=24),
+    top_k=st.sampled_from([1, 3, 20]),
+    equality_tolerance=st.sampled_from([1e-6, 0.0]),
+)
+def test_summaries_equal_a_double_loop_over_pairs(results, top_k, equality_tolerance):
+    # The summaries of both checkers, field by field, top records and their
+    # order included, against the reference double loops over every pair.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "TOP_K", top_k)
+        mr1 = reference_mr1(results)
+        assert summary_fields(check_mr1(results)) == reference_summary(results, "MR1", mr1)
+        mr2, skipped = reference_mr2(results, 0.15, equality_tolerance)
+        summary, got_skipped = check_mr2(results, 0.15, equality_tolerance)
+        assert summary_fields(summary) == reference_summary(results, "MR2", mr2)
+        assert got_skipped == skipped
+
+
+def test_summaries_list_pairs_only_for_the_top_tests(monkeypatch):
+    # 42,412 MR1 and 200,928 MR2 violations among 368 tests: without a sink
+    # the checkers count them, and list the pairs of at most TOP_K tests,
+    # the candidates for the top records.
+    results = violation_family(4)
+    listed = Counter()
+    for name in ("_mr1_pairs", "_mr2_pairs"):
+        pairs = getattr(analysis, name)
+
+        def counting(*args, _pairs=pairs, _name=name, **kwargs):
+            for chunk in _pairs(*args, **kwargs):
+                listed[_name] += chunk[0].size
+                yield chunk
+
+        monkeypatch.setattr(analysis, name, counting)
+    mr1 = check_mr1(results)
+    mr2, _ = check_mr2(results, 0.15)
+    assert (len(mr1), len(mr2)) == (42_412, 200_928)
+    assert listed["_mr1_pairs"] <= analysis.TOP_K * len(results)
+    assert listed["_mr2_pairs"] <= analysis.TOP_K * len(results) * 3
 
 
 def test_mr2_equidistant_partners_pick_the_first():

@@ -6,7 +6,9 @@ import json
 import math
 import random
 import re
+import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -307,6 +309,34 @@ def test_full_violations_write_the_pinned_records_beside_the_same_report(tmp_pat
     # Without the flag a stale list goes, as it would not match the report.
     analyze(tmp_path, golden_results())
     assert not (out / cli.MR_VIOLATIONS_FILE).exists()
+
+
+def test_full_violations_print_their_size_and_exit_3_when_it_would_not_fit(
+    tmp_path, capsys, monkeypatch
+):
+    # The counts are known before the listing: the stage prints the record
+    # count and estimated size, and refuses a file larger than the free
+    # space of --out's file system, leaving no mr_violations.jsonl behind.
+    out = analyze(tmp_path, golden_results(), "--full-violations")
+    records = (out / cli.MR_VIOLATIONS_FILE).read_bytes()
+    header = records.index(b"\n") + 1
+    # Every record is in the report's top lists here, so the estimate is
+    # the size of the records, without the header line.
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"violations: 7 records, about {(len(records) - header) / 1e6:,.1f} MB, "
+        f"to {cli.MR_VIOLATIONS_FILE}"
+    )
+    free = len(records) - header - 1
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+    fresh = tmp_path / "fresh"
+    argv = ["analyze", "--config", str(tmp_path / "campaign.json"),
+            "--results", str(tmp_path / "out.jsonl"), "--out", str(fresh), "--full-violations"]
+    assert cli.main(argv) == cli.EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out.startswith("violations: 7 records, about ")
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: --full-violations: {cli.MR_VIOLATIONS_FILE} would take about ")
+    assert list(fresh.iterdir()) == []
 
 
 def test_analyze_prints_the_pinned_counts(tmp_path, capsys):

@@ -188,13 +188,15 @@ def test_load_rejects_future_schema_version(tmp_path):
         persist.load_bounds(path)
 
 
-def test_load_rejects_a_boolean_schema_version(tmp_path, small_tests):
-    # true == 1 in Python, but a version is an integer, as config parsing reads it.
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_load_rejects_a_schema_version_that_is_no_json_integer(tmp_path, small_tests, version):
+    # true == 1.0 == 1 in Python, but a version is a JSON integer, as config
+    # parsing reads it.
     path = tmp_path / "tests.jsonl"
     persist.save_test_set(path, small_tests)
     header, body = path.read_text().split("\n", 1)
-    path.write_text(json.dumps({**json.loads(header), "schema_version": True}) + "\n" + body)
-    with pytest.raises(persist.SchemaError, match="schema_version True, expected 1"):
+    path.write_text(json.dumps({**json.loads(header), "schema_version": version}) + "\n" + body)
+    with pytest.raises(persist.SchemaError, match=f"schema_version {version!r}, expected 1"):
         persist.load_test_set(path)
 
 
@@ -539,11 +541,12 @@ def test_json_report_rejects_future_version(tmp_path):
         persist.load_json_report(path)
 
 
-def test_json_report_rejects_a_boolean_schema_version(tmp_path):
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_json_report_rejects_a_schema_version_that_is_no_json_integer(tmp_path, version):
     path = tmp_path / "mr_report.json"
     persist.save_json_report(path, {"kind": "mr_report"})
-    path.write_text(json.dumps({**json.loads(path.read_text()), "schema_version": True}))
-    with pytest.raises(persist.SchemaError, match="schema_version True, expected 1"):
+    path.write_text(json.dumps({**json.loads(path.read_text()), "schema_version": version}))
+    with pytest.raises(persist.SchemaError, match=f"schema_version {version!r}, expected 1"):
         persist.load_json_report(path)
 
 

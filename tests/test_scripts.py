@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import loopstress
+from loopstress import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 # The scripts import the package the tests run against.
@@ -84,3 +85,28 @@ def test_the_tracer_finds_every_function_it_wraps(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_traced_checkers_count_the_violations_of_the_report(tmp_path):
+    # perfbench/tracer.py counts a span's violations with len() of what
+    # check_mr1 and check_mr2 return, and reads each result's shape: the
+    # counts of a traced analyze must be the report's.
+    config = str(ROOT / "configs" / "drone_desk.json")
+    assert cli.main(["campaign", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    report = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--report", str(report),
+         "--trace", "--", "analyze", "--config", config,
+         "--results", str(tmp_path / "run" / "results.jsonl"), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(report.read_text())["spans"]
+    counts = {name: c["violations"] for name, _, _, _, c in spans
+              if name in ("analysis.mr1", "analysis.mr2")}
+    mr_report = json.loads((tmp_path / "out" / "mr_report.json").read_text())
+    assert counts == {"analysis.mr1": mr_report["mr1"]["count"],
+                      "analysis.mr2": mr_report["mr2"]["count"]}
+    assert counts["analysis.mr1"] > 0 and counts["analysis.mr2"] > 0
