@@ -20,10 +20,11 @@ Three families of checks turn raw test results into findings:
 The MR1 and MR2 summaries are counted over per-test columns, not built
 from the violating pairs, so their cost does not grow with the number of
 violations; pairs are listed only for the few tests that can hold a top
-record.  Only :func:`list_violations` (``--full-violations``) lists every
-pair.  Since the counts come first, the CLI prints the record count and an
-estimated file size before listing, and exits 3 without writing when the
-estimate exceeds the free space of the output's file system.
+record.  :func:`list_violations` (``--full-violations``) is the one code
+that lists every pair, and it hands them to a sink.  Since the counts come
+first, the CLI prints the record count and an estimated file size before
+listing, and exits 3 without writing when the estimate exceeds the free
+space of the output's file system.
 """
 
 from __future__ import annotations
@@ -269,11 +270,6 @@ def _mr1_records(results, first, second):
         )
 
 
-def _list_mr1(results, cols, sink) -> None:
-    for first, second in _mr1_pairs(cols):
-        sink(_mr1_records(results, first, second))
-
-
 def _mr1_counts(cols):
     """MR1 counted, not listed: per test, the violations in which it
     dominates and those in which it is dominated, the largest dnl among the
@@ -357,14 +353,12 @@ def _dominance_table(amp_j, dnl_j, sat_j, amp_i, dnl_i, sat_i, same):
     return per_i, per_j, largest, with_sat
 
 
-def check_mr1(results, sink=None) -> MrSummary:
+def check_mr1(results) -> MrSummary:
     """A same-shape test that is larger *and* at-least-as-fast (or vice versa)
     must show strictly higher dnl.  Each ordered pair ``(i, j)`` for which
     that fails is a violation, unless both tests diverged: their margin
     ``dnl_j - dnl_i`` is ``inf - inf``.  Returns their :class:`MrSummary`,
-    counted without listing the pairs; ``sink``, if given, is called with
-    every violation's record, one iterable per chunk of the search
-    (ascending ``(i, j)`` within a chunk)."""
+    counted without listing the pairs (:func:`list_violations` lists them)."""
     results = list(results)
     cols = _columns(results)
     dominating, dominated, largest, saturated = _mr1_counts(cols)
@@ -373,8 +367,6 @@ def check_mr1(results, sink=None) -> MrSummary:
         (cols.dnl[j] - cols.dnl[i], i, j, np.zeros_like(i), np.zeros_like(i))
         for i, j in _mr1_pairs(cols, leaders)
     )
-    if sink is not None:
-        _list_mr1(results, cols, sink)
     return _summary(
         cols, np.bincount(cols.shape, dominating, len(cols.shapes)).astype(np.int64),
         dominating + dominated, saturated, top,
@@ -512,11 +504,6 @@ def _mr2_records(results, first, second, comp, partner):
         )
 
 
-def _list_mr2(results, groups, min_gap, sink) -> None:
-    for i, j, k, m, _ in _mr2_pairs(groups, min_gap):
-        sink(_mr2_records(results, i, j, k, m))
-
-
 def _least(n, holds):
     """Per ``r`` in ``range(n)``, the least ``s`` in ``[0, n]`` for which
     ``holds(s, r)``, a test that is false, then true, as ``s`` grows."""
@@ -576,7 +563,6 @@ def check_mr2(
     results,
     dnl_threshold: float,
     equality_tolerance: float = 1e-6,
-    sink=None,
 ) -> tuple[MrSummary, int]:
     """Faster linear tests must be filtered strictly more, component by component.
 
@@ -589,9 +575,8 @@ def check_mr2(
     than ``equality_tolerance`` are not flagged.  Returns the
     :class:`MrSummary` of the violations, counted per fast layout and
     component without listing the pairs (:func:`_count_pairs`), plus the
-    number of components that found no partner bin; ``sink``, if given, is
-    called with every violation's record, one iterable per chunk of the
-    search (ascending ``(i, j, component)`` within a chunk).
+    number of components that found no partner bin.  :func:`list_violations`
+    lists the pairs.
     """
     results = list(results)
     cols = _columns(results)
@@ -632,8 +617,6 @@ def check_mr2(
                 bands[key] = bands.get(key, 0) + k
     leaders = _leaders(as_fast, largest)
     top = _top_rows((gap, i, j, k, m) for i, j, k, m, gap in _mr2_pairs(groups, min_gap, leaders))
-    if sink is not None:
-        _list_mr2(results, groups, min_gap, sink)
     summary = _summary(
         cols, per_shape, as_fast + as_slow, saturated, top,
         lambda i, j, k, m: _mr2_records(results, i, j, k, m), bands,
@@ -813,28 +796,29 @@ def export_plot_data(
 
 def list_violations(results, cfg, mr3, sink) -> None:
     """Hand ``sink`` every MR1, then every MR2 violation record of
-    ``results``, one iterable per chunk of the search (see
-    :func:`check_mr1` and :func:`check_mr2`), then the MR3 records ``mr3``.
-    This lists the pairs without counting them; ``cfg`` is read as by
-    :func:`analyze`."""
+    ``results``, one iterable per chunk of the search (ascending ``(i, j)``,
+    and ``(i, j, component)`` for MR2, within a chunk), then the MR3
+    records ``mr3``.  The one code that lists every pair; it does not count
+    them.  ``cfg`` is read as by :func:`analyze`."""
     results = list(results)
     cols = _columns(results)
-    _list_mr1(results, cols, sink)
+    for i, j in _mr1_pairs(cols):
+        sink(_mr1_records(results, i, j))
     groups = _linear_groups(results, cols, cfg.inputs.dnl_threshold)
-    _list_mr2(results, groups, max(cfg.mr2_equality_tolerance, 0.0), sink)
+    for i, j, k, m, _ in _mr2_pairs(groups, max(cfg.mr2_equality_tolerance, 0.0)):
+        sink(_mr2_records(results, i, j, k, m))
     sink(mr3)
 
 
-def analyze(results, cfg, sink=None) -> tuple[dict, list[tuple], list[tuple]]:
+def analyze(results, cfg) -> tuple[dict, list[tuple], list[tuple]]:
     """The analyze stage: ``(report, scatter, dof_rows)`` for ``results``.
 
     ``report`` is the ``mr_report.json`` payload: the MR1 and MR2 summaries,
     every MR3 violation, each shape's bandwidth estimate (in ``cfg.shapes``
     order) and the tests per scope class.  The tables are
     :func:`export_plot_data`'s.  ``cfg`` is read by attribute (a
-    ``CampaignConfig``).  The MR1 and MR2 summaries are counted; ``sink``,
-    if given, then receives every violation's record from
-    :func:`list_violations`.
+    ``CampaignConfig``).  The MR1 and MR2 summaries are counted;
+    :func:`list_violations` lists the records behind them.
     """
     results = list(results)
     th = cfg.inputs.dnl_threshold
@@ -845,8 +829,6 @@ def analyze(results, cfg, sink=None) -> tuple[dict, list[tuple], list[tuple]]:
     mr3, undefined = check_mr3(bandwidths, cfg.mr3_epsilon)
     mr1 = check_mr1(results)
     mr2, skipped = check_mr2(results, th, cfg.mr2_equality_tolerance)
-    if sink is not None:
-        list_violations(results, cfg, mr3, sink)
     scatter, dof_rows = export_plot_data(results, th, cfg.boundary_factor)
     scope_counts = {s.value: 0 for s in ScopeClass}
     for row in scatter:

@@ -153,14 +153,9 @@ def _finite(value) -> float:
 
 
 def _integer(value) -> int:
-    """A JSON number with an integral value as an int."""
+    """A JSON integer: ``3.0`` is none, as in a config."""
     if type(value) is int:
         return value
-    if type(value) is float:
-        n = int(value)  # OverflowError for an infinity, ValueError for NaN
-        if n == value:
-            return n
-        raise ValueError(f"expected an integer, got {value!r}")
     raise TypeError(f"expected an integer, got {value!r}")
 
 
@@ -299,7 +294,8 @@ def save_results(path, results) -> None:
 def _result_from_dict(row: dict) -> TestResult:
     return TestResult(
         test=_test_from_dict(row["test"]),
-        dnl=_number(row["dnl"]),
+        # Infinite when the test diverged.
+        dnl=_within(_number(row["dnl"]), 0.0),
         components=tuple(
             Component(
                 frequency=_number(f),

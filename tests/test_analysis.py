@@ -158,29 +158,50 @@ def summary_fields(summary):
     return {name: getattr(summary, name) for name in analysis.MrSummary.__slots__}
 
 
+def stage_config(**overrides):
+    """What ``analyze`` reads of a campaign config, by attribute."""
+    knobs = dict(
+        inputs=SimpleNamespace(dnl_threshold=0.15),
+        shapes=(ShapeKind.SQUARE, ShapeKind.TRIANGLE, ShapeKind.SINE, ShapeKind.SAWTOOTH),
+        mr2_equality_tolerance=1e-6,
+        mr3_epsilon=0.1,
+        boundary_factor=0.5,
+    )
+    return SimpleNamespace(**{**knobs, **overrides})
+
+
+def listed_records(results, relation, dnl_threshold=0.15, equality_tolerance=1e-6):
+    """The ``relation`` records that ``list_violations`` (the code behind
+    ``--full-violations``) hands its sink, by subjects (stable, so MR2
+    components keep their order)."""
+    cfg = stage_config(
+        inputs=SimpleNamespace(dnl_threshold=dnl_threshold),
+        mr2_equality_tolerance=equality_tolerance,
+    )
+    records = []
+    analysis.list_violations(results, cfg, [], records.extend)
+    return tuple(sorted((v for v in records if v.relation == relation),
+                        key=lambda v: v.subjects))
+
+
 def full_mr1(results):
-    """check_mr1's summary and every record its sink received, by subjects."""
-    records = []
-    summary = check_mr1(results, sink=records.extend)
-    return summary, tuple(sorted(records, key=lambda v: v.subjects))
+    """check_mr1's summary and every MR1 record listed, by subjects."""
+    return check_mr1(results), listed_records(results, "MR1")
 
 
-def full_mr2(results, *args, **kwargs):
-    """check_mr2's summary, every record its sink received (by subjects,
-    stable, so components keep their order) and the skipped count."""
-    records = []
-    summary, skipped = check_mr2(results, *args, sink=records.extend, **kwargs)
-    return summary, tuple(sorted(records, key=lambda v: v.subjects)), skipped
+def full_mr2(results, dnl_threshold, equality_tolerance=1e-6):
+    """check_mr2's summary, every MR2 record listed (as ``listed_records``)
+    and the skipped count."""
+    summary, skipped = check_mr2(results, dnl_threshold, equality_tolerance)
+    return summary, listed_records(results, "MR2", dnl_threshold, equality_tolerance), skipped
 
 
 def assert_mr1_matches_reference(results):
-    """check_mr1 against the double loop: every record, the summary, and a
-    summary without a sink equal to the one with."""
+    """check_mr1's summary and every listed record against the double loop."""
     summary, records = full_mr1(results)
     expected = reference_mr1(results)
     assert records == expected
     assert summary_fields(summary) == reference_summary(results, "MR1", expected)
-    assert summary_fields(check_mr1(results)) == summary_fields(summary)
     return expected
 
 
@@ -190,8 +211,6 @@ def assert_mr2_matches_reference(results, *args, **kwargs):
     expected, expected_skipped = reference_mr2(results, *args, **kwargs)
     assert (records, skipped) == (expected, expected_skipped)
     assert summary_fields(summary) == reference_summary(results, "MR2", expected)
-    plain, plain_skipped = check_mr2(results, *args, **kwargs)
-    assert (summary_fields(plain), plain_skipped) == (summary_fields(summary), skipped)
     return expected, skipped
 
 
@@ -497,9 +516,9 @@ def test_summaries_equal_a_double_loop_over_pairs(results, top_k, equality_toler
 
 
 def test_summaries_list_pairs_only_for_the_top_tests(monkeypatch):
-    # 42,412 MR1 and 200,928 MR2 violations among 368 tests: without a sink
-    # the checkers count them, and list the pairs of at most TOP_K tests,
-    # the candidates for the top records.
+    # 42,412 MR1 and 200,928 MR2 violations among 368 tests: the checkers
+    # count them, and list the pairs of at most TOP_K tests, the candidates
+    # for the top records.
     results = violation_family(4)
     listed = Counter()
     for name in ("_mr1_pairs", "_mr2_pairs"):
@@ -842,18 +861,6 @@ def test_export_scatter_preserves_result_order():
 # ---------------------------------------------------------------------------
 
 
-def stage_config(**overrides):
-    """What ``analyze`` reads of a campaign config, by attribute."""
-    knobs = dict(
-        inputs=SimpleNamespace(dnl_threshold=0.15),
-        shapes=(ShapeKind.SQUARE, ShapeKind.TRIANGLE, ShapeKind.SINE, ShapeKind.SAWTOOTH),
-        mr2_equality_tolerance=1e-6,
-        mr3_epsilon=0.1,
-        boundary_factor=0.5,
-    )
-    return SimpleNamespace(**{**knobs, **overrides})
-
-
 def stage_results():
     """MR1 and MR2 violations among squares (bandwidth below range), two
     shapes whose bandwidths cross 0.5 at 2 and 1.5 Hz, and no sawtooth."""
@@ -867,8 +874,7 @@ def stage_results():
 
 def test_analyze_assembles_the_report_from_the_checkers():
     results, cfg = stage_results(), stage_config()
-    records = []
-    report, scatter, dof_rows = analysis.analyze(results, cfg, sink=records.extend)
+    report, scatter, dof_rows = analysis.analyze(results, cfg)
     mr1 = check_mr1(results)
     mr2, skipped = check_mr2(results, 0.15)
     assert report["mr1"] == mr1.as_report() and mr1.count > 0
@@ -885,7 +891,10 @@ def test_analyze_assembles_the_report_from_the_checkers():
     assert report["scope_counts"] == {"within": 13, "boundary_stress": 1, "outside": 1}
     assert (report["kind"], report["dnl_threshold"]) == ("mr_report", 0.15)
     assert (scatter, dof_rows) == export_plot_data(results, 0.15)
-    # The sink gets every record, MR1 first, then MR2, then MR3.
+    # As ``--full-violations`` lists them: every record, MR1 first, then
+    # MR2, then the report's MR3.
+    records = []
+    analysis.list_violations(results, cfg, mr3["violations"], records.extend)
     relations = [v.relation for v in records]
     assert relations == sorted(relations)
     assert Counter(relations) == {"MR1": mr1.count, "MR2": mr2.count, "MR3": 1}

@@ -727,6 +727,10 @@ def staged(tmp_path_factory):
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": 9.7}),
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": "9"}),
         (cli.TESTS_FILE, 1, lambda r: {**r, "periods": 2.5}),
+        (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": float(r["probes"])}),
+        (cli.TESTS_FILE, 0, lambda r: {**r, "seed": float(r["seed"])}),
+        (cli.RESULTS_FILE, 1,
+         lambda r: {**r, "test": {**r["test"], "periods": float(r["test"]["periods"])}}),
         # A zero reference has no component to score.
         (cli.TESTS_FILE, 1, lambda r: {**r, "amp_gain": 0.0}),
         # No writer emits NaN, nor a map frequency or bound that is infinite.
@@ -737,22 +741,28 @@ def staged(tmp_path_factory):
         (cli.TESTS_FILE, 0, lambda r: {**r, "shapes": {s: 1 for s in r["shapes"]}}),
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "unresolved": {}}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "components": ""}),
-        # Writers emit counts >= 0, fractions in [0, 1] and deviations >= 0.
+        # Writers emit counts >= 0, fractions in [0, 1], deviations >= 0 and
+        # dnl >= 0.
         (cli.BOUNDS_FILE, 0, lambda r: {**r, "probes": -5}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "actuator_sat_fraction": 1.5}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "sensor_sat_fraction": -0.25}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "actuator_sat_fraction": math.inf}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "deviation_mean": -1.0}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": -1.0}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": -math.inf}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
          "results-diverged-number", "results-dnl-string", "results-dnl-bool",
          "bounds-fractional-probes", "bounds-probes-string", "tests-fractional-periods",
+         "bounds-integral-float-probes", "tests-integral-float-seed",
+         "results-integral-float-periods",
          "tests-zero-amp-gain", "results-dnl-nan", "bounds-frequency-infinite",
          "bounds-bound-infinite", "tests-shapes-object", "bounds-unresolved-object",
          "results-components-string", "bounds-negative-probes",
          "results-fraction-above-one", "results-fraction-negative",
-         "results-fraction-infinite", "results-deviation-negative"],
+         "results-fraction-infinite", "results-deviation-negative",
+         "results-dnl-negative", "results-dnl-minus-infinity"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit
