@@ -39,14 +39,14 @@ from unittest import mock
 import numpy as np
 
 from loopstress import plants
-from loopstress.plants import (
+from loopstress.plants import run_lanes
+from loopstress.records import (
     backlash,
     coulomb_friction,
     dc_servo_spec,
     dead_zone,
     drone_spec,
     quadratic_friction,
-    run_lanes,
 )
 
 LANES = (1, 2, 4, 8)

@@ -25,8 +25,9 @@ import time
 import numpy as np
 
 from loopstress.analysis import classify_scope, estimate_bandwidth
-from loopstress.campaign import GeneratedTest, RequiredInput, execute_campaign
-from loopstress.plants import drone_spec, run_lanes
+from loopstress.campaign import execute_campaign
+from loopstress.plants import run_lanes
+from loopstress.records import GeneratedTest, RequiredInput, drone_spec
 from loopstress.signals import ShapeKind, TestCase, unit_period
 
 QUARTET = (

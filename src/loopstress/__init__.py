@@ -9,6 +9,7 @@ amplitude-bound search plus randomised generation, and results are checked
 against metamorphic relations that link test harshness to the scores.
 """
 
+import importlib
 import os
 
 # loopstress calls no BLAS routine, yet ``import numpy`` starts an OpenBLAS
@@ -17,67 +18,44 @@ import os
 # set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analysis import (
-    BandwidthEstimate,
-    BandwidthStatus,
-    MrViolation,
-    ScopeClass,
-    check_mr1,
-    check_mr2,
-    check_mr3,
-    classify_scope,
-    estimate_bandwidth,
-    export_plot_data,
-)
-from .campaign import (
-    AmplitudeBoundMap,
-    BoundRefinementError,
-    Component,
-    GeneratedTest,
-    RequiredInput,
-    SamplingError,
-    TestResult,
-    TestSet,
-    binary_search_upperbound,
-    calibration_curve,
-    derive_frequency_resolution,
-    execute_campaign,
-    generate_test_set,
-    optimistic_amplitude_bound,
-    pick_num_periods,
-)
-from .config import CampaignConfig, ConfigError, load_config
-from .plants import (
-    InstrumentationLog,
-    NonlinearBlock,
-    PlantRun,
-    PlantSpec,
-    actuator_saturation,
-    backlash,
-    coulomb_friction,
-    dc_servo_spec,
-    dead_zone,
-    drone_spec,
-    quadratic_friction,
-    quantizer,
-    run_plant,
-    sensor_saturation,
-)
-from .signals import (
-    ShapeKind,
-    TestCase,
-    eval_shape,
-    render_reference,
-    snap_time_gain,
-)
-from .spectral import (
-    ComponentSet,
-    Spectrum,
-    Trace,
-    degree_of_nonlinearity,
-    dft_amplitude,
-    dof_profile,
-    fa_map,
-)
+# Each public name and the module that defines it.  ``import loopstress``
+# loads none of them: a name, or a submodule read as an attribute, is
+# imported at its first lookup (PEP 562), so a process compiles only the
+# modules that its stage uses.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "analysis": "BandwidthEstimate BandwidthStatus ScopeClass check_mr1 check_mr2 check_mr3"
+                    " classify_scope estimate_bandwidth export_plot_data",
+        "campaign": "binary_search_upperbound calibration_curve derive_frequency_resolution"
+                    " execute_campaign generate_test_set optimistic_amplitude_bound"
+                    " pick_num_periods",
+        "config": "CampaignConfig ConfigError load_config",
+        "plants": "InstrumentationLog PlantRun run_plant",
+        "records": "AmplitudeBoundMap BoundRefinementError Component GeneratedTest MrViolation"
+                   " NonlinearBlock PlantSpec RequiredInput SamplingError TestResult TestSet"
+                   " actuator_saturation backlash coulomb_friction dc_servo_spec dead_zone"
+                   " drone_spec quadratic_friction quantizer sensor_saturation",
+        "signals": "ShapeKind TestCase eval_shape render_reference snap_time_gain",
+        "spectral": "ComponentSet Spectrum Trace degree_of_nonlinearity dft_amplitude dof_profile"
+                    " fa_map",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = {"cli", "persist", *_EXPORTS.values()}
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name in _EXPORTS:
+        value = globals()[name] = getattr(value, name)  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -31,16 +31,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .campaign import TestResult
+from .records import MrViolation, TestResult
 from .signals import ShapeKind
 
 __all__ = [
-    "MrViolation",
     "MrSummary",
     "TOP_K",
     "check_mr1",
@@ -56,21 +54,6 @@ __all__ = [
     "list_violations",
     "analyze",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class MrViolation:
-    """One falsified relation instance.
-
-    ``subjects`` identifies the pair being compared (result indices for
-    MR1/MR2, shape names for MR3); ``witnesses`` carries the numbers that
-    falsified the relation.
-    """
-
-    relation: str
-    subjects: tuple
-    witnesses: tuple[float, ...]
-    detail: str = ""
 
 
 # Largest number of elements in one pairwise temporary of a violation

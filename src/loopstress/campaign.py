@@ -28,6 +28,9 @@ f_max]`` with amplitudes up to ``a_max``, at resolution ``delta_a``:
 Every stage simulates and scores along that one path: a bound probe is a
 block of one sine test (``_run_block``), calibration a chunk of one test
 per repetition count (``_run_chunk``).  No stage renders a reference.
+The inputs and records the stages pass on (``RequiredInput``,
+``AmplitudeBoundMap``, ``TestSet``, ``TestResult``) are defined in
+:mod:`loopstress.records`.
 """
 
 from __future__ import annotations
@@ -35,13 +38,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
-from .plants import PlantSpec, load_kernel, run_lanes
+from .plants import load_kernel, run_lanes
+from .records import (
+    AmplitudeBoundMap,
+    BoundRefinementError,
+    Component,
+    GeneratedTest,
+    PlantSpec,
+    RequiredInput,
+    SamplingError,
+    TestResult,
+    TestSet,
+)
 from .signals import (
     ShapeKind,
     TestCase,
@@ -57,95 +69,14 @@ from .signals import render_reference  # noqa: F401
 from .spectral import degree_of_nonlinearity, dof_profile, fa_map  # noqa: F401
 
 __all__ = [
-    "RequiredInput",
-    "AmplitudeBoundMap",
-    "BoundRefinementError",
-    "SamplingError",
     "binary_search_upperbound",
     "optimistic_amplitude_bound",
     "derive_frequency_resolution",
-    "GeneratedTest",
-    "TestSet",
     "generate_test_set",
-    "Component",
-    "TestResult",
     "execute_campaign",
     "calibration_curve",
     "pick_num_periods",
 ]
-
-
-@dataclass(frozen=True)
-class RequiredInput:
-    """What the tester must supply about the system under test."""
-
-    f_min: float
-    f_max: float
-    a_max: float
-    delta_a: float
-    dnl_threshold: float = 0.15
-    rho: float = 0.1
-    base_periods: int = 5
-    sample_interval: float = 0.001
-
-    def __post_init__(self):
-        if not 0.0 < self.f_min < self.f_max:
-            raise ValueError("need 0 < f_min < f_max")
-        if self.a_max <= 0.0:
-            raise ValueError("a_max must be positive")
-        if not 0.0 < self.delta_a <= self.a_max:
-            raise ValueError("need 0 < delta_a <= a_max")
-        if self.dnl_threshold <= 0.0:
-            raise ValueError("dnl_threshold must be positive")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie strictly between 0 and 1")
-        if self.base_periods < 1:
-            raise ValueError("base_periods must be at least 1")
-        if self.sample_interval <= 0.0:
-            raise ValueError("sample_interval must be positive")
-        if self.sample_interval * self.f_max >= 0.5:
-            raise ValueError("sample interval too coarse for f_max")
-
-
-class BoundRefinementError(RuntimeError):
-    """Raised when bound refinement hits its frequency cap; carries the partial map."""
-
-    def __init__(self, message: str, partial: "AmplitudeBoundMap"):
-        super().__init__(message)
-        self.partial = partial
-
-
-@dataclass(frozen=True)
-class AmplitudeBoundMap:
-    """Per-frequency largest amplitude that kept the loop linear.
-
-    ``unresolved`` lists adjacent frequency pairs whose bound gap still
-    exceeds ``delta_a`` but that cannot be split further (the midpoint
-    searches like an endpoint; for the sine probe, it snaps onto an
-    endpoint's period): the plant's linear envelope has a jump there sharper
-    than one period step.
-    """
-
-    frequencies: tuple[float, ...]
-    bounds: tuple[float, ...]
-    unresolved: tuple[tuple[float, float], ...] = ()
-    probes: int = 0
-
-    def __post_init__(self):
-        if len(self.frequencies) != len(self.bounds):
-            raise ValueError("frequencies and bounds must have equal length")
-        if len(self.frequencies) < 2:
-            raise ValueError("a bound map needs at least two frequencies")
-        if any(b <= a for a, b in zip(self.frequencies, self.frequencies[1:])):
-            raise ValueError("frequencies must be strictly increasing")
-        if any(b <= 0.0 for b in self.bounds):
-            raise ValueError("bounds must be positive")
-
-    def interpolate(self, frequency: float) -> float:
-        """Bound at ``frequency``, linearly interpolated, clamped at the ends."""
-        return float(
-            np.interp(frequency, self.frequencies, self.bounds)
-        )
 
 
 def _case(inputs: RequiredInput, shape, frequency: float, amplitude: float,
@@ -159,11 +90,6 @@ def _case(inputs: RequiredInput, shape, frequency: float, amplitude: float,
         periods=inputs.base_periods if periods is None else periods,
         sample_interval=inputs.sample_interval,
     )
-
-
-class SamplingError(ValueError):
-    """The inputs or a test are sampled unlike the plant, which would run
-    their references at another time scale."""
 
 
 def _check_sampling(plant: PlantSpec, sample_interval: float, what: str = "input") -> None:
@@ -335,28 +261,6 @@ def derive_frequency_resolution(bound_map: AmplitudeBoundMap) -> float:
     return float((fs[-1] - fs[0]) / (len(fs) - 1))
 
 
-# Records that only hold values are named tuples, which are several times
-# cheaper than a frozen dataclass both to define at import and to build;
-# records that validate their fields stay dataclasses.
-class GeneratedTest(NamedTuple):
-    """A test case plus how it was derived."""
-
-    case: TestCase
-    target_frequency: float
-    bound: float
-    snap_error: float
-
-
-class TestSet(NamedTuple):
-    # Not a pytest test class, despite the name.
-    __test__ = False
-
-    tests: tuple[GeneratedTest, ...]
-    seed: int
-    frequency_step: float
-    shapes: tuple[ShapeKind, ...]
-
-
 def generate_test_set(
     bound_map: AmplitudeBoundMap,
     shapes: tuple[ShapeKind, ...],
@@ -396,31 +300,6 @@ def generate_test_set(
                 case = _case(inputs, shape, f, float(max(x, 1e-12) * bound))
                 tests.append(GeneratedTest(case, f, bound, abs(case.time_gain - f)))
     return TestSet(tests=tuple(tests), seed=seed, frequency_step=df, shapes=shapes)
-
-
-class Component(NamedTuple):
-    """One relevant reference component and, for linear runs, its filtering."""
-
-    frequency: float
-    amplitude: float
-    dof: float | None
-
-
-class TestResult(NamedTuple):
-    # Not a pytest test class, despite the name.
-    __test__ = False
-
-    test: GeneratedTest
-    dnl: float
-    components: tuple[Component, ...]
-    actuator_saturation_fraction: float
-    sensor_saturation_fraction: float
-    deviation_mean: float
-    diverged: bool
-
-    @property
-    def case(self) -> TestCase:
-        return self.test.case
 
 
 # Steps per run chunk, the pool's unit of work.  Simulating and scoring

@@ -42,7 +42,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, campaign, persist
+# ``campaign`` and ``analysis`` are imported by the stages that run them, so
+# ``analyze`` loads no simulator code and the simulating stages no checker.
+from . import persist, records
 from .config import CampaignConfig, ConfigError, load_config
 
 EXIT_OK = 0
@@ -107,6 +109,8 @@ def _apply_overrides(cfg: CampaignConfig, args) -> CampaignConfig:
 
 
 def cmd_calibrate(cfg: CampaignConfig, out: Path, args) -> int:
+    from . import campaign
+
     curve = campaign.calibration_curve(
         cfg.plant, cfg.inputs, cfg.max_periods, cfg.calibration_shape
     )
@@ -139,12 +143,14 @@ def cmd_calibrate(cfg: CampaignConfig, out: Path, args) -> int:
 
 
 def cmd_bound(cfg: CampaignConfig, out: Path, args) -> int:
+    from . import campaign
+
     try:
         bound_map = campaign.optimistic_amplitude_bound(
             cfg.plant, cfg.inputs, max_frequencies=cfg.max_frequencies,
             progress=_progress(_bound_line),
         )
-    except campaign.BoundRefinementError as exc:
+    except records.BoundRefinementError as exc:
         # The plant and config ask for more frequencies than the cap allows.
         persist.save_bounds(out / BOUNDS_FILE, exc.partial)
         print(f"warning: {exc} (partial map saved)", file=sys.stderr)
@@ -165,6 +171,8 @@ def cmd_bound(cfg: CampaignConfig, out: Path, args) -> int:
 
 
 def cmd_generate(cfg: CampaignConfig, out: Path, args) -> int:
+    from . import campaign
+
     bounds = persist.load_bounds(args.bounds or out / BOUNDS_FILE)
     test_set = campaign.generate_test_set(
         bounds, cfg.shapes, cfg.inputs, seed=cfg.seed, beta_params=cfg.beta_params
@@ -201,6 +209,8 @@ def _run_line(elapsed: float, done: int, total: int) -> str:
 
 
 def cmd_run(cfg: CampaignConfig, out: Path, args) -> int:
+    from . import campaign
+
     test_set = persist.load_test_set(args.tests or out / TESTS_FILE)
     results = campaign.execute_campaign(
         cfg.plant, test_set, cfg.inputs, workers=cfg.workers, progress=_progress(_run_line)
@@ -233,6 +243,8 @@ def _check_room(report: dict, out: Path) -> None:
 
 
 def cmd_analyze(cfg: CampaignConfig, out: Path, args) -> int:
+    from . import analysis
+
     results = persist.load_results(args.results or out / RESULTS_FILE)
     report, scatter, dof_rows = analysis.analyze(results, cfg)
     full_path = out / MR_VIOLATIONS_FILE
@@ -267,7 +279,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         out.mkdir(parents=True, exist_ok=True)
         return args.run(cfg, out, args)
-    except (persist.SchemaError, ConfigError, campaign.SamplingError, OSError) as exc:
+    except (persist.SchemaError, ConfigError, records.SamplingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .campaign import RequiredInput
-from .plants import NonlinearBlock, PlantSpec
+from .records import NonlinearBlock, PlantSpec, RequiredInput
 from .signals import ShapeKind
 
 CONFIG_VERSION = 1

@@ -23,11 +23,11 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 
-from .analysis import MrViolation
-from .campaign import (
+from .records import (
     AmplitudeBoundMap,
     Component,
     GeneratedTest,
+    MrViolation,
     TestResult,
     TestSet,
 )

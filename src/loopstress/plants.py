@@ -20,7 +20,9 @@ quantisation), the actuation path (dead zone, backlash, command saturation)
 or the physics itself (coulomb and quadratic friction forces).  Every step
 is instrumented: saturation flags plus the absolute deviation each injected
 block introduced relative to an ideal linear counterpart, so test outcomes
-can be attributed to specific non-linearities afterwards.
+can be attributed to specific non-linearities afterwards.  The specs and
+blocks (``PlantSpec``, ``NonlinearBlock``, ``drone_spec``, ``dc_servo_spec``)
+are defined in :mod:`loopstress.records`; this module simulates them.
 
 One stepper runs the loop: ``stepper.c``, compiled at first use with
 ``gcc`` into the package's ``__pycache__`` (see :func:`load_kernel`).  One
@@ -39,28 +41,15 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass, field
 from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
 
+from .records import _BLOCKS, _MODELS, PlantSpec
 from .spectral import Trace
 
 __all__ = [
-    "BLOCK_KINDS",
-    "NonlinearBlock",
-    "actuator_saturation",
-    "sensor_saturation",
-    "quantizer",
-    "dead_zone",
-    "backlash",
-    "coulomb_friction",
-    "quadratic_friction",
-    "PlantSpec",
-    "drone_spec",
-    "dc_servo_spec",
     "InstrumentationLog",
     "PlantRun",
     "LaneRuns",
@@ -68,205 +57,6 @@ __all__ = [
     "run_lanes",
     "load_kernel",
 ]
-
-
-class _Block(NamedTuple):
-    bit: int  # of the steppers' ``blocks``: set when a block of the kind is attached
-    params: tuple[str, ...]  # required names, in the order their values fill ``p``
-    rule: Callable[..., bool]  # true of valid parameter values, false of NaN
-    error: str  # the message when ``rule`` fails
-
-
-# Every block kind, in the order of ``stepper.c``'s enum.
-_BLOCKS = {
-    "sensor_saturation":
-        _Block(1, ("lo", "hi"), lambda lo, hi: lo < hi, "saturation needs lo < hi"),
-    "quantizer":
-        _Block(2, ("step",), lambda step: step > 0.0, "quantizer step must be positive"),
-    "dead_zone":
-        _Block(4, ("half_width",), lambda w: w >= 0.0, "dead zone half width must be non-negative"),
-    "backlash":
-        _Block(8, ("play",), lambda play: play >= 0.0, "backlash play must be non-negative"),
-    "actuator_saturation":
-        _Block(16, ("lo", "hi"), lambda lo, hi: lo < hi, "saturation needs lo < hi"),
-    "coulomb_friction":
-        _Block(32, ("level",), lambda level: level >= 0.0, "friction level must be non-negative"),
-    "quadratic_friction":
-        _Block(64, ("coef",), lambda coef: coef >= 0.0, "friction coefficient must be non-negative"),
-}
-
-# kind -> required parameter names
-BLOCK_KINDS: dict[str, tuple[str, ...]] = {kind: b.params for kind, b in _BLOCKS.items()}
-
-
-@dataclass(frozen=True)
-class NonlinearBlock:
-    """One non-linear element, identified by kind plus its parameters."""
-
-    kind: str
-    params: dict[str, float]
-
-    def __post_init__(self):
-        if self.kind not in _BLOCKS:
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        block = _BLOCKS[self.kind]
-        wanted = set(block.params)
-        got = set(self.params)
-        if got != wanted:
-            raise ValueError(
-                f"{self.kind} expects parameters {sorted(wanted)}, got {sorted(got)}"
-            )
-        object.__setattr__(
-            self, "params", {k: float(v) for k, v in self.params.items()}
-        )
-        if not block.rule(*(self.params[name] for name in block.params)):
-            raise ValueError(block.error)
-
-
-def actuator_saturation(lo: float, hi: float) -> NonlinearBlock:
-    return NonlinearBlock("actuator_saturation", {"lo": lo, "hi": hi})
-
-
-def sensor_saturation(lo: float, hi: float) -> NonlinearBlock:
-    return NonlinearBlock("sensor_saturation", {"lo": lo, "hi": hi})
-
-
-def quantizer(step: float) -> NonlinearBlock:
-    return NonlinearBlock("quantizer", {"step": step})
-
-
-def dead_zone(half_width: float) -> NonlinearBlock:
-    return NonlinearBlock("dead_zone", {"half_width": half_width})
-
-
-def backlash(play: float) -> NonlinearBlock:
-    return NonlinearBlock("backlash", {"play": play})
-
-
-def coulomb_friction(level: float) -> NonlinearBlock:
-    return NonlinearBlock("coulomb_friction", {"level": level})
-
-
-def quadratic_friction(coef: float) -> NonlinearBlock:
-    return NonlinearBlock("quadratic_friction", {"coef": coef})
-
-
-# Each model's default parameters, and the parameter that plays each role in
-# the shared loop
-#     u = P*e + integral - D*filtered_derivative,
-#     v += (gain*u + friction - damping*v) / inertia * dt,
-# as (gain, damping, inertia, P, I, D).  The drone's thrust acts on its mass
-# directly, so its gain is None, meaning the constant 1.0.
-_MODELS = {
-    "drone_alt": {
-        "physical": {"mass": 0.1, "drag": 1.0, "nominal_speed": 1.0},
-        "controller": {"kp": 3.0, "ki": 2.0, "kd": 0.0, "deriv_tau": 0.0},
-        "roles": (None, "drag", "mass", "kp", "ki", "kd"),
-    },
-    "dc_servo": {
-        "physical": {
-            "inertia": 0.01,
-            "damping": 0.02,
-            "torque_const": 0.05,
-            "nominal_speed": 1.0,
-            "pwm_step": 0.0,  # >0 replaces PWM by duty-cycle quantisation
-        },
-        "controller": {"k_pos": 3.7, "k_int": 2.0, "k_vel": 0.8, "deriv_tau": 0.01},
-        "roles": ("torque_const", "damping", "inertia", "k_pos", "k_int", "k_vel"),
-    },
-}
-
-
-@dataclass(frozen=True)
-class PlantSpec:
-    """Fully describes a simulated loop: model, parameters, blocks, sampling.
-
-    Missing physical/controller entries are filled with the model defaults;
-    unknown entries are rejected.  At most one block of each kind may be
-    attached.  Parameters are checked by their role in the loop: the inertia
-    (the drone's mass) must be positive, and the damping (the drone's drag),
-    ``deriv_tau`` and ``pwm_step`` non-negative, which NaN fails; the gains
-    are free.
-    """
-
-    model: str
-    physical: dict[str, float] = field(default_factory=dict)
-    controller: dict[str, float] = field(default_factory=dict)
-    blocks: tuple[NonlinearBlock, ...] = ()
-    sample_interval: float = 0.001
-
-    def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown plant model {self.model!r}")
-        defaults = _MODELS[self.model]
-        for attr in ("physical", "controller"):
-            given = dict(getattr(self, attr))
-            allowed = defaults[attr]
-            unknown = set(given) - set(allowed)
-            if unknown:
-                raise ValueError(
-                    f"unknown {attr} parameters for {self.model}: {sorted(unknown)}"
-                )
-            merged = {**allowed, **{k: float(v) for k, v in given.items()}}
-            object.__setattr__(self, attr, merged)
-        blocks = tuple(self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        kinds = [b.kind for b in blocks]
-        if len(kinds) != len(set(kinds)):
-            raise ValueError("at most one block of each kind may be attached")
-        if not self.sample_interval > 0.0:
-            raise ValueError("sample_interval must be positive")
-        params = {**self.physical, **self.controller}
-        _, damping, inertia = defaults["roles"][:3]
-        if not params[inertia] > 0.0:
-            raise ValueError(f"{inertia} must be positive")
-        for name in (damping, "deriv_tau", "pwm_step"):
-            if not params.get(name, 0.0) >= 0.0:  # the drone has no pwm_step
-                raise ValueError(f"{name} must be non-negative")
-
-
-def _model_spec(model: str, blocks, sample_interval: float, overrides: dict) -> PlantSpec:
-    """The spec of ``model`` with ``blocks``, its flat keyword overrides
-    sorted into the model's physical and controller sets."""
-    defaults = _MODELS[model]
-    physical = {k: v for k, v in overrides.items() if k in defaults["physical"]}
-    controller = {k: v for k, v in overrides.items() if k in defaults["controller"]}
-    leftovers = set(overrides) - set(physical) - set(controller)
-    if leftovers:
-        raise ValueError(f"unknown {model} parameters: {sorted(leftovers)}")
-    return PlantSpec(model, physical, controller, blocks, sample_interval)
-
-
-def drone_spec(
-    thrust_limit: float = 2.0,
-    extra_blocks: tuple[NonlinearBlock, ...] = (),
-    sample_interval: float = 0.001,
-    **param_overrides,
-) -> PlantSpec:
-    """Quadrotor altitude loop with symmetric thrust saturation (default 2 N)."""
-    blocks = ()
-    if thrust_limit > 0.0:
-        blocks = (actuator_saturation(-thrust_limit, thrust_limit),)
-    return _model_spec("drone_alt", blocks + tuple(extra_blocks), sample_interval, param_overrides)
-
-
-def dc_servo_spec(
-    voltage_limit: float = 10.0,
-    sensor_range: float = 4.0 * math.pi,
-    adc_step: float = 2.0 * math.pi / 4096.0,
-    extra_blocks: tuple[NonlinearBlock, ...] = (),
-    sample_interval: float = 0.001,
-    **param_overrides,
-) -> PlantSpec:
-    """DC servo loop: voltage-limited drive, range-limited and quantised encoder."""
-    blocks: tuple[NonlinearBlock, ...] = ()
-    if voltage_limit > 0.0:
-        blocks += (actuator_saturation(-voltage_limit, voltage_limit),)
-    if sensor_range > 0.0:
-        blocks += (sensor_saturation(-sensor_range, sensor_range),)
-    if adc_step > 0.0:
-        blocks += (quantizer(adc_step),)
-    return _model_spec("dc_servo", blocks + tuple(extra_blocks), sample_interval, param_overrides)
 
 
 class InstrumentationLog(NamedTuple):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from loopstress import plants
 from loopstress.analysis import BandwidthEstimate, BandwidthStatus
-from loopstress.campaign import Component, GeneratedTest, TestResult
+from loopstress.records import Component, GeneratedTest, TestResult
 from loopstress.signals import ShapeKind, TestCase, snap_time_gain
 
 

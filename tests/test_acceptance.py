@@ -16,8 +16,6 @@ import pytest
 
 from loopstress.analysis import check_mr1, check_mr2, check_mr3, estimate_bandwidth
 from loopstress.campaign import (
-    GeneratedTest,
-    RequiredInput,
     binary_search_upperbound,
     calibration_curve,
     execute_campaign,
@@ -26,7 +24,7 @@ from loopstress.campaign import (
     pick_num_periods,
 )
 from loopstress import cli
-from loopstress.plants import drone_spec
+from loopstress.records import GeneratedTest, RequiredInput, drone_spec
 from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain
 from loopstress.spectral import Trace, degree_of_nonlinearity, dft_amplitude, dof_profile, fa_map
 

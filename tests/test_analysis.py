@@ -18,7 +18,6 @@ from loopstress.analysis import (
     SCATTER_HEADER,
     BandwidthEstimate,
     BandwidthStatus,
-    MrViolation,
     ScopeClass,
     check_mr1,
     check_mr2,
@@ -27,6 +26,7 @@ from loopstress.analysis import (
     estimate_bandwidth,
     export_plot_data,
 )
+from loopstress.records import MrViolation
 from loopstress.signals import ShapeKind, snap_time_gain
 
 from conftest import bandwidth_estimates, make_result, violation_family

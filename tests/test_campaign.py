@@ -9,14 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopstress import campaign, plants, spectral
+from loopstress import campaign, plants, records, spectral
 from loopstress.campaign import (
-    AmplitudeBoundMap,
-    Component,
-    BoundRefinementError,
-    RequiredInput,
-    TestResult,
-    TestSet,
     binary_search_upperbound,
     calibration_curve,
     derive_frequency_resolution,
@@ -25,12 +19,18 @@ from loopstress.campaign import (
     optimistic_amplitude_bound,
     pick_num_periods,
 )
-from loopstress.plants import (
+from loopstress.plants import run_plant
+from loopstress.records import (
+    AmplitudeBoundMap,
+    BoundRefinementError,
+    Component,
+    RequiredInput,
+    TestResult,
+    TestSet,
     dc_servo_spec,
     dead_zone,
     drone_spec,
     quadratic_friction,
-    run_plant,
 )
 from loopstress.signals import ShapeKind, TestCase, render_reference, snap_time_gain, unit_period
 from loopstress.spectral import (
@@ -595,7 +595,7 @@ def record_output_rows(monkeypatch) -> list:
 
 def sine_tests(inputs, amplitudes, frequency=1.0):
     return [
-        campaign.GeneratedTest(
+        records.GeneratedTest(
             campaign._case(inputs, ShapeKind.SINE, frequency, amplitude), frequency, 2.0, 0.0
         )
         for amplitude in amplitudes
@@ -617,7 +617,7 @@ def test_a_block_holding_diverging_tests_scores_like_one_test_at_a_time(stepper,
     plant = drone_spec(kp=-30.0, ki=0.0, thrust_limit=0.0, extra_blocks=(dead_zone(15.0),))
     inputs = RequiredInput(f_min=0.5, f_max=2.0, a_max=2.0, delta_a=0.25, base_periods=2)
     tests = [
-        campaign.GeneratedTest(
+        records.GeneratedTest(
             campaign._case(inputs, shape, 1.0, amplitude), 1.0, 2.0, 0.0
         )
         for shape, amplitude in [
@@ -686,7 +686,7 @@ def test_execute_rejects_tests_sampled_unlike_the_plant():
     tests = generate_test_set(bound_map, (ShapeKind.SQUARE,), coarse, seed=3).tests
     _, inputs = small_test_set()
     message = r"test and plant sample intervals differ \(0.002 vs 0.001\)"
-    with pytest.raises(campaign.SamplingError, match=message):
+    with pytest.raises(records.SamplingError, match=message):
         execute_campaign(drone_spec(), tests, inputs)
 
 
@@ -831,7 +831,7 @@ def test_calibration_curve_is_the_run_stages_dnl_per_repetition_count(stepper, p
     # that repeats its period k times, a diverging one's included.
     inputs = RequiredInput(f_min=0.5, f_max=2.0, a_max=2.0, delta_a=0.25, base_periods=2)
     tests = [
-        campaign.GeneratedTest(
+        records.GeneratedTest(
             campaign._case(inputs, shape, inputs.f_max, inputs.a_max, k), inputs.f_max, inputs.a_max, 0.0
         )
         for k in range(1, 7)

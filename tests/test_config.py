@@ -17,8 +17,7 @@ from loopstress.config import (
     config_from_dict,
     load_config,
 )
-from loopstress.campaign import RequiredInput
-from loopstress.plants import drone_spec
+from loopstress.records import RequiredInput, drone_spec
 from loopstress.signals import ShapeKind
 
 from conftest import JSON_VALUES

@@ -11,14 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopstress import persist
-from loopstress.analysis import MrViolation, ScopeClass
-from loopstress.campaign import (
-    AmplitudeBoundMap,
-    RequiredInput,
-    execute_campaign,
-    generate_test_set,
-)
-from loopstress.plants import drone_spec
+from loopstress.analysis import ScopeClass
+from loopstress.campaign import execute_campaign, generate_test_set
+from loopstress.records import AmplitudeBoundMap, MrViolation, RequiredInput, drone_spec
 from loopstress.signals import ShapeKind
 
 from conftest import JSON_VALUES

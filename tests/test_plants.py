@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopstress import plants
-from loopstress.plants import (
+from loopstress.plants import run_lanes, run_plant
+from loopstress.records import (
     BLOCK_KINDS,
     NonlinearBlock,
     PlantSpec,
@@ -25,8 +26,6 @@ from loopstress.plants import (
     drone_spec,
     quadratic_friction,
     quantizer,
-    run_lanes,
-    run_plant,
     sensor_saturation,
 )
 from loopstress.signals import ShapeKind, TestCase, eval_shape, render_reference, snap_time_gain
