@@ -41,6 +41,8 @@ from .signals import ShapeKind
 __all__ = [
     "MrSummary",
     "TOP_K",
+    "MR2_TOLERANCE",
+    "BOUNDARY_FACTOR",
     "check_mr1",
     "check_mr2",
     "BandwidthEstimate",
@@ -63,6 +65,12 @@ _TABLE_SIDE = 512
 
 # Tests, and records, that an MR1/MR2 summary lists.
 TOP_K = 20
+
+# MR2 flags a partner dof at least this far above the faster test's.
+MR2_TOLERANCE = 1e-6
+
+# A test is within scope below this share of the dnl threshold.
+BOUNDARY_FACTOR = 0.5
 
 
 class MrSummary:
@@ -448,7 +456,7 @@ def _mr2_layouts(groups, fast=None):
             yield idx, freq, dof, rows, comps, slower, best[of], hit[of]
 
 
-def _mr2_pairs(groups, min_gap, fast=None):
+def _mr2_pairs(groups, fast=None):
     """MR2 violations ``(i, j, k, m, gap)`` as arrays (component ``k`` of the
     faster test ``i`` against component ``m`` of ``j``), one chunk at a time:
     ascending ``(i, j, k)`` within a chunk.  ``fast``, if given, marks the
@@ -464,7 +472,7 @@ def _mr2_pairs(groups, min_gap, fast=None):
                 f_rows = rows[row_start:row_start + row_step]
                 with np.errstate(all="ignore"):
                     gap = partner_dof - dof[f_rows[:, None], comps][:, None, :]
-                f, j, c = np.nonzero((gap >= min_gap) & matched)
+                f, j, c = np.nonzero((gap >= MR2_TOLERANCE) & matched)
                 if f.size:
                     yield idx[f_rows[f]], idx[js[j]], comps[c], partner[j, c], gap[f, j, c]
 
@@ -502,22 +510,22 @@ def _least(n, holds):
         lo = np.where(open_ & ~yes, mid + 1, lo)
 
 
-def _dof_ranks(dofs, min_gap):
+def _dof_ranks(dofs):
     """The distinct non-NaN ``dofs``, ascending, and per rank ``r``: the
     least partner rank that violates against a faster test's dof of rank
     ``r``, and the largest faster-test rank that a partner of rank ``r``
     violates against, or -1.
 
-    A partner dof ``y`` violates against a faster test's ``x`` if ``y - x
-    >= min_gap``.  Rounded subtraction is monotone in each argument, so for
-    each ``x`` those ``y`` are the dofs from some rank up, and a bisection
-    over the ranks finds it."""
+    A partner dof ``y`` violates against a faster test's ``x`` if ``y - x >=
+    MR2_TOLERANCE``.  Rounded subtraction is monotone in each argument, so
+    for each ``x`` those ``y`` are the dofs from some rank up, and a
+    bisection over the ranks finds it."""
     values = _sorted(dofs[~np.isnan(dofs)])
     if values.size:
         values = values[np.r_[True, values[1:] != values[:-1]]]
     with np.errstate(invalid="ignore"):
-        lowest = _least(values.size, lambda s, r: values[s] - values[r] >= min_gap)
-        highest = _least(values.size, lambda s, r: ~(values[r] - values[s] >= min_gap)) - 1
+        lowest = _least(values.size, lambda s, r: values[s] - values[r] >= MR2_TOLERANCE)
+        highest = _least(values.size, lambda s, r: ~(values[r] - values[s] >= MR2_TOLERANCE)) - 1
     return values, lowest, highest
 
 
@@ -542,11 +550,7 @@ def _count_pairs(ranks, x, y, has_x, has_y):
     return np.where(has_x, per_x, 0), np.where(has_y, per_y, 0)
 
 
-def check_mr2(
-    results,
-    dnl_threshold: float,
-    equality_tolerance: float = 1e-6,
-) -> tuple[MrSummary, int]:
+def check_mr2(results, dnl_threshold: float) -> tuple[MrSummary, int]:
     """Faster linear tests must be filtered strictly more, component by component.
 
     For each same-shape pair of linear tests (both dnl under the threshold)
@@ -554,18 +558,17 @@ def check_mr2(
     compared against the slower test's component at ``f * T_j / T_i``
     (matched to the nearest component within half the slower test's DFT
     bin, ``0.5 / duration``; the first of equally near components wins).
-    The relation expects ``dof_i(f) > dof_j(matched)``; differences smaller
-    than ``equality_tolerance`` are not flagged.  Returns the
-    :class:`MrSummary` of the violations, counted per fast layout and
-    component without listing the pairs (:func:`_count_pairs`), plus the
-    number of components that found no partner bin.  :func:`list_violations`
-    lists the pairs.
+    The relation expects ``dof_i(f) > dof_j(matched)``; a violation is a
+    partner dof at least ``MR2_TOLERANCE`` above the faster test's.
+    Returns the :class:`MrSummary` of the violations, counted per fast
+    layout and component without listing the pairs (:func:`_count_pairs`),
+    plus the number of components that found no partner bin.
+    :func:`list_violations` lists the pairs.
     """
     results = list(results)
     cols = _columns(results)
     groups = _linear_groups(results, cols, dnl_threshold)
-    min_gap = max(equality_tolerance, 0.0)
-    ranks = _dof_ranks(np.concatenate([np.empty(0), *(g[2][g[3]] for g in groups)]), min_gap)
+    ranks = _dof_ranks(np.concatenate([np.empty(0), *(g[2][g[3]] for g in groups)]))
     n = cols.dnl.size
     per_shape = np.zeros(len(cols.shapes), dtype=np.int64)
     as_fast = np.zeros(n, dtype=np.int64)
@@ -599,7 +602,7 @@ def check_mr2(
                 key = None if f == 0.0 else e
                 bands[key] = bands.get(key, 0) + k
     leaders = _leaders(as_fast, largest)
-    top = _top_rows((gap, i, j, k, m) for i, j, k, m, gap in _mr2_pairs(groups, min_gap, leaders))
+    top = _top_rows((gap, i, j, k, m) for i, j, k, m, gap in _mr2_pairs(groups, leaders))
     summary = _summary(
         cols, per_shape, as_fast + as_slow, saturated, top,
         lambda i, j, k, m: _mr2_records(results, i, j, k, m), bands,
@@ -705,23 +708,17 @@ class ScopeClass(str, enum.Enum):
     OUTSIDE = "outside"
 
 
-def classify_scope(
-    result: TestResult,
-    dnl_threshold: float,
-    boundary_factor: float = 0.5,
-) -> ScopeClass:
+def classify_scope(result: TestResult, dnl_threshold: float) -> ScopeClass:
     """Place one test relative to the loop's design scope.
 
-    dnl below ``boundary_factor * dnl_threshold`` is comfortably linear
+    dnl below ``BOUNDARY_FACTOR * dnl_threshold`` is comfortably linear
     (within scope); between that and the threshold the loop is stressed but
     still linear (boundary); at or above the threshold (divergence included,
     via the infinite dnl sentinel) the test is outside the scope.
     """
-    if not 0.0 < boundary_factor < 1.0:
-        raise ValueError("boundary_factor must lie strictly between 0 and 1")
     if result.dnl >= dnl_threshold:
         return ScopeClass.OUTSIDE
-    if result.dnl >= boundary_factor * dnl_threshold:
+    if result.dnl >= BOUNDARY_FACTOR * dnl_threshold:
         return ScopeClass.BOUNDARY_STRESS
     return ScopeClass.WITHIN
 
@@ -742,11 +739,7 @@ DOF_HEADER = ("shape", "frequency", "dof")
 _SCOPE_COLUMN = SCATTER_HEADER.index("scope")
 
 
-def export_plot_data(
-    results,
-    dnl_threshold: float,
-    boundary_factor: float = 0.5,
-) -> tuple[list[tuple], list[tuple]]:
+def export_plot_data(results, dnl_threshold: float) -> tuple[list[tuple], list[tuple]]:
     """Flatten results into two plot-ready tables (rows in result order).
 
     Scatter table: one row per test with its main frequency, amplitude, dnl,
@@ -757,7 +750,7 @@ def export_plot_data(
     dof_rows = []
     for r in results:
         shape = r.case.shape
-        scope = classify_scope(r, dnl_threshold, boundary_factor)
+        scope = classify_scope(r, dnl_threshold)
         scatter.append(
             (
                 shape.value,
@@ -788,7 +781,7 @@ def list_violations(results, cfg, mr3, sink) -> None:
     for i, j in _mr1_pairs(cols):
         sink(_mr1_records(results, i, j))
     groups = _linear_groups(results, cols, cfg.inputs.dnl_threshold)
-    for i, j, k, m, _ in _mr2_pairs(groups, max(cfg.mr2_equality_tolerance, 0.0)):
+    for i, j, k, m, _ in _mr2_pairs(groups):
         sink(_mr2_records(results, i, j, k, m))
     sink(mr3)
 
@@ -811,8 +804,8 @@ def analyze(results, cfg) -> tuple[dict, list[tuple], list[tuple]]:
     }
     mr3, undefined = check_mr3(bandwidths, cfg.mr3_epsilon)
     mr1 = check_mr1(results)
-    mr2, skipped = check_mr2(results, th, cfg.mr2_equality_tolerance)
-    scatter, dof_rows = export_plot_data(results, th, cfg.boundary_factor)
+    mr2, skipped = check_mr2(results, th)
+    scatter, dof_rows = export_plot_data(results, th)
     scope_counts = {s.value: 0 for s in ScopeClass}
     for row in scatter:
         scope_counts[row[_SCOPE_COLUMN]] += 1

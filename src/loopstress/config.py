@@ -2,7 +2,7 @@
 
 One JSON document describes a whole campaign: the plant under test, the
 required inputs (frequency range, amplitude cap and resolution), the shapes
-to generate, and the analysis knobs.  Parsing is strict -- unknown keys are
+to generate, and MR3's tolerance.  Parsing is strict -- unknown keys are
 rejected rather than ignored, and values of the wrong JSON type (``"7"`` or
 ``true`` for a number, ``2.9`` for an integer) are rejected rather than
 coerced, so a typo fails loudly instead of silently running with something
@@ -43,9 +43,7 @@ class CampaignConfig:
     max_periods: int = 10
     calibration_shape: ShapeKind = ShapeKind.SINE
     beta_params: tuple[float, float] = (2.0, 1.0)
-    mr2_equality_tolerance: float = 1e-6
     mr3_epsilon: float | None = None
-    boundary_factor: float = 0.5
     max_frequencies: int = 256
 
     def __post_init__(self):
@@ -63,12 +61,8 @@ class CampaignConfig:
             raise ConfigError("max_frequencies must be at least 2")
         if not all(p > 0.0 for p in self.beta_params):
             raise ConfigError("beta distribution parameters must be positive")
-        if self.mr2_equality_tolerance < 0.0:
-            raise ConfigError("mr2_equality_tolerance must not be negative")
         if self.mr3_epsilon is not None and not self.mr3_epsilon > 0.0:
             raise ConfigError("mr3_epsilon must be positive")
-        if not 0.0 < self.boundary_factor < 1.0:
-            raise ConfigError("boundary_factor must lie strictly between 0 and 1")
         if self.plant.sample_interval != self.inputs.sample_interval:
             raise ConfigError(
                 "plant and campaign sample intervals differ "
@@ -210,11 +204,7 @@ def _build_config(raw: dict) -> CampaignConfig:
             "calibration_shape", _take(raw, "calibration_shape", CampaignConfig.calibration_shape)
         ),
         beta_params=(_number(raw, "beta_alpha", beta_alpha), _number(raw, "beta_beta", beta_beta)),
-        mr2_equality_tolerance=_number(
-            raw, "mr2_equality_tolerance", CampaignConfig.mr2_equality_tolerance
-        ),
         mr3_epsilon=_number(raw, "mr3_epsilon", CampaignConfig.mr3_epsilon),
-        boundary_factor=_number(raw, "boundary_factor", CampaignConfig.boundary_factor),
         max_frequencies=_integer(raw, "max_frequencies", CampaignConfig.max_frequencies),
     )
     if raw:

@@ -292,15 +292,15 @@ def save_results(path, results) -> None:
 
 
 def _result_from_dict(row: dict) -> TestResult:
-    return TestResult(
+    result = TestResult(
         test=_test_from_dict(row["test"]),
-        # Infinite when the test diverged.
+        # Infinite exactly when the test diverged (checked below).
         dnl=_within(_number(row["dnl"]), 0.0),
         components=tuple(
             Component(
-                frequency=_number(f),
-                amplitude=_number(a),
-                dof=None if d is None else _number(d),
+                frequency=_within(_finite(f), 0.0),
+                amplitude=_within(_finite(a), 0.0),
+                dof=None if d is None else _finite(d),
             )
             for f, a, d in _list(row["components"])
         ),
@@ -310,6 +310,9 @@ def _result_from_dict(row: dict) -> TestResult:
         deviation_mean=_within(_number(row["deviation_mean"]), 0.0),
         diverged=_flag(row["diverged"]),
     )
+    if math.isinf(result.dnl) != result.diverged:
+        raise ValueError(f"dnl {result.dnl!r} with diverged {result.diverged!r}")
+    return result
 
 
 def load_results(path) -> tuple[TestResult, ...]:

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def reference_mr1(results):
     return tuple(violations)
 
 
-def reference_mr2(results, dnl_threshold, equality_tolerance=1e-6):
+def reference_mr2(results, dnl_threshold):
     results = list(results)
     linear = [
         (idx, r)
@@ -95,7 +96,7 @@ def reference_mr2(results, dnl_threshold, equality_tolerance=1e-6):
                 if partner is None or partner_dist > tol:
                     skipped += 1
                     continue
-                if partner.dof - comp.dof >= max(equality_tolerance, 0.0):
+                if partner.dof - comp.dof >= analysis.MR2_TOLERANCE:
                     violations.append(
                         MrViolation(
                             relation="MR2",
@@ -163,21 +164,16 @@ def stage_config(**overrides):
     knobs = dict(
         inputs=SimpleNamespace(dnl_threshold=0.15),
         shapes=(ShapeKind.SQUARE, ShapeKind.TRIANGLE, ShapeKind.SINE, ShapeKind.SAWTOOTH),
-        mr2_equality_tolerance=1e-6,
         mr3_epsilon=0.1,
-        boundary_factor=0.5,
     )
     return SimpleNamespace(**{**knobs, **overrides})
 
 
-def listed_records(results, relation, dnl_threshold=0.15, equality_tolerance=1e-6):
+def listed_records(results, relation, dnl_threshold=0.15):
     """The ``relation`` records that ``list_violations`` (the code behind
     ``--full-violations``) hands its sink, by subjects (stable, so MR2
     components keep their order)."""
-    cfg = stage_config(
-        inputs=SimpleNamespace(dnl_threshold=dnl_threshold),
-        mr2_equality_tolerance=equality_tolerance,
-    )
+    cfg = stage_config(inputs=SimpleNamespace(dnl_threshold=dnl_threshold))
     records = []
     analysis.list_violations(results, cfg, [], records.extend)
     return tuple(sorted((v for v in records if v.relation == relation),
@@ -189,11 +185,11 @@ def full_mr1(results):
     return check_mr1(results), listed_records(results, "MR1")
 
 
-def full_mr2(results, dnl_threshold, equality_tolerance=1e-6):
+def full_mr2(results, dnl_threshold):
     """check_mr2's summary, every MR2 record listed (as ``listed_records``)
     and the skipped count."""
-    summary, skipped = check_mr2(results, dnl_threshold, equality_tolerance)
-    return summary, listed_records(results, "MR2", dnl_threshold, equality_tolerance), skipped
+    summary, skipped = check_mr2(results, dnl_threshold)
+    return summary, listed_records(results, "MR2", dnl_threshold), skipped
 
 
 def assert_mr1_matches_reference(results):
@@ -205,10 +201,10 @@ def assert_mr1_matches_reference(results):
     return expected
 
 
-def assert_mr2_matches_reference(results, *args, **kwargs):
+def assert_mr2_matches_reference(results, dnl_threshold):
     """check_mr2 against the double loop, as ``assert_mr1_matches_reference``."""
-    summary, records, skipped = full_mr2(results, *args, **kwargs)
-    expected, expected_skipped = reference_mr2(results, *args, **kwargs)
+    summary, records, skipped = full_mr2(results, dnl_threshold)
+    expected, expected_skipped = reference_mr2(results, dnl_threshold)
     assert (records, skipped) == (expected, expected_skipped)
     assert summary_fields(summary) == reference_summary(results, "MR2", expected)
     return expected, skipped
@@ -393,10 +389,9 @@ def test_mr2_equal_dofs_not_flagged_at_default_tolerance():
     assert len(summary) == 0 and violations == ()
 
 
-def test_mr2_equal_dofs_flagged_when_tolerance_is_zero():
-    summary, violations, _ = full_mr2(
-        _mr2_pair(set(), equalities=True), dnl_threshold=0.15, equality_tolerance=0.0
-    )
+def test_mr2_equal_dofs_flagged_when_tolerance_is_zero(monkeypatch):
+    monkeypatch.setattr(analysis, "MR2_TOLERANCE", 0.0)
+    summary, violations, _ = full_mr2(_mr2_pair(set(), equalities=True), dnl_threshold=0.15)
     assert len(summary) == len(violations) == 5
 
 
@@ -446,12 +441,10 @@ def test_mr1_matches_the_reference_loops(results):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    results=_results,
-    equality_tolerance=st.sampled_from([1e-6, 0.0, -1.0]),
-)
-def test_mr2_matches_the_reference_loops(results, equality_tolerance):
-    assert_mr2_matches_reference(results, 0.15, equality_tolerance)
+@given(results=_results, tolerance=st.sampled_from([1e-6, 0.0]))
+def test_mr2_matches_the_reference_loops(results, tolerance):
+    with mock.patch.object(analysis, "MR2_TOLERANCE", tolerance):
+        assert_mr2_matches_reference(results, 0.15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -465,8 +458,9 @@ def test_summaries_of_few_top_rows_and_small_chunks_match_the_reference_loops(
         mp.setattr(analysis, "TOP_K", top_k)
         mp.setattr(analysis, "_CHUNK_ELEMENTS", 7)
         mp.setattr(analysis, "_TABLE_SIDE", 2)
+        mp.setattr(analysis, "MR2_TOLERANCE", 0.0)
         assert_mr1_matches_reference(results)
-        assert_mr2_matches_reference(results, 0.15, 0.0)
+        assert_mr2_matches_reference(results, 0.15)
 
 
 # Result sets for the oracle below: few amplitudes, speeds and dnl values,
@@ -500,17 +494,18 @@ def _oracle_result(draw):
 @given(
     results=st.lists(_oracle_result(), min_size=2, max_size=24),
     top_k=st.sampled_from([1, 3, 20]),
-    equality_tolerance=st.sampled_from([1e-6, 0.0]),
+    tolerance=st.sampled_from([1e-6, 0.0]),
 )
-def test_summaries_equal_a_double_loop_over_pairs(results, top_k, equality_tolerance):
+def test_summaries_equal_a_double_loop_over_pairs(results, top_k, tolerance):
     # The summaries of both checkers, field by field, top records and their
     # order included, against the reference double loops over every pair.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "TOP_K", top_k)
+        mp.setattr(analysis, "MR2_TOLERANCE", tolerance)
         mr1 = reference_mr1(results)
         assert summary_fields(check_mr1(results)) == reference_summary(results, "MR1", mr1)
-        mr2, skipped = reference_mr2(results, 0.15, equality_tolerance)
-        summary, got_skipped = check_mr2(results, 0.15, equality_tolerance)
+        mr2, skipped = reference_mr2(results, 0.15)
+        summary, got_skipped = check_mr2(results, 0.15)
         assert summary_fields(summary) == reference_summary(results, "MR2", mr2)
         assert got_skipped == skipped
 
@@ -795,13 +790,6 @@ def test_classify_scope_is_monotone_in_dnl():
         idx = order.index(cls)
         assert idx >= last
         last = idx
-
-
-def test_classify_scope_rejects_bad_boundary_factor():
-    with pytest.raises(ValueError):
-        classify_scope(make_result(dnl=0.1), dnl_threshold=0.15, boundary_factor=0.0)
-    with pytest.raises(ValueError):
-        classify_scope(make_result(dnl=0.1), dnl_threshold=0.15, boundary_factor=1.0)
 
 
 # ---------------------------------------------------------------------------

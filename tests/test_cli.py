@@ -594,7 +594,7 @@ def test_wrongly_typed_config_value_is_invalid_input(tmp_path, override):
 
 
 def test_config_a_later_stage_would_reject_fails_before_the_bound_stage(tmp_path):
-    cfg = write_config(tmp_path, boundary_factor=1.5)
+    cfg = write_config(tmp_path, beta_alpha=0)
     out = tmp_path / "o"
     rc = cli.main(["campaign", "--config", str(cfg), "--out", str(out)])
     assert rc == cli.EXIT_INVALID_INPUT
@@ -656,7 +656,6 @@ def only_error_line(capsys, prefix: str = "error:") -> str:
         ({"sample_interval": True}, "sample_interval must be a finite number"),
         ({"max_frequencies": -3}, "max_frequencies must be at least 2"),
         ({"seed": -1}, "seed must not be negative"),
-        ({"mr2_equality_tolerance": -1.0}, "mr2_equality_tolerance must not be negative"),
         # Minus the sample interval, which alpha = dt / (deriv_tau + dt) divides by.
         ({"plant": {"model": "drone_alt", "controller": {"deriv_tau": -0.001}}},
          "deriv_tau must be non-negative"),
@@ -665,17 +664,20 @@ def only_error_line(capsys, prefix: str = "error:") -> str:
         ({"plant": {"model": "dc_servo", "physical": {"pwm_step": -0.05}}},
          "pwm_step must be non-negative"),
         ({"plant": {"model": "drone_alt", "blocks": {}}}, "plant blocks must be a list"),
-        # Keys that selected a second dnl divisor, MR2 window or sample interval.
+        # Keys that selected a second dnl divisor, MR2 window, MR2 margin,
+        # scope boundary or sample interval.
         ({"dnl_includes_mean": True}, "unknown config keys: ['dnl_includes_mean']"),
         ({"mr2_bin_tolerance": 0.1}, "unknown config keys: ['mr2_bin_tolerance']"),
+        ({"mr2_equality_tolerance": 1e-6}, "unknown config keys: ['mr2_equality_tolerance']"),
+        ({"boundary_factor": 0.5}, "unknown config keys: ['boundary_factor']"),
         ({"plant": {"model": "drone_alt", "sample_interval": 0.001}},
          "unknown plant keys: ['sample_interval']"),
     ],
     ids=["shapes-int", "shapes-null", "shapes-object", "sample-interval-bool",
-         "max-frequencies-negative", "seed-negative", "mr2-equality-tolerance-negative",
+         "max-frequencies-negative", "seed-negative",
          "deriv-tau-minus-dt", "servo-damping-negative", "pwm-step-negative",
          "plant-blocks-object", "dnl-includes-mean", "mr2-bin-tolerance",
-         "plant-sample-interval"],
+         "mr2-equality-tolerance", "boundary-factor", "plant-sample-interval"],
 )
 def test_malformed_config_exits_3_with_one_error_line(tmp_path, capsys, override, says):
     cfg = write_config(tmp_path, **override)
@@ -709,6 +711,14 @@ def staged(tmp_path_factory):
     for stage in ("bound", "generate", "run"):
         assert cli.main([stage, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     return cfg, out
+
+
+def first_component(row, field, value):
+    """A result ``row`` whose first component has ``value`` at ``field``
+    (0 frequency, 1 amplitude, 2 dof)."""
+    components = [list(c) for c in row["components"]]
+    components[0][field] = value
+    return {**row, "components": components}
 
 
 @pytest.mark.parametrize(
@@ -750,6 +760,17 @@ def staged(tmp_path_factory):
         (cli.RESULTS_FILE, 1, lambda r: {**r, "deviation_mean": -1.0}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": -1.0}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": -math.inf}),
+        # A component's frequency and amplitude are finite and >= 0, and its
+        # dof, 1 - |Y|/|R|, is finite.
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 0, -0.5)),
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 0, math.inf)),
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 1, -1.0)),
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 1, math.inf)),
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 2, math.inf)),
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 2, -math.inf)),
+        # dnl is infinite exactly when the test diverged.
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": math.inf, "diverged": False}),
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": 0.01, "diverged": True}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
@@ -762,7 +783,11 @@ def staged(tmp_path_factory):
          "results-components-string", "bounds-negative-probes",
          "results-fraction-above-one", "results-fraction-negative",
          "results-fraction-infinite", "results-deviation-negative",
-         "results-dnl-negative", "results-dnl-minus-infinity"],
+         "results-dnl-negative", "results-dnl-minus-infinity",
+         "results-frequency-negative", "results-frequency-infinite",
+         "results-amplitude-negative", "results-amplitude-infinite",
+         "results-dof-infinite", "results-dof-minus-infinity",
+         "results-infinite-dnl-not-diverged", "results-diverged-finite-dnl"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit
@@ -817,6 +842,26 @@ def test_shipped_configs_bound_on_the_snapped_period_grid(tmp_path, capsys, path
     periods = [snap_time_gain(f, dt) for f in bound_map.frequencies]
     assert len(set(periods)) == len(periods)
     assert bound_map.probes >= len(bound_map.frequencies)
+
+
+def test_drone_full_finishes_its_campaign(tmp_path):
+    # The largest shipped config that finishes in seconds, and the one whose
+    # run stage spreads many chunks over the worker pool.  No digest or count
+    # is pinned: both depend on the bits of numpy's FFT.
+    path = next(p for p in SHIPPED_CONFIGS if p.stem == "drone_full")
+    rc = cli.main(["campaign", "--config", str(path), "--out", str(tmp_path), "--workers", "2"])
+    assert rc in (cli.EXIT_OK, cli.EXIT_WARNINGS)
+    persist.load_bounds(tmp_path / cli.BOUNDS_FILE)
+    tests = persist.load_test_set(tmp_path / cli.TESTS_FILE).tests
+    results = persist.load_results(tmp_path / cli.RESULTS_FILE)
+    report = persist.load_json_report(tmp_path / cli.MR_REPORT_FILE)
+    assert [r.test for r in results] == list(tests)
+    assert sum(report["scope_counts"].values()) == len(results)
+    scatter = (tmp_path / cli.SCATTER_FILE).read_text().splitlines()
+    assert scatter[0] == ",".join(analysis.SCATTER_HEADER)
+    assert len(scatter) == len(results) + 1
+    dof = (tmp_path / cli.DOF_FILE).read_text().splitlines()
+    assert dof[0] == ",".join(analysis.DOF_HEADER)
 
 
 def test_unknown_subcommand_exits_via_argparse(tmp_path):

@@ -81,9 +81,7 @@ def full_raw():
         rho=0.05,
         base_periods=4,
         sample_interval=0.002,
-        mr2_equality_tolerance=0.0,
         mr3_epsilon=0.25,
-        boundary_factor=0.4,
         max_frequencies=64,
     )
 
@@ -104,9 +102,7 @@ def test_full_config_round_trip_of_every_field():
     assert cfg.inputs.rho == pytest.approx(0.05)
     assert cfg.inputs.base_periods == 4
     assert cfg.plant.sample_interval == cfg.inputs.sample_interval == 0.002
-    assert cfg.mr2_equality_tolerance == 0.0
     assert cfg.mr3_epsilon == pytest.approx(0.25)
-    assert cfg.boundary_factor == pytest.approx(0.4)
     assert cfg.max_frequencies == 64
 
 
@@ -120,10 +116,13 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(shapes=["square", "square"]),
         lambda raw: raw.update(plant={"model": "unknown_plant"}),
         lambda raw: raw.update(plant={"model": "drone_alt", "wings": 2}),
-        # dnl has one divisor, MR2 one matching window, and the plant samples
-        # at the campaign's interval: no key selects another.
+        # dnl has one divisor, MR2 one matching window and one margin, the
+        # scope one boundary, and the plant samples at the campaign's
+        # interval: no key selects another.
         lambda raw: raw.update(dnl_includes_mean=True),
         lambda raw: raw.update(mr2_bin_tolerance=0.1),
+        lambda raw: raw.update(mr2_equality_tolerance=0.0),
+        lambda raw: raw.update(boundary_factor=0.5),
         lambda raw: raw["plant"].update(sample_interval=0.001),
         lambda raw: raw.update(workers=0),
         lambda raw: raw.update(seed=-1),
@@ -138,13 +137,9 @@ def test_full_config_round_trip_of_every_field():
         lambda raw: raw.update(a_max=float("inf")),
         lambda raw: raw.update(f_min=float("nan")),
         # Values a later stage would reject, or misread, after the load.
-        lambda raw: raw.update(boundary_factor=0.0),
-        lambda raw: raw.update(boundary_factor=1.0),
-        lambda raw: raw.update(boundary_factor=1.5),
         lambda raw: raw.update(beta_alpha=0.0),
         lambda raw: raw.update(beta_alpha=-1.0),
         lambda raw: raw.update(beta_beta=-1.0),
-        lambda raw: raw.update(mr2_equality_tolerance=-1.0),
         lambda raw: raw.update(mr3_epsilon=0.0),
         lambda raw: raw.update(mr3_epsilon=-0.2),
         # Loop roles out of range, which the steppers would run or divide by 0 on.
@@ -163,10 +158,9 @@ def test_bad_configs_raise_config_error(mutate):
 
 def test_tiny_knobs_are_accepted():
     cfg = config_from_dict(
-        dict(minimal_raw(), mr2_equality_tolerance=0.0, mr3_epsilon=1e-9,
-             boundary_factor=0.01, beta_alpha=0.1, beta_beta=0.1)
+        dict(minimal_raw(), mr3_epsilon=1e-9, beta_alpha=0.1, beta_beta=0.1)
     )
-    assert (cfg.mr2_equality_tolerance, cfg.mr3_epsilon) == (0.0, 1e-9)
+    assert (cfg.mr3_epsilon, cfg.beta_params) == (1e-9, (0.1, 0.1))
 
 
 def test_invalid_required_input_surfaces_as_value_error():
@@ -233,7 +227,7 @@ def test_bool_for_a_number_is_rejected(mutate):
     [
         lambda raw: raw.update(f_min="0.3"),
         lambda raw: raw.update(beta_alpha="2"),
-        lambda raw: raw.update(mr2_equality_tolerance="0.1"),
+        lambda raw: raw.update(mr3_epsilon="0.1"),
         lambda raw: raw["plant"].update(controller={"kp": "3.0"}),
         lambda raw: raw["plant"]["blocks"][0].update(lo="-2"),
     ],
