@@ -1,29 +1,25 @@
 #!/usr/bin/env python3
-"""Cost of the plant simulator's two steppers, per model and block set.
+"""Cost of the plant simulator's compiled stepper, per model and block set.
 
 For each plant model (the drone with its thrust limit, the DC servo with
 its voltage limit, encoder range and encoder quantiser) and each set of
 injected blocks, times ``run_lanes(spec, reference, [1.0], 1)``, one
-lane whose period is the whole reference, once on the compiled stepper
-(``plants.load_kernel``) and once on ``plants._simulate``, the Python
-fallback, and ``run_lanes`` on the compiled stepper at 1, 2, 4 and 8 lanes
-of one period, and prints one JSON object whose rows hold:
+lane whose period is the whole reference, and ``run_lanes`` at 1, 2, 4 and
+8 lanes of one period, and prints one JSON object whose rows hold:
 
-* ``kernel_us_per_step`` and ``simulate_us_per_step``: microseconds per
-  simulated step of that one lane, whose steppers write the whole
-  instrumentation log as they step;
-* ``speedup``: the second over the first;
+* ``kernel_us_per_step``: microseconds per simulated step of that one
+  lane, whose stepper writes the whole instrumentation log as it steps;
 * ``lanes_us_per_lane_step``: per lane count, microseconds per step of
   one lane of ``run_lanes``.
 
 The reference is a 1 Hz sine of amplitude 8 at the 1 ms controller period,
 which reaches the saturations; lane ``k`` runs it at amplitude ``8 +
-0.01 k``.  Each row's run is checked bit for bit between the two steppers,
-and each lane ``k`` of every lane count against one lane on its rendered
-reference, ``(8 + 0.01 k) * period``, before it is timed.  Times are CPU
-times of this process (``time.process_time``), the best of ``--repeats``
-runs: on a shared machine, wall-clock times of one row spread too widely
-between invocations to compare steppers.
+0.01 k``.  Each lane ``k`` of every lane count is checked bit for bit
+against one lane on its rendered reference, ``(8 + 0.01 k) * period``,
+before it is timed; the tests hold the stepper to its Python oracle.
+Times are CPU times of this process (``time.process_time``), the best of
+``--repeats`` runs: on a shared machine, wall-clock times of one row
+spread too widely between invocations to compare.
 Exits 1 if the compiled stepper cannot be built.
 
     PYTHONPATH=src python3 scripts/bench_sim.py [--steps 20000] [--repeats 7]
@@ -34,7 +30,6 @@ import argparse
 import json
 import sys
 from time import process_time
-from unittest import mock
 
 import numpy as np
 
@@ -70,11 +65,6 @@ def best_time(fn, repeats: int) -> float:
     return best
 
 
-def python_stepper():
-    """Within it, ``run_lanes`` runs ``_simulate``."""
-    return mock.patch.object(plants, "load_kernel", lambda: None)
-
-
 def one_lane(spec, reference):
     """The run of ``reference``: one lane, at amplitude 1.0, whose period is
     the whole reference."""
@@ -107,26 +97,21 @@ def lanes_us_per_lane_step(spec, period: np.ndarray, repeats: int) -> dict:
 
 def measure(steps: int, repeats: int) -> dict:
     """The report: every model and block set at ``steps`` samples."""
-    if plants.load_kernel() is None:
-        raise SystemExit(1)
+    try:
+        plants.load_kernel()
+    except OSError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     period = np.sin(2.0 * np.pi * np.arange(steps) * 0.001)
     reference = 8.0 * period
     rows = []
     for model, make in MODELS.items():
         for name, blocks in BLOCK_SETS.items():
             spec = make(extra_blocks=blocks)
-            compiled = lane_bytes(one_lane(spec, reference))
-            with python_stepper():
-                if lane_bytes(one_lane(spec, reference)) != compiled:
-                    raise AssertionError(f"the steppers differ for {spec}")
-                simulate = best_time(lambda: one_lane(spec, reference), repeats)
             kernel = best_time(lambda: one_lane(spec, reference), repeats)
             rows.append({
                 "model": model,
                 "blocks": name,
                 "kernel_us_per_step": kernel / steps * 1e6,
-                "simulate_us_per_step": simulate / steps * 1e6,
-                "speedup": simulate / kernel,
                 "lanes_us_per_lane_step": lanes_us_per_lane_step(spec, period, repeats),
             })
     return {"steps": steps, "rows": rows}

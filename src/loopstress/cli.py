@@ -28,9 +28,9 @@ test never crossed the threshold, a bound gap could not be resolved, or the
 bound search hit ``max_frequencies`` and saved its partial map), 3 invalid
 input, 4 internal failure.  Any malformed config or input artifact (a value
 of the wrong JSON type, a missing field, a line that is not a JSON object),
-a test set sampled unlike the config's plant, an unreadable file or an
-output directory that cannot be made exits 3 with one ``error:`` line on
-stderr.
+a test set sampled unlike the config's plant, an unreadable file, an
+output directory that cannot be made or a stepper that cannot be built
+exits 3 with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ def _result_from_dict(row: dict) -> TestResult:
             Component(
                 frequency=_within(_finite(f), 0.0),
                 amplitude=_within(_finite(a), 0.0),
-                dof=None if d is None else _finite(d),
+                dof=None if d is None else _within(_finite(d), -math.inf, 1.0),
             )
             for f, a, d in _list(row["components"])
         ),

@@ -28,20 +28,16 @@ One stepper runs the loop: ``stepper.c``, compiled at first use with
 ``gcc`` into the package's ``__pycache__`` (see :func:`load_kernel`).  One
 call of it steps several runs of one spec as interleaved lanes, whose
 references repeat one period at their own amplitudes (:func:`run_lanes`);
-:func:`run_plant` is the call of one lane.  ``_simulate`` is the same loop
-in Python, with the same arguments and the same float operations in the
-same order: the reference implementation, and the fallback, 20 to 45 times
-slower, which runs the lanes one after another where no compiler is found
-or the build fails.  Both write the whole log of a step as they take it:
-the output, the actuation, the saturation flags and the deviation.
+:func:`run_plant` is the call of one lane.  The stepper writes the whole
+log of a step as it takes it: the output, the actuation, the saturation
+flags and the deviation.  Where it cannot be built, every simulation raises
+``OSError``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
-from itertools import cycle, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -150,7 +146,7 @@ def run_plant(spec: PlantSpec, reference: np.ndarray) -> PlantRun:
 def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> LaneRuns:
     """The runs of ``run_plant(spec, a * np.tile(period, periods))`` for each
     ``a`` of ``amplitudes``, with the same bits, from one call of the
-    stepper, which on the compiled one steps them as interleaved lanes.
+    stepper, which steps them as interleaved lanes.
 
     No reference is rendered: lane ``k``'s sample ``i`` is ``amplitudes[k] *
     period[i % len(period)]``, the one multiply that rendering makes.  A
@@ -171,8 +167,8 @@ def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> 
     a_sat, s_sat = np.empty((2, lanes, n), dtype=bool)
     steps = np.empty(lanes, dtype="l")  # C long
     diverged = np.empty(lanes, dtype=np.intc)
-    (load_kernel() or _simulate)(p, blocks, u, len(u), n, lanes, amps, np.array(limits),
-                                 out, act, a_sat, s_sat, dev, steps, diverged)
+    load_kernel()(p, blocks, u, len(u), n, lanes, amps, np.array(limits),
+                  out, act, a_sat, s_sat, dev, steps, diverged)
     logs = []
     for k, m in enumerate(steps.tolist()):
         if not np.all(np.isfinite(out[k, :m])):
@@ -187,14 +183,13 @@ def run_lanes(spec: PlantSpec, period: np.ndarray, amplitudes, periods: int) -> 
 # The command that builds ``stepper.c``: that file says why these flags and
 # no others.
 _COMPILE = ("gcc", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_kernel = None  # the loaded stepper; False once it could not be built
+_kernel = None  # the loaded stepper
 
 
 def load_kernel():
     """The compiled stepper, built and loaded at its first use in this
-    process; None if that failed, after one line on stderr, and then
-    :func:`run_lanes` calls ``_simulate`` in its place, with the same
-    arguments and results.
+    process.  If that fails it raises ``OSError`` with one line that names
+    the compile command and the cause, and a later call tries again.
 
     The shared object is cached in the package's ``__pycache__`` under the
     sha256 of the C source, the compiler command and the machine, so a
@@ -209,10 +204,8 @@ def load_kernel():
         try:
             _kernel = _build_and_load()
         except OSError as exc:
-            print(f"loopstress: no compiled stepper ({exc}); simulating in Python, "
-                  "20 to 45 times slower", file=sys.stderr)
-            _kernel = False
-    return _kernel or None
+            raise OSError(f"cannot build the stepper with `{' '.join(_COMPILE)}`: {exc}") from exc
+    return _kernel
 
 
 def _build_and_load():
@@ -281,10 +274,10 @@ def _load(path: str):
 
 
 def _loop(spec: PlantSpec) -> tuple[np.ndarray, int]:
-    """The steppers' ``p`` and ``blocks`` for ``spec``: ``p`` holds dt, the
+    """The stepper's ``p`` and ``blocks`` for ``spec``: ``p`` holds dt, the
     roles, alpha, pwm_step, each kind's parameters in ``_BLOCKS`` order (0.0
     for a kind not attached; slot 13, the backlash play, is halved by the
-    steppers) and quad_lin."""
+    stepper) and quad_lin."""
     dt = spec.sample_interval
     params = {None: 1.0, **spec.physical, **spec.controller}  # a role None is 1.0
     blocks = {b.kind: b.params for b in spec.blocks}
@@ -295,98 +288,3 @@ def _loop(spec: PlantSpec) -> tuple[np.ndarray, int]:
     p.append(p[-1] * abs(params["nominal_speed"]))  # quad_lin; p[-1] is quad, the last one
     return np.array(p), sum(_BLOCKS[kind].bit for kind in blocks)
 
-
-def _simulate(p, blocks, u, spp, n, lanes, amp, limit, out, act, a_sat, s_sat, dev, steps,
-              diverged):
-    """``simulate`` of ``stepper.c`` in Python, on the same arguments: the
-    reference implementation, which must give the same bits, and the
-    fallback where that cannot be built.  It steps the lanes one after
-    another, each from its own ``(a * u).tolist()``.
-    """
-    (dt, gain, damping, inertia, kp, ki, kd, alpha, pwm_step, sens_lo, sens_hi, sens_step,
-     dz_hw, play, act_lo, act_hi, coulomb, quad, quad_lin) = p.tolist()
-    sensor_sat, quantize, dead, lash, actuator_sat, coulombic, quadratic = (
-        bool(blocks & b.bit) for b in _BLOCKS.values()
-    )
-    bl_half = play / 2.0
-    # What C hoists out of its loop: constant signs, magnitudes and tests.
-    neg_coulomb, abs_coulomb, neg_quad, neg_quad_lin = -coulomb, abs(coulomb), -quad, -quad_lin
-    pwm, isfinite = pwm_step > 0.0, math.isfinite
-    for k in range(lanes):
-        x = v = integ = dfilt = bl_state = 0.0
-        prev_meas = None  # no derivative at step 0
-        xs, acts, a_flags, s_flags, devs = [], [], [], [], []
-        lim, gone = float(limit[k]), False
-        for r in islice(cycle((amp[k] * u).tolist()), n):
-            xs.append(x)
-
-            meas = x
-            if sensor_sat:
-                sflag = False
-                if meas > sens_hi:
-                    meas, sflag = sens_hi, True
-                elif meas < sens_lo:
-                    meas, sflag = sens_lo, True
-                s_flags.append(sflag)
-            if quantize:
-                meas = _floor(meas / sens_step + 0.5) * sens_step
-
-            e = r - meas
-            d_raw = 0.0 if prev_meas is None else (meas - prev_meas) / dt
-            prev_meas = meas
-            dfilt += alpha * (d_raw - dfilt)
-            cmd = kp * e + integ - kd * dfilt
-
-            d = 0.0
-            if dead:
-                shaped = cmd - dz_hw if cmd > dz_hw else (cmd + dz_hw if cmd < -dz_hw else 0.0)
-                d += abs(shaped - cmd)
-                cmd = shaped
-            if lash:
-                if cmd > bl_state + bl_half:
-                    bl_state = cmd - bl_half
-                elif cmd < bl_state - bl_half:
-                    bl_state = cmd + bl_half
-                d += abs(bl_state - cmd)
-                cmd = bl_state
-            aflag = False
-            if actuator_sat:
-                if cmd > act_hi:
-                    cmd, aflag = act_hi, True
-                elif cmd < act_lo:
-                    cmd, aflag = act_lo, True
-            if pwm:  # duty-cycle averaged PWM: quantised drive voltage
-                cmd = _floor(cmd / pwm_step + 0.5) * pwm_step
-            a_flags.append(aflag)
-            acts.append(cmd)
-            integ += ki * e * dt
-
-            fric = fdev = 0.0
-            if coulombic and v != 0.0:
-                fric += neg_coulomb if v > 0.0 else coulomb
-                fdev += abs_coulomb
-            if quadratic:
-                fq = neg_quad * v * abs(v)
-                fric += fq
-                fdev += abs(fq - neg_quad_lin * v)
-            devs.append(d + fdev)
-
-            v += (gain * cmd + fric - damping * v) / inertia * dt
-            x += v * dt
-            if not (abs(x) <= lim and isfinite(v)) and len(xs) >= 2:  # step 0 never ends it
-                gone = True
-                break
-        m = len(xs)
-        out[k, :m] = xs
-        act[k, :m] = acts
-        a_sat[k, :m] = a_flags
-        s_sat[k, :m] = s_flags if sensor_sat else False
-        dev[k, :m] = devs
-        steps[k] = m
-        diverged[k] = gone
-
-
-def _floor(y: float):
-    """``math.floor`` as C's ``floor`` in the compiled stepper: infinities
-    and NaN pass through instead of raising."""
-    return math.floor(y) if math.isfinite(y) else y

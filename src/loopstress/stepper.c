@@ -1,19 +1,19 @@
-/* The closed loop of loopstress.plants, compiled: ``_simulate`` in
- * plants.py with the same float operations in the same order, so both give
- * the same bits.  Keep the two in step.
+/* The closed loop of loopstress.plants, compiled: ``simulate`` in
+ * tests/python_stepper.py with the same float operations in the same
+ * order, so both give the same bits.  Keep the two in step.
  *
  * One call steps ``lanes`` runs of one spec over equally long references
  * that share one period ``u``: lane k's reference at step i is
  * ``amp[k] * u[i % spp]``, the single multiply with which
- * ``signals.render_reference`` renders a test.  ``_simulate`` takes the
- * same arguments and fills the same rows, lane by lane.  ``run_plant`` is
- * the call of one lane with ``u`` its whole reference and an amplitude of
- * 1.0, which is exact.  The loop's state is a chain of dependent
- * divisions and multiplies, so one run waits on their latency; the step
- * loop therefore advances up to ``BATCH`` lanes per step, whose chains
- * overlap.  On the servo with its quantiser, 8,499 steps of a sine, a
- * lane-step took 52 ns alone, 26 ns with 2 lanes and 14 ns with 4 or 8 (a
- * 2-vCPU x86-64 VM).
+ * ``signals.render_reference`` renders a test.  The Python ``simulate``
+ * takes the same arguments and fills the same rows, lane by lane.
+ * ``run_plant`` is the call of one lane with ``u`` its whole reference and
+ * an amplitude of 1.0, which is exact.  The loop's state is a chain of
+ * dependent divisions and multiplies, so one run waits on their latency;
+ * the step loop therefore advances up to ``BATCH`` lanes per step, whose
+ * chains overlap.  On the servo with its quantiser, 8,499 steps of a sine,
+ * a lane-step took 52 ns alone, 26 ns with 2 lanes and 14 ns with 4 or 8
+ * (a 2-vCPU x86-64 VM).
  *
  * plants.load_kernel builds this file with ``-O2 -fPIC -shared
  * -ffp-contract=off`` and nothing else.  Those flags are load-bearing:
@@ -146,7 +146,7 @@ void simulate(const double *p, int blocks, const double *u, long spp, long n, lo
                 x += v * dt;
                 l->x = x;
                 l->v = v;
-                /* As in _simulate, step 0 never ends the run. */
+                /* As in the Python stepper, step 0 never ends the run. */
                 if (i >= 1 && !(fabs(x) <= limit[k0 + k] && isfinite(v))) {
                     l->live = 0;
                     running--;

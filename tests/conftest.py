@@ -4,9 +4,10 @@ Provides a brute-force spectrum oracle (direct O(N^2) evaluation of the
 DFT sum, independent of any FFT library), a factory for synthetic
 ``TestResult`` records so analysis-level behaviour can be tested without
 running simulations, and one for bandwidth estimates, the ``stepper``
-fixture, which runs a test once on each of the plant simulator's two
-steppers, and ``JSON_VALUES``, the values a hand-edited config or artifact
-field may hold.
+fixture, which runs a test once on the compiled stepper and once on the
+tests' Python oracle of it (``python_stepper.simulate``), and
+``JSON_VALUES``, the values a hand-edited config or artifact field may
+hold.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from loopstress import plants
 from loopstress.analysis import BandwidthEstimate, BandwidthStatus
 from loopstress.records import Component, GeneratedTest, TestResult
 from loopstress.signals import ShapeKind, TestCase, snap_time_gain
+
+import python_stepper
 
 
 # Any value Python's json reads, NaN and the infinities included.
@@ -31,11 +34,11 @@ JSON_VALUES = st.recursive(
 
 @pytest.fixture(params=["compiled", "python"])
 def stepper(request, monkeypatch):
-    """Runs a test on the compiled stepper, then on ``plants._simulate``."""
+    """Runs a test on the compiled stepper, then on ``python_stepper.simulate``."""
     if request.param == "compiled":
         assert plants.load_kernel() is not None
     else:
-        monkeypatch.setattr(plants, "load_kernel", lambda: None)
+        monkeypatch.setattr(plants, "load_kernel", lambda: python_stepper.simulate)
     return request.param
 
 

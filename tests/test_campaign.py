@@ -42,6 +42,8 @@ from loopstress.spectral import (
     tiled_spectrum,
 )
 
+import python_stepper
+
 DEFAULT_INPUTS = RequiredInput(f_min=0.1, f_max=2.0, a_max=6.0, delta_a=0.05)
 
 
@@ -550,8 +552,8 @@ PLANT_IDS = ["drone", "servo-friction", "diverging"]
 @pytest.mark.parametrize("plant", PLANTS, ids=PLANT_IDS)
 def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
     # Chunks whose blocks run as lanes of the compiled stepper, or lane by
-    # lane on plants._simulate, each scored like one test at a time through
-    # run_plant on _simulate.
+    # lane on the Python stepper, each scored like one test at a time
+    # through run_plant on the Python stepper.
     inputs = RequiredInput(
         f_min=0.5, f_max=2.0, a_max=1.0, delta_a=0.25, base_periods=1,
     )
@@ -564,11 +566,11 @@ def test_lane_chunks_and_scalar_chunks_score_like_run_plant(monkeypatch, plant):
     monkeypatch.setattr(campaign, "_CHUNK_STEPS", 6000)
     assert len(campaign._chunks(tests)) > 3
     with monkeypatch.context() as m:
-        m.setattr(plants, "load_kernel", lambda: None)
+        m.setattr(plants, "load_kernel", lambda: python_stepper.simulate)
         expected = tuple(reference_run_one(plant, t, inputs) for t in tests)
     assert plants.load_kernel() is not None
     rows = record_output_rows(monkeypatch)
-    for kernel in (plants.load_kernel, lambda: None):
+    for kernel in (plants.load_kernel, lambda: python_stepper.simulate):
         monkeypatch.setattr(plants, "load_kernel", kernel)
         for workers in (1, 2, 3):
             results = execute_campaign(plant, tests, inputs, workers=workers)

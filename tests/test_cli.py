@@ -17,6 +17,7 @@ from loopstress.config import load_config
 from loopstress.signals import ShapeKind, snap_time_gain
 
 from conftest import make_result, violation_family
+import python_stepper
 
 ARTIFACTS = (
     cli.BOUNDS_FILE,
@@ -194,11 +195,32 @@ def test_the_python_stepper_writes_the_compiled_steppers_artifacts(tmp_path, mon
     cfg = write_config(tmp_path, **overrides)
     compiled, python = tmp_path / "compiled", tmp_path / "python"
     assert cli.main(["campaign", "--config", str(cfg), "--out", str(compiled)]) in (0, 2)
-    monkeypatch.setattr(plants, "load_kernel", lambda: None)
+    monkeypatch.setattr(plants, "load_kernel", lambda: python_stepper.simulate)
     argv = ["campaign", "--config", str(cfg), "--out", str(python), "--workers", "2"]
     assert cli.main(argv) in (0, 2)
     for name in ARTIFACTS:
         assert digest(compiled / name) == digest(python / name), name
+
+
+def test_a_simulating_stage_without_a_compiler_exits_3_and_analyze_still_runs(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = write_config(tmp_path)
+    done = tmp_path / "done"
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(done)]) in (0, 2)
+    # A compiler that is not there, under a command no cached object was
+    # built with, so the build runs and fails.
+    missing = ("loopstress-no-such-compiler", *plants._COMPILE[1:])
+    monkeypatch.setattr(plants, "_COMPILE", missing)
+    monkeypatch.setattr(plants, "_kernel", None)
+    capsys.readouterr()
+    rc = cli.main(["bound", "--config", str(cfg), "--out", str(tmp_path / "bound")])
+    assert rc == cli.EXIT_INVALID_INPUT
+    assert " ".join(missing) in only_error_line(capsys)
+    argv = ["analyze", "--config", str(cfg), "--results", str(done / cli.RESULTS_FILE),
+            "--out", str(tmp_path / "analyzed")]
+    assert cli.main(argv) in (0, 2)
+    assert plants._kernel is None
 
 
 def test_seed_override_changes_the_test_set(tmp_path):
@@ -350,7 +372,7 @@ def test_analyze_prints_the_pinned_counts(tmp_path, capsys):
 def scale_results():
     """240 synthetic results, drawn with a fixed seed: thousands of MR1 and
     MR2 violations, one MR3 violation, diverged tests, and None, 0.0 and
-    -0.0 dofs."""
+    -0.0 dofs.  Every dof is at most 0.95, as a run writes none above 1."""
     rng = random.Random(4)
     results = []
     for n in range(240):
@@ -374,7 +396,7 @@ def scale_results():
             elif v < 0.12:
                 dof = 0.0
             else:
-                slope = (0.05, 0.12, 0.08)[n % 3]
+                slope = (0.025, 0.05, 0.04)[n % 3]
                 dof = round(slope * k * frequency + 0.2 * rng.random(), 2)
             components.append((k * frequency, round(amp / k, 4), dof))
         results.append(make_result(shape, amp=amp, frequency=frequency, dnl=dnl,
@@ -382,25 +404,25 @@ def scale_results():
     return results
 
 
-# sha256 of the analyze artifacts for scale_results(): the summary report;
-# the tables as computed with the report writer that built one dict per
-# violation.
+# sha256 of the analyze artifacts for scale_results(): the summary report
+# and the two tables.  When they were pinned, the MR1 and MR2 records
+# listed for them were those of test_analysis.py's double-loop oracles.
 SCALE_SHA256 = {
-    cli.MR_REPORT_FILE: "b6130868e496611ffe1ca4a4430a8d787c0e6c199954ff46a81e5be877717816",
+    cli.MR_REPORT_FILE: "d56af4a07769d55cab9f978195c23fab80040bdb08d908eca3c9a07be1b07d0f",
     cli.SCATTER_FILE: "5852a6a5669c7c8ac2477928d90ebbe3fb3a31a6e59b2fc03932214286e0c758",
-    cli.DOF_FILE: "40df5955824041379a2a6f9337e347b9de2e8e7c45a21272775ab053e025c86c",
+    cli.DOF_FILE: "271ec0401e9a04058b7347f1d59c03f3330a16e28d84286f90ca7598ef8afc8d",
 }
 
 
-# As GOLDEN_RECORDS_SHA256, for scale_results().
-SCALE_RECORDS_SHA256 = "40e1c503ef515388a8c13fcc2621e8a052a5e0f76cd44bf0362e23de9b56462d"
+# The sorted violation records of scale_results(), as GOLDEN_RECORDS_SHA256.
+SCALE_RECORDS_SHA256 = "606af690b2d0030de417458721c998474967d0a6142a619e33295af7531fcc3c"
 
 
 def test_analyze_artifacts_at_scale_are_pinned(tmp_path):
     out = analyze(tmp_path, scale_results())
     report = persist.load_json_report(out / cli.MR_REPORT_FILE)
     counts = [report["mr1"]["count"], report["mr2"]["count"], len(report["mr3"]["violations"])]
-    assert counts == [3201, 2634, 1]
+    assert counts == [3201, 4066, 1]
     assert {name: digest(out / name) for name in SCALE_SHA256} == SCALE_SHA256
 
 
@@ -761,13 +783,14 @@ def first_component(row, field, value):
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": -1.0}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": -math.inf}),
         # A component's frequency and amplitude are finite and >= 0, and its
-        # dof, 1 - |Y|/|R|, is finite.
+        # dof, 1 - |Y|/|R|, is finite and <= 1.
         (cli.RESULTS_FILE, 1, lambda r: first_component(r, 0, -0.5)),
         (cli.RESULTS_FILE, 1, lambda r: first_component(r, 0, math.inf)),
         (cli.RESULTS_FILE, 1, lambda r: first_component(r, 1, -1.0)),
         (cli.RESULTS_FILE, 1, lambda r: first_component(r, 1, math.inf)),
         (cli.RESULTS_FILE, 1, lambda r: first_component(r, 2, math.inf)),
         (cli.RESULTS_FILE, 1, lambda r: first_component(r, 2, -math.inf)),
+        (cli.RESULTS_FILE, 1, lambda r: first_component(r, 2, 1.25)),
         # dnl is infinite exactly when the test diverged.
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": math.inf, "diverged": False}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": 0.01, "diverged": True}),
@@ -786,7 +809,7 @@ def first_component(row, field, value):
          "results-dnl-negative", "results-dnl-minus-infinity",
          "results-frequency-negative", "results-frequency-infinite",
          "results-amplitude-negative", "results-amplitude-infinite",
-         "results-dof-infinite", "results-dof-minus-infinity",
+         "results-dof-infinite", "results-dof-minus-infinity", "results-dof-above-one",
          "results-infinite-dnl-not-diverged", "results-diverged-finite-dnl"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(

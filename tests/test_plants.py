@@ -30,6 +30,8 @@ from loopstress.records import (
 )
 from loopstress.signals import ShapeKind, TestCase, eval_shape, render_reference, snap_time_gain
 
+import python_stepper
+
 
 def simulate(spec, shape=ShapeKind.SQUARE, amp=1.0, time_gain=1.0, periods=2, dt=0.001):
     case = TestCase(shape=shape, amp_gain=amp, time_gain=time_gain, periods=periods, sample_interval=dt)
@@ -612,29 +614,39 @@ def test_simulation_output_is_bit_exact(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_python_stepper_output_is_bit_exact(monkeypatch, name):
-    monkeypatch.setattr(plants, "load_kernel", lambda: None)
+    monkeypatch.setattr(plants, "load_kernel", lambda: python_stepper.simulate)
     assert golden_digest(name) == GOLDEN_DIGESTS[name]
 
 
-def test_a_failed_build_falls_back_to_the_golden_digests(monkeypatch, capfd):
+def assert_build_fails_then_succeeds(monkeypatch, compile_command, cause):
+    """``load_kernel`` under ``compile_command`` raises one line that names
+    the command and ``cause``, caches no failure, and then loads under the
+    real command."""
+    real = plants._COMPILE
+    monkeypatch.setattr(plants, "_kernel", None)
+    monkeypatch.setattr(plants, "_COMPILE", compile_command)
+    with pytest.raises(OSError) as failed:
+        plants.load_kernel()
+    message = str(failed.value)
+    assert "\n" not in message
+    assert " ".join(compile_command) in message and cause in message
+    assert plants._kernel is None
+    monkeypatch.setattr(plants, "_COMPILE", real)
+    assert plants.load_kernel() is plants._kernel is not None
+    assert golden_digest("servo_pwm-all-sine") == GOLDEN_DIGESTS["servo_pwm-all-sine"]
+
+
+def test_a_missing_compiler_raises_one_line_naming_the_command(monkeypatch):
     # A compiler that is not there, under a command no cached object was
     # built with.
-    monkeypatch.setattr(plants, "_kernel", None)
-    monkeypatch.setattr(plants, "_COMPILE", ("loopstress-no-such-compiler", *plants._COMPILE[1:]))
-    assert all(golden_digest(name) == GOLDEN_DIGESTS[name] for name in GOLDEN_CASES)
-    assert plants._kernel is False
-    err = capfd.readouterr().err
-    assert err.count("\n") == 1 and "simulating in Python" in err
+    missing = ("loopstress-no-such-compiler", *plants._COMPILE[1:])
+    assert_build_fails_then_succeeds(monkeypatch, missing, "No such file")
 
 
-def test_a_compiler_error_falls_back_with_one_line(monkeypatch, capfd):
+def test_a_compiler_error_raises_one_line_naming_the_command(monkeypatch):
     # The compiler runs and fails: an option it does not know.
-    monkeypatch.setattr(plants, "_kernel", None)
-    monkeypatch.setattr(plants, "_COMPILE", (*plants._COMPILE, "-floopstress-no-such-option"))
-    assert plants.load_kernel() is None
-    assert golden_digest("servo_pwm-all-sine") == GOLDEN_DIGESTS["servo_pwm-all-sine"]
-    err = capfd.readouterr().err
-    assert err.count("\n") == 1 and "non-zero exit status" in err
+    failing = (*plants._COMPILE, "-floopstress-no-such-option")
+    assert_build_fails_then_succeeds(monkeypatch, failing, "non-zero exit status")
 
 
 def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
@@ -650,11 +662,11 @@ def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the compiled stepper against _simulate, bit for bit
+# the compiled stepper against the Python stepper, bit for bit
 # ---------------------------------------------------------------------------
 # A "lane" is one run on the compiled stepper, which steps several at once
-# for run_lanes and one for run_plant; the run it must equal is _simulate's
-# on the rendered reference, the stepper both fall back to.
+# for run_lanes and one for run_plant; the run it must equal is
+# python_stepper.simulate's on the rendered reference.
 
 
 def outcome(spec, reference):
@@ -675,7 +687,7 @@ def assert_kernel_matches_simulate(spec, references):
     assert plants.load_kernel() is not None
     for reference in references:
         compiled = outcome(spec, reference)
-        with mock.patch.object(plants, "load_kernel", lambda: None):
+        with mock.patch.object(plants, "load_kernel", lambda: python_stepper.simulate):
             assert outcome(spec, reference) == compiled
 
 
@@ -712,7 +724,7 @@ def test_lanes_longer_than_a_block_of_reference_rows_match_run_plant():
 @pytest.mark.parametrize("reference", [np.array([1.0]), np.array([0.0, math.nan])])
 def test_lanes_reject_what_run_plant_rejects(reference):
     # Too short a reference, or a non-finite sample, on either stepper.
-    for kernel in (plants.load_kernel, lambda: None):
+    for kernel in (plants.load_kernel, lambda: python_stepper.simulate):
         with mock.patch.object(plants, "load_kernel", kernel), pytest.raises(ValueError):
             run_plant(drone_spec(), reference)
 
@@ -859,7 +871,7 @@ def test_repeated_periods_run_like_their_full_references(spec, periods):
     assert_kernel_matches_simulate(spec, [np.tile(p, k) for p, k, _ in periods])
     for period, repeats, amplitudes in periods:
         expected = [outcome(spec, a * np.tile(period, repeats)) for a in amplitudes]
-        for kernel in (plants.load_kernel, lambda: None):
+        for kernel in (plants.load_kernel, lambda: python_stepper.simulate):
             with mock.patch.object(plants, "load_kernel", kernel):
                 lanes = lanes_outcome(spec, period, amplitudes, repeats)
             if any(isinstance(e, str) for e in expected):
