@@ -33,8 +33,8 @@ _EXPORTS = {
         "config": "CampaignConfig ConfigError load_config",
         "plants": "InstrumentationLog PlantRun run_plant",
         "records": "AmplitudeBoundMap BoundRefinementError Component GeneratedTest MrViolation"
-                   " NonlinearBlock PlantSpec RequiredInput SamplingError TestResult TestSet"
-                   " actuator_saturation backlash coulomb_friction dc_servo_spec dead_zone"
+                   " NonlinearBlock PlantSpec RequiredInput ResultColumns SamplingError TestResult"
+                   " TestSet actuator_saturation backlash coulomb_friction dc_servo_spec dead_zone"
                    " drone_spec quadratic_friction quantizer sensor_saturation",
         "signals": "ShapeKind TestCase eval_shape render_reference snap_time_gain",
         "spectral": "ComponentSet Spectrum Trace degree_of_nonlinearity dft_amplitude dof_profile"

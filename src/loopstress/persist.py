@@ -25,10 +25,9 @@ from pathlib import Path
 
 from .records import (
     AmplitudeBoundMap,
-    Component,
     GeneratedTest,
     MrViolation,
-    TestResult,
+    ResultColumns,
     TestSet,
 )
 from .signals import ShapeKind, TestCase
@@ -243,7 +242,8 @@ def _test_from_dict(d: dict) -> GeneratedTest:
             shape=ShapeKind(d["shape"]),
             amp_gain=amp_gain,
             time_gain=_number(d["time_gain"]),
-            periods=_integer(d["periods"]),
+            # Above 2**53 a count has no exact float, which a result's column holds.
+            periods=_within(_integer(d["periods"]), 1, 2**53),
             sample_interval=_number(d["sample_interval"]),
         ),
         target_frequency=_number(d["target_frequency"]),
@@ -291,33 +291,36 @@ def save_results(path, results) -> None:
     _write_records(path, "results", {}, rows())
 
 
-def _result_from_dict(row: dict) -> TestResult:
-    result = TestResult(
-        test=_test_from_dict(row["test"]),
+def _result_fields(row: dict) -> tuple:
+    """The fields of the result on ``row`` in ``TestResult`` order, its
+    components as ``(frequency, amplitude, dof)`` triples."""
+    fields = (
+        _test_from_dict(row["test"]),
         # Infinite exactly when the test diverged (checked below).
-        dnl=_within(_number(row["dnl"]), 0.0),
-        components=tuple(
-            Component(
-                frequency=_within(_finite(f), 0.0),
-                amplitude=_within(_finite(a), 0.0),
-                dof=None if d is None else _within(_finite(d), -math.inf, 1.0),
-            )
+        _within(_number(row["dnl"]), 0.0),
+        [
+            (_within(_finite(f), 0.0), _within(_finite(a), 0.0),
+             None if d is None else _within(_finite(d), -math.inf, 1.0))
             for f, a, d in _list(row["components"])
-        ),
-        actuator_saturation_fraction=_within(_number(row["actuator_sat_fraction"]), 0.0, 1.0),
-        sensor_saturation_fraction=_within(_number(row["sensor_sat_fraction"]), 0.0, 1.0),
+        ],
+        _within(_number(row["actuator_sat_fraction"]), 0.0, 1.0),
+        _within(_number(row["sensor_sat_fraction"]), 0.0, 1.0),
         # Infinite when a diverging lane's friction term overflows.
-        deviation_mean=_within(_number(row["deviation_mean"]), 0.0),
-        diverged=_flag(row["diverged"]),
+        _within(_number(row["deviation_mean"]), 0.0),
+        _flag(row["diverged"]),
     )
-    if math.isinf(result.dnl) != result.diverged:
-        raise ValueError(f"dnl {result.dnl!r} with diverged {result.diverged!r}")
-    return result
+    dnl, diverged = fields[1], fields[-1]
+    if math.isinf(dnl) != diverged:
+        raise ValueError(f"dnl {dnl!r} with diverged {diverged!r}")
+    return fields
 
 
-def load_results(path) -> tuple[TestResult, ...]:
+def load_results(path) -> ResultColumns:
+    """The results artifact at ``path`` as columns.  Each line goes through
+    the field readers and builds its ``TestCase``, which checks it, but
+    only the columns' compact arrays are kept."""
     return _load(path, "results", "result",
-                 lambda _, body: tuple(_result_from_dict(row) for row in body))
+                 lambda _, body: ResultColumns.of(map(_result_fields, body)))
 
 
 # -- reports and tables ---------------------------------------------------

@@ -249,8 +249,8 @@ def _compile(source: str, target: str) -> None:
     try:
         subprocess.run([*_COMPILE, "-o", partial, source, "-lm"], check=True, capture_output=True)
         os.replace(partial, target)
-    except subprocess.SubprocessError as exc:  # the compiler failed
-        raise OSError(str(exc)) from exc
+    except subprocess.CalledProcessError as exc:  # the compiler failed: its first line says why
+        raise OSError((exc.stderr.decode(errors="replace").splitlines() or [str(exc)])[0]) from exc
     finally:
         if os.path.exists(partial):
             os.unlink(partial)

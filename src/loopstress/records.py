@@ -6,13 +6,14 @@ block constructors), a campaign's inputs and records (``RequiredInput``,
 stages and the MR violation record.  They live apart from the code that
 simulates, scores and checks them, so that loading a config or an
 artifact, or analysing results, imports no simulator: ``config``,
-``persist`` and ``analysis`` take them from here.
+``persist`` and ``analysis`` take them from here.  ``ResultColumns`` holds
+many results as compact arrays, which the analyze stage reads.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,6 +42,7 @@ __all__ = [
     "TestSet",
     "Component",
     "TestResult",
+    "ResultColumns",
     "MrViolation",
 ]
 
@@ -367,6 +369,101 @@ class TestResult(NamedTuple):
     @property
     def case(self) -> TestCase:
         return self.test.case
+
+
+# The columns of a ``ResultColumns`` and their types: per test, its shape's
+# code and the fields of its case, test and result, in that order; per
+# component, its fields and whether it has a dof.  ``of`` gathers each in a
+# float table, exact for the codes and for a count up to 2**53.
+_TEST_COLUMNS = dict(
+    shape=np.int64, amp_gain=float, time_gain=float, periods=np.int64, sample_interval=float,
+    target_frequency=float, bound=float, snap_error=float, dnl=float,
+    actuator_saturation_fraction=float, sensor_saturation_fraction=float,
+    deviation_mean=float, diverged=bool,
+)
+_COMPONENT_COLUMNS = dict(frequency=float, amplitude=float, dof=float, has_dof=bool)
+
+
+class ResultColumns(Sequence):
+    """Results as read-only columns: ``len``, ``[i]`` and iteration give the
+    :class:`TestResult` records, each built when it is asked for.
+
+    Per test, ``shape`` holds codes into ``shapes``, and each other column
+    of ``_TEST_COLUMNS`` the field it is named after.  Test ``i``'s
+    components are the entries ``offsets[i]`` to ``offsets[i + 1]`` of the
+    component columns; a dof is ``dof`` where ``has_dof`` holds, else None
+    (and ``dof`` 0.0).
+    """
+
+    __slots__ = ("shapes", "offsets", *_TEST_COLUMNS, *_COMPONENT_COLUMNS)
+
+    def __init__(self, shapes, **columns):
+        self.shapes = tuple(shapes)
+        for name, values in columns.items():
+            values.flags.writeable = False
+            setattr(self, name, values)
+
+    @classmethod
+    def of(cls, results) -> "ResultColumns":
+        """``results`` if they are columns, else the columns of an iterable
+        of ``TestResult`` (or tuples of its fields, with components as
+        ``(frequency, amplitude, dof)``), shapes coded in order of first
+        appearance.  Rows go to compact arrays as they come."""
+        if isinstance(results, cls):
+            return results
+        from array import array  # an extension module: the simulating stages do without it
+
+        codes: dict = {}
+        tests, comps, offsets = array("d"), array("d"), array("q", [0])
+        for test, dnl, components, *rest in results:
+            case = test.case
+            tests.extend((codes.setdefault(case.shape, len(codes)), case.amp_gain,
+                          case.time_gain, case.periods, case.sample_interval,
+                          test.target_frequency, test.bound, test.snap_error, dnl, *rest))
+            for f, a, d in components:
+                comps.extend((f, a, 0.0 if d is None else d, d is not None))
+            offsets.append(len(comps) // 4)
+        columns = {}
+        for table, names in ((tests, _TEST_COLUMNS), (comps, _COMPONENT_COLUMNS)):
+            table = np.frombuffer(table).reshape(-1, len(names))
+            for k, (name, kind) in enumerate(names.items()):
+                columns[name] = table[:, k].astype(kind, copy=False)
+        return cls(codes, offsets=np.frombuffer(offsets, np.int64), **columns)
+
+    def __len__(self) -> int:
+        return self.dnl.size
+
+    def __eq__(self, other) -> bool:
+        """Columns are equal when their records are."""
+        if not isinstance(other, ResultColumns):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __getitem__(self, i) -> TestResult:
+        i = range(len(self))[i]  # from the end if negative; IndexError if out of range
+        lo, hi = self.offsets[i:i + 2].tolist()
+        components = tuple(
+            Component(f, a, d if has else None)
+            for f, a, d, has in zip(*(getattr(self, name)[lo:hi].tolist()
+                                      for name in _COMPONENT_COLUMNS))
+        )
+        shape, amp, speed, periods, dt, target, bound, snap, dnl, *rest = (
+            getattr(self, name)[i].item() for name in _TEST_COLUMNS
+        )
+        case = TestCase(self.shapes[shape], amp, speed, periods, dt)
+        return TestResult(GeneratedTest(case, target, bound, snap), dnl, components, *rest)
+
+    def take(self, indices) -> "ResultColumns":
+        """The tests at ``indices``, in that order, with the same shape codes."""
+        counts = np.diff(self.offsets)[indices]
+        ends = np.cumsum(counts)
+        shift = np.repeat(self.offsets[indices] - (ends - counts), counts)  # old start - new start
+        picked = shift + np.arange(shift.size)
+        return ResultColumns(
+            self.shapes, offsets=np.r_[0, ends],
+            **{name: getattr(self, name)[indices] for name in _TEST_COLUMNS},
+            **{name: getattr(self, name)[picked] for name in _COMPONENT_COLUMNS},
+        )
 
 
 @dataclass(frozen=True, slots=True)

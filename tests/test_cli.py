@@ -1,6 +1,7 @@
 """Command-line pipeline: stages, artifacts, exit codes, reproducibility."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,8 @@ import pytest
 
 from loopstress import analysis, campaign, cli, persist, plants
 from loopstress.config import load_config
-from loopstress.signals import ShapeKind, snap_time_gain
+from loopstress.records import Component, GeneratedTest, TestResult
+from loopstress.signals import ShapeKind, TestCase, snap_time_gain
 
 from conftest import make_result, violation_family
 import python_stepper
@@ -221,6 +223,20 @@ def test_a_simulating_stage_without_a_compiler_exits_3_and_analyze_still_runs(
             "--out", str(tmp_path / "analyzed")]
     assert cli.main(argv) in (0, 2)
     assert plants._kernel is None
+
+
+def test_a_compiler_error_exits_3_with_the_compilers_diagnostic(tmp_path, capsys, monkeypatch):
+    # The compiler runs and fails: the error line names the command and
+    # gives gcc's own message, not the temporary file's path.
+    failing = (*plants._COMPILE, "-floopstress-no-such-option")
+    monkeypatch.setattr(plants, "_COMPILE", failing)
+    monkeypatch.setattr(plants, "_kernel", None)
+    rc = cli.main(["bound", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)])
+    assert rc == cli.EXIT_INVALID_INPUT
+    line = only_error_line(capsys)
+    assert " ".join(failing) in line
+    assert "gcc: error: unrecognized command-line option" in line
+    assert ".tmp" not in line
 
 
 def test_seed_override_changes_the_test_set(tmp_path):
@@ -794,6 +810,8 @@ def first_component(row, field, value):
         # dnl is infinite exactly when the test diverged.
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": math.inf, "diverged": False}),
         (cli.RESULTS_FILE, 1, lambda r: {**r, "dnl": 0.01, "diverged": True}),
+        # A period count is exact in a float column only up to 2**53.
+        (cli.RESULTS_FILE, 1, lambda r: {**r, "test": {**r["test"], "periods": 2**53 + 1}}),
     ],
     ids=["tests-null-amp-gain", "bounds-unresolved-not-pairs", "bounds-null-bound",
          "tests-list-row", "tests-list-header", "results-diverged-string",
@@ -810,7 +828,8 @@ def first_component(row, field, value):
          "results-frequency-negative", "results-frequency-infinite",
          "results-amplitude-negative", "results-amplitude-infinite",
          "results-dof-infinite", "results-dof-minus-infinity", "results-dof-above-one",
-         "results-infinite-dnl-not-diverged", "results-diverged-finite-dnl"],
+         "results-infinite-dnl-not-diverged", "results-diverged-finite-dnl",
+         "results-periods-above-2-53"],
 )
 def test_malformed_artifact_exits_3_with_one_error_line(
     staged, tmp_path, capsys, artifact, index, edit
@@ -885,6 +904,65 @@ def test_drone_full_finishes_its_campaign(tmp_path):
     assert len(scatter) == len(results) + 1
     dof = (tmp_path / cli.DOF_FILE).read_text().splitlines()
     assert dof[0] == ",".join(analysis.DOF_HEADER)
+
+
+def leaves(value):
+    """``value``'s fields, nested, as ``(type, repr)`` pairs: -0.0 differs
+    from 0.0 here, and 1 from 1.0."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return tuple(leaves(v) for v in value)
+    return type(value), repr(value)
+
+
+def results_from_lines(path) -> list:
+    """The results artifact at ``path``, each line built straight into the
+    ``TestResult`` it stands for, as the loader once returned them."""
+    results = []
+    for line in path.read_text().splitlines()[1:]:
+        row = json.loads(line)
+        t = row["test"]
+        case = TestCase(ShapeKind(t["shape"]), t["amp_gain"], t["time_gain"], t["periods"],
+                        t["sample_interval"])
+        results.append(TestResult(
+            GeneratedTest(case, t["target_frequency"], t["bound"], t["snap_error"]), row["dnl"],
+            tuple(Component(*c) for c in row["components"]), row["actuator_sat_fraction"],
+            row["sensor_sat_fraction"], row["deviation_mean"], row["diverged"],
+        ))
+    return results
+
+
+def test_analyze_builds_a_record_only_for_a_top_record(tmp_path, monkeypatch):
+    # analyze reads the results as columns: at most the top records it
+    # lists become TestResult objects, not one per test.
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "drone_desk.json")
+    assert cli.main(["campaign", "--config", config, "--out", str(tmp_path)]) == cli.EXIT_OK
+    results = tmp_path / cli.RESULTS_FILE
+    built = []
+    new = TestResult.__new__
+    monkeypatch.setattr(
+        TestResult, "__new__", staticmethod(lambda *a, **k: built.append(1) or new(*a, **k))
+    )
+    argv = ["analyze", "--config", config, "--results", str(results), "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(built) <= analysis.TOP_K
+    monkeypatch.undo()
+    # load_results(path)[i] is the record that line i stands for, field for
+    # field: signed zeros, withheld dofs and an infinite dnl included.
+    edges = [
+        make_result(dnl=0.01, components=[(-0.0, 1.0, -0.0), (1.0, -0.0, None), (3.0, 0.3, 0.0)],
+                    deviation=-0.0),
+        make_result(frequency=2.0, dnl=math.inf, diverged=True, components=[(2.0, 1.0, None)]),
+        make_result(components=[]),
+    ]
+    loaded = persist.load_results(results)
+    assert len(loaded) > analysis.TOP_K
+    persist.save_results(results, [*edges, *loaded])
+    expected = results_from_lines(results)
+    loaded = persist.load_results(results)
+    assert [leaves(r) for r in loaded] == [leaves(r) for r in expected]
+    assert [leaves(r) for r in expected[:3]] == [leaves(r) for r in edges]
 
 
 def test_unknown_subcommand_exits_via_argparse(tmp_path):

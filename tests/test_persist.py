@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from loopstress import persist
 from loopstress.analysis import ScopeClass
 from loopstress.campaign import execute_campaign, generate_test_set
-from loopstress.records import AmplitudeBoundMap, MrViolation, RequiredInput, drone_spec
+from loopstress.records import (
+    AmplitudeBoundMap,
+    MrViolation,
+    RequiredInput,
+    ResultColumns,
+    drone_spec,
+)
 from loopstress.signals import ShapeKind
 
 from conftest import JSON_VALUES
@@ -66,7 +72,7 @@ def test_results_round_trip(tmp_path, small_inputs, small_tests):
     path = tmp_path / "results.jsonl"
     persist.save_results(path, results)
     loaded = persist.load_results(path)
-    assert loaded == tuple(results)
+    assert tuple(loaded) == tuple(results)
 
 
 def test_results_round_trip_with_infinite_dnl_and_withheld_dof(
@@ -79,7 +85,7 @@ def test_results_round_trip_with_infinite_dnl_and_withheld_dof(
     path = tmp_path / "results.jsonl"
     persist.save_results(path, results)
     loaded = persist.load_results(path)
-    assert loaded == tuple(results)
+    assert tuple(loaded) == tuple(results)
     assert all(math.isinf(r.dnl) for r in loaded)
 
 
@@ -270,7 +276,7 @@ def artifact_records(tmp_path_factory):
     for save, load, value in (
         (persist.save_bounds, persist.load_bounds, bound_map),
         (persist.save_test_set, persist.load_test_set, tests),
-        (persist.save_results, persist.load_results, results),
+        (persist.save_results, persist.load_results, ResultColumns.of(results)),
     ):
         save(path, value)
         records = [json.loads(line) for line in path.read_text().splitlines()]

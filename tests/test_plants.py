@@ -646,7 +646,8 @@ def test_a_missing_compiler_raises_one_line_naming_the_command(monkeypatch):
 def test_a_compiler_error_raises_one_line_naming_the_command(monkeypatch):
     # The compiler runs and fails: an option it does not know.
     failing = (*plants._COMPILE, "-floopstress-no-such-option")
-    assert_build_fails_then_succeeds(monkeypatch, failing, "non-zero exit status")
+    cause = "error: unrecognized command-line option"  # gcc's own line
+    assert_build_fails_then_succeeds(monkeypatch, failing, cause)
 
 
 def test_an_unwritable_cache_builds_in_a_private_directory(monkeypatch):
